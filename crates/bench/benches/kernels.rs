@@ -1,7 +1,8 @@
 //! Criterion benches of the real scientific kernels (the "reference
 //! implementation" compute that every engine's UDFs run), plus the format
 //! codecs whose conversion costs drive Figure 11's ingest differences and
-//! the `stream()` overhead of Figure 12c.
+//! the `stream()` overhead of Figure 12c, and the strided `marray` copies
+//! and axis folds underneath both use cases.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use marray::NdArray;
@@ -182,5 +183,54 @@ fn format_codecs(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(kernels, neuro_kernels, astro_kernels, format_codecs);
+/// The strided `marray` operations the pipelines spend their data
+/// movement in, each measured alone: Step 2A's per-patch crops and merges,
+/// the dMRI volume slice, the mean across volumes, and a volume-axis
+/// concatenation.
+fn marray_strided(c: &mut Criterion) {
+    let survey = SkySurvey::generate(17, &SkySpec::test_scale());
+    let sensor = &survey.visits[0][0];
+    let grid = survey.patch_grid();
+    let phantom = DmriPhantom::generate(5, &DmriSpec::test_scale());
+    let data = &phantom.data;
+    let n_vol = data.dims()[3];
+    let halves = [
+        data.take_axis(3, &(0..n_vol / 2).collect::<Vec<_>>())
+            .unwrap(),
+        data.take_axis(3, &(n_vol / 2..n_vol).collect::<Vec<_>>())
+            .unwrap(),
+    ];
+
+    let mut g = c.benchmark_group("marray_strided");
+    g.throughput(Throughput::Bytes(sensor.nbytes() as u64));
+    g.bench_function("step2a_crop_and_merge", |b| {
+        b.iter(|| {
+            for (patch, piece) in grid.map_to_patches(sensor) {
+                let merged = astro::pipeline::merge_visit_pieces(&grid.patch_box(patch), &[piece]);
+                black_box(merged);
+            }
+        });
+    });
+    // Each case's throughput counts the bytes it copies out or reads.
+    g.throughput(Throughput::Bytes((data.nbytes() / n_vol) as u64));
+    g.bench_function("dmri_slice_axis3", |b| {
+        b.iter(|| black_box(data.slice_axis(3, n_vol / 2).unwrap()));
+    });
+    g.throughput(Throughput::Bytes(data.nbytes() as u64));
+    g.bench_function("dmri_mean_axis3", |b| {
+        b.iter(|| black_box(data.mean_axis(3)));
+    });
+    g.bench_function("dmri_concat_axis3", |b| {
+        b.iter(|| black_box(NdArray::concat(&[&halves[0], &halves[1]], 3).unwrap()));
+    });
+    g.finish();
+}
+
+criterion_group!(
+    kernels,
+    neuro_kernels,
+    astro_kernels,
+    format_codecs,
+    marray_strided
+);
 criterion_main!(kernels);

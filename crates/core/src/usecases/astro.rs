@@ -590,8 +590,38 @@ mod tests {
         assert_eq!(&back.mask, &e.mask);
     }
 
+    /// Run the calling test alone in a fresh process of this test binary
+    /// (`name` is its full path), so that no other test records into the
+    /// process-wide copy ledger while it diffs the ledger.
+    fn in_own_process(name: &str, body: impl FnOnce()) {
+        const CHILD_ENV: &str = "SCIBENCH_ISOLATED_TEST";
+        if std::env::var_os(CHILD_ENV).is_some() {
+            body();
+            return;
+        }
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = std::process::Command::new(exe)
+            .args(["--exact", name, "--test-threads=1", "--nocapture"])
+            .env(CHILD_ENV, "1")
+            .output()
+            .expect("spawn the isolated test process");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "isolated run of {name} failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
     #[test]
     fn myria_blob_path_shares_planes() {
+        in_own_process(
+            "usecases::astro::tests::myria_blob_path_shares_planes",
+            myria_blob_path_shares_planes_body,
+        );
+    }
+
+    fn myria_blob_path_shares_planes_body() {
         use marray::{with_copy_mode, CopyCounter, CopyMode};
         let s = survey();
         let before = CopyCounter::snapshot();

@@ -2,6 +2,7 @@ use crate::chunkstore::{ChunkBuf, ChunkView};
 use crate::element::Element;
 use crate::error::{ArrayError, Result};
 use crate::shape::Shape;
+use crate::strided;
 
 /// A dense, row-major N-dimensional array over a shared chunk buffer.
 ///
@@ -325,22 +326,9 @@ impl<T: Element> NdArray<T> {
             });
         }
         let out_shape = self.shape.without_axis(axis)?;
-        let strides = self.shape.strides();
-        // The slice is a strided copy: iterate output indices and map back.
-        let mut data = Vec::with_capacity(out_shape.len());
-        let mut src_ix = vec![0usize; self.shape.rank()];
-        for out_ix in out_shape.indices() {
-            let (head, tail) = out_ix.split_at(axis);
-            src_ix[..axis].copy_from_slice(head);
-            src_ix[axis] = index;
-            src_ix[axis + 1..].copy_from_slice(tail);
-            let off: usize = src_ix.iter().zip(&strides).map(|(&i, &s)| i * s).sum();
-            data.push(self.d()[off]);
-        }
-        Ok(NdArray {
-            shape: out_shape,
-            data: ChunkBuf::from_vec(data),
-        })
+        let mut strides = self.shape.strides();
+        let base = index * strides.remove(axis);
+        Ok(self.gather(out_shape, base, &strides))
     }
 
     /// Select a subset of positions along `axis` (NumPy `take`).
@@ -361,18 +349,17 @@ impl<T: Element> NdArray<T> {
         }
         let out_shape = self.shape.with_axis(axis, positions.len())?;
         let mut data = Vec::with_capacity(out_shape.len());
-        let strides = self.shape.strides();
-        let mut src_ix = vec![0usize; self.shape.rank()];
-        for out_ix in out_shape.indices() {
-            src_ix.copy_from_slice(&out_ix);
-            src_ix[axis] = positions[out_ix[axis]];
-            let off: usize = src_ix.iter().zip(&strides).map(|(&i, &s)| i * s).sum();
-            data.push(self.d()[off]);
+        if !out_shape.is_empty() {
+            // Every selected position is one contiguous run of the axes
+            // after `axis`, repeated once per index of the axes before it.
+            let inner: usize = self.shape.dims()[axis + 1..].iter().product();
+            for block in self.d().chunks_exact(self.shape.dim(axis) * inner) {
+                for &p in positions {
+                    data.extend_from_slice(&block[p * inner..(p + 1) * inner]);
+                }
+            }
         }
-        Ok(NdArray {
-            shape: out_shape,
-            data: ChunkBuf::from_vec(data),
-        })
+        Ok(Self::from_parts(out_shape, data))
     }
 
     /// Extract the hyper-rectangle `[starts[i], starts[i] + dims[i])` on each
@@ -392,22 +379,9 @@ impl<T: Element> NdArray<T> {
                 });
             }
         }
-        let out_shape = Shape::new(dims);
         let strides = self.shape.strides();
-        let mut data = Vec::with_capacity(out_shape.len());
-        for out_ix in out_shape.indices() {
-            let off: usize = out_ix
-                .iter()
-                .zip(starts)
-                .zip(&strides)
-                .map(|((&i, &s0), &s)| (i + s0) * s)
-                .sum();
-            data.push(self.d()[off]);
-        }
-        Ok(NdArray {
-            shape: out_shape,
-            data: ChunkBuf::from_vec(data),
-        })
+        let base = starts.iter().zip(&strides).map(|(&s0, &s)| s0 * s).sum();
+        Ok(self.gather(Shape::new(dims), base, &strides))
     }
 
     /// Write `patch` into this array at origin `starts` (inverse of
@@ -428,15 +402,10 @@ impl<T: Element> NdArray<T> {
             }
         }
         let strides = self.shape.strides();
+        let base = starts.iter().zip(&strides).map(|(&s0, &s)| s0 * s).sum();
         let dst = self.data.make_mut("cow");
-        for src_ix in patch.shape.indices() {
-            let off: usize = src_ix
-                .iter()
-                .zip(starts)
-                .zip(&strides)
-                .map(|((&i, &s0), &s)| (i + s0) * s)
-                .sum();
-            dst[off] = patch.d()[patch.shape.offset(&src_ix)];
+        if !patch.is_empty() {
+            strided::scatter(dst, base, patch.dims(), &strides, patch.d());
         }
         Ok(())
     }
@@ -494,21 +463,22 @@ impl<T: Element> NdArray<T> {
             });
         }
         let out_dims: Vec<usize> = perm.iter().map(|&a| self.shape.dim(a)).collect();
-        let out_shape = Shape::new(&out_dims);
         let strides = self.shape.strides();
-        let mut data = Vec::with_capacity(self.data.len());
-        let mut src_ix = vec![0usize; rank];
-        for out_ix in out_shape.indices() {
-            for (i, &a) in perm.iter().enumerate() {
-                src_ix[a] = out_ix[i];
-            }
-            let off: usize = src_ix.iter().zip(&strides).map(|(&i, &s)| i * s).sum();
-            data.push(self.d()[off]);
-        }
-        Ok(NdArray {
-            shape: out_shape,
-            data: ChunkBuf::from_vec(data),
-        })
+        let out_strides: Vec<usize> = perm.iter().map(|&a| strides[a]).collect();
+        Ok(self.gather(Shape::new(&out_dims), 0, &out_strides))
+    }
+
+    /// Internal: the array of `shape` whose row-major index `ix` reads
+    /// this array's element `base + Σ ix[a]·strides[a]` (an affine gather,
+    /// see [`crate::strided`]). The source is read only for a non-empty
+    /// result, so an empty one decodes, pins and records nothing.
+    fn gather(&self, shape: Shape, base: usize, strides: &[usize]) -> Self {
+        let data = if shape.is_empty() {
+            Vec::new()
+        } else {
+            strided::gather(self.d(), base, shape.dims(), strides)
+        };
+        Self::from_parts(shape, data)
     }
 
     /// Apply `f` to every element, producing a new array.

@@ -36,6 +36,7 @@ mod mask;
 mod reduce;
 mod shape;
 mod spill;
+mod strided;
 mod window;
 
 pub use array::NdArray;

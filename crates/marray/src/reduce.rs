@@ -60,21 +60,22 @@ impl<T: Element> NdArray<T> {
         let out_shape = shape.without_axis(axis).expect("axis in range");
         let n = shape.dim(axis);
         let mut acc = vec![init; out_shape.len()];
-        let strides = shape.strides();
-        let out_strides = out_shape.strides();
-        // Walk the input once; map each input index to its output offset.
-        for ix in shape.indices() {
-            let in_off: usize = ix.iter().zip(&strides).map(|(&i, &s)| i * s).sum();
-            let mut out_off = 0usize;
-            let mut k = 0;
-            for (a, &i) in ix.iter().enumerate() {
-                if a == axis {
-                    continue;
+        if !shape.is_empty() {
+            // View the input as (outer, n, inner): every output cell folds
+            // its strided column of `n` elements in increasing axis order.
+            // Walking each block's `n` rows in turn is the input's own
+            // row-major order, so every cell sees the same fold sequence.
+            let inner: usize = shape.dims()[axis + 1..].iter().product();
+            for (cells, block) in acc
+                .chunks_exact_mut(inner)
+                .zip(self.data().chunks_exact(n * inner))
+            {
+                for row in block.chunks_exact(inner) {
+                    for (a, v) in cells.iter_mut().zip(row) {
+                        *a = fold(*a, v.to_f64());
+                    }
                 }
-                out_off += i * out_strides[k];
-                k += 1;
             }
-            acc[out_off] = fold(acc[out_off], self.data()[in_off].to_f64());
         }
         for v in &mut acc {
             *v = finish(*v, n);

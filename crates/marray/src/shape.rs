@@ -121,7 +121,7 @@ impl Shape {
     pub fn indices(&self) -> IndexIter {
         IndexIter {
             shape: self.clone(),
-            next: Some(vec![0; self.dims.len()]),
+            next: vec![0; self.dims.len()],
             done: self.is_empty(),
         }
     }
@@ -130,7 +130,7 @@ impl Shape {
 /// Row-major iterator over every multi-index of a [`Shape`].
 pub struct IndexIter {
     shape: Shape,
-    next: Option<Vec<usize>>,
+    next: Vec<usize>,
     done: bool,
 }
 
@@ -141,22 +141,17 @@ impl Iterator for IndexIter {
         if self.done {
             return None;
         }
-        let current = self.next.clone()?;
-        // Advance like an odometer.
-        let mut idx = current.clone();
-        let mut carried = true;
-        for i in (0..idx.len()).rev() {
-            idx[i] += 1;
-            if idx[i] < self.shape.dims[i] {
-                carried = false;
+        let current = self.next.clone();
+        // Advance like an odometer, in place; a carry out of axis 0 ends
+        // the walk.
+        self.done = true;
+        for (i, &d) in self.shape.dims.iter().enumerate().rev() {
+            self.next[i] += 1;
+            if self.next[i] < d {
+                self.done = false;
                 break;
             }
-            idx[i] = 0;
-        }
-        if carried {
-            self.done = true;
-        } else {
-            self.next = Some(idx);
+            self.next[i] = 0;
         }
         Some(current)
     }

@@ -4,15 +4,25 @@
 //! shipped data plane), and sharing must eliminate the non-architectural
 //! copies.
 //!
-//! All counter assertions run inside `with_copy_mode` sections, which
-//! serialize on a global lock, so parallel test threads cannot pollute
-//! each other's deltas.
+//! Every test here diffs the process-wide copy ledger, and
+//! `with_copy_mode` serializes only its own sections, not the code
+//! around them. So every test in this binary takes [`ledger`] first, and
+//! no test's copies land in another's delta.
 
 use scibench::marray::{with_copy_mode, CopyCounter, CopyMode, NdArray};
 use scibench_bench::e2e;
+use std::sync::{Mutex, MutexGuard};
+
+static LEDGER: Mutex<()> = Mutex::new(());
+
+/// Serialize on the process-wide copy ledger.
+fn ledger() -> MutexGuard<'static, ()> {
+    LEDGER.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn every_engine_pipeline_is_bit_identical_across_copy_modes() {
+    let _ledger = ledger();
     let (results, skipped) = e2e::run_e2e(true);
     assert_eq!(results.len(), 8, "5 neuro + 3 astro measurements");
     assert_eq!(skipped.len(), 2, "astro dask + tensorflow gaps documented");
@@ -35,6 +45,7 @@ fn every_engine_pipeline_is_bit_identical_across_copy_modes() {
 
 #[test]
 fn shared_plane_halves_copies_on_at_least_three_engines() {
+    let _ledger = ledger();
     // The acceptance bar: copies drop >= 50% on >= 3 of the 5 engine
     // analogs (measured on the neuroscience pipeline, which all five run).
     let (results, _) = e2e::run_e2e(true);
@@ -64,6 +75,7 @@ fn shared_plane_halves_copies_on_at_least_three_engines() {
 
 #[test]
 fn remaining_copies_carry_only_sanctioned_reason_tags() {
+    let _ledger = ledger();
     // On the shared plane every surviving copy must be COW or an
     // explicitly recorded architectural copy — never the eager-clone tag,
     // which only the baseline mode may produce.
@@ -83,6 +95,7 @@ fn remaining_copies_carry_only_sanctioned_reason_tags() {
 
 #[test]
 fn copy_counter_sees_eager_clones_and_not_shared_ones() {
+    let _ledger = ledger();
     let a = NdArray::<f64>::from_fn(&[16, 16], |ix| (ix[0] * 16 + ix[1]) as f64);
 
     with_copy_mode(CopyMode::Shared, || {
