@@ -11,12 +11,12 @@
 //!
 //! `scibench bench` times the five hottest kernels at a ladder of thread
 //! counts and emits the machine-readable `BENCH_kernels.json`;
-//! `scibench bench e2e` runs every engine analog's full pipeline under the
-//! eager copy-everywhere baseline and the shared data plane, asserts the
-//! outputs are bit-identical, and emits `BENCH_e2e.json` with per-engine
-//! copy counts; `scibench bench skew` schedules a source-skewed astro
-//! field under morsel claiming and under static splits and emits
-//! `BENCH_skew.json` with per-worker imbalance and steal counts;
+//! `scibench bench e2e` runs every engine analog's full pipeline once on
+//! the shared data plane and emits `BENCH_e2e.json` with per-engine output
+//! fingerprints and copy counts; `scibench bench skew` schedules a
+//! source-skewed astro field under morsel claiming and under static
+//! splits and emits `BENCH_skew.json` with per-worker imbalance and steal
+//! counts;
 //! `scibench bench compress` measures per-codec compression ratios at the
 //! engine ingest boundary, runs the run-level kernel fast paths against
 //! their dense twins, replays two full pipelines under `CompressMode`
@@ -409,44 +409,24 @@ fn bench_e2e(args: &[String]) -> i32 {
 
     let host = hostinfo::available_parallelism();
     eprintln!(
-        "e2e copy accounting: each pipeline under the eager (copy-everywhere) baseline, \
-         then on the shared data plane{}...",
+        "e2e copy accounting: each pipeline once on the shared data plane{}...",
         if quick { " (quick)" } else { "" }
     );
     let (results, skipped) = e2e::run_e2e(quick);
-    let mut diverged = 0;
     for r in &results {
         eprintln!(
-            "  {:<6} {:<11} copies {:>6} -> {:<6} ({:>5.1}% drop)  {:>8.1} ms -> {:<8.1} ms{}",
-            r.pipeline,
-            r.engine,
-            r.copies_before,
-            r.copies_after,
-            r.copy_drop * 100.0,
-            r.ms_before,
-            r.ms_after,
-            if r.outputs_identical {
-                ""
-            } else {
-                "  FINGERPRINT DIVERGED"
-            }
+            "  {:<6} {:<11} fp {:016x}  copies {:>4}  {:>9} B  {:>8.1} ms",
+            r.pipeline, r.engine, r.fingerprint, r.copies, r.bytes, r.ms
         );
-        if !r.outputs_identical {
-            diverged += 1;
-        }
     }
     for s in &skipped {
         eprintln!("  {:<6} {:<11} skipped: {}", s.pipeline, s.engine, s.status);
     }
     let json = e2e::results_to_json(&results, &skipped, host, quick);
-    if let Err(code) = emit_json(&json, flags.out_path) {
-        return code;
+    match emit_json(&json, flags.out_path) {
+        Ok(()) => 0,
+        Err(code) => code,
     }
-    if diverged > 0 {
-        eprintln!("error: {diverged} pipeline(s) diverged between copy modes");
-        return 1;
-    }
-    0
 }
 
 fn bench_skew(args: &[String]) -> i32 {
@@ -891,9 +871,8 @@ fn usage() -> i32 {
     eprintln!("  bench       time the five hottest kernels across thread counts and");
     eprintln!("              emit BENCH_kernels.json");
     eprintln!("              options: [--threads N] [--out PATH]");
-    eprintln!("  bench e2e   run every engine analog's full pipeline under the eager");
-    eprintln!("              copy-everywhere baseline and the shared data plane, and");
-    eprintln!("              emit BENCH_e2e.json with per-engine copy counts");
+    eprintln!("  bench e2e   run every engine analog's full pipeline once and emit");
+    eprintln!("              BENCH_e2e.json with per-engine fingerprints and copy counts");
     eprintln!("              options: [--quick] [--out PATH]");
     eprintln!("  bench skew  schedule a source-skewed astro field under morsel claiming");
     eprintln!("              and static splits, and emit BENCH_skew.json with worker");

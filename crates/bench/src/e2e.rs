@@ -1,17 +1,17 @@
 //! End-to-end pipeline benchmarks with copy accounting: each engine
-//! analog's full use-case pipeline, run twice — once under
-//! [`CopyMode::Eager`] (every chunk-handle clone deep-copies, the
-//! copy-everywhere baseline this workspace shipped before the shared data
-//! plane) and once under [`CopyMode::Shared`] (clones are refcount bumps;
-//! only COW mutations and sanctioned architectural copies touch memory).
+//! analog's full use-case pipeline, run once on the shared data plane
+//! (clones are refcount bumps; only COW mutations and sanctioned
+//! architectural copies touch memory), recording its output fingerprint,
+//! the deep copies it made by reason tag, and its wall time.
 //!
-//! The two runs must produce bit-identical outputs (the fingerprints are
-//! compared), so the copy counts and wall times are measurements of the
-//! data plane alone, not of a different computation. Results serialize as
-//! `BENCH_e2e.json` (schema `scibench-bench-e2e/v1`).
+//! Results serialize as `BENCH_e2e.json` (schema `scibench-bench-e2e/v2`).
+//! Everything in a row but the wall time is deterministic, and the
+//! committed full-size artifact pins it: a test reruns the matrix and
+//! requires every row to match exactly, so a new copy, a lost one or a
+//! changed output fails CI.
 
 use crate::kernels::Fingerprint;
-use marray::{with_copy_mode, CopyCounter, CopyMode, CopyStats};
+use marray::CopyCounter;
 use scibench_core::usecases::astro as astro_uc;
 use scibench_core::usecases::neuro as neuro_uc;
 use sciops::synth::dmri::{DmriPhantom, DmriSpec};
@@ -47,31 +47,23 @@ pub struct E2eSkip {
     pub status: String,
 }
 
-/// One engine's before/after measurement.
+/// One engine's measurement.
 #[derive(Debug, Clone)]
 pub struct E2eResult {
     /// Use case.
     pub pipeline: &'static str,
     /// Engine analog.
     pub engine: &'static str,
-    /// Deep copies under the eager (copy-everywhere) baseline.
-    pub copies_before: u64,
-    /// Bytes deep-copied under the eager baseline.
-    pub bytes_before: u64,
-    /// Wall milliseconds for the eager run.
-    pub ms_before: f64,
-    /// Deep copies on the shared data plane (COW + sanctioned only).
-    pub copies_after: u64,
-    /// Bytes deep-copied on the shared data plane.
-    pub bytes_after: u64,
-    /// Wall milliseconds for the shared run.
-    pub ms_after: f64,
-    /// `1 - after/before` (0 when the baseline itself made no copies).
-    pub copy_drop: f64,
-    /// The copies that remain, by reason tag (the architectural ones).
-    pub reasons_after: Vec<(String, u64)>,
-    /// Eager and shared fingerprints matched bit for bit.
-    pub outputs_identical: bool,
+    /// Fingerprint of the pipeline's output.
+    pub fingerprint: u64,
+    /// Deep copies the run made (COW + sanctioned only).
+    pub copies: u64,
+    /// Bytes deep-copied.
+    pub bytes: u64,
+    /// Wall milliseconds.
+    pub ms: f64,
+    /// The copies by reason tag.
+    pub reasons: Vec<(String, u64)>,
 }
 
 pub(crate) fn subjects(n: usize) -> Vec<neuro_uc::Subject> {
@@ -258,53 +250,38 @@ fn patch_cube(survey: &SkySurvey) -> marray::NdArray<f64> {
     cube
 }
 
-/// Run `case` once under `mode`, returning (fingerprint, copy delta, ms).
-fn measure(case: &E2eCase, mode: CopyMode) -> (u64, CopyStats, f64) {
-    with_copy_mode(mode, || {
-        let before = CopyCounter::snapshot();
-        let t = Instant::now();
-        let fp = case.run();
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        (fp, CopyCounter::snapshot().since(&before), ms)
-    })
-}
-
-/// Run the whole matrix: every case under the eager baseline, then under
-/// the shared data plane, asserting fingerprint equality between modes.
+/// Run the whole matrix, each case once, diffing the copy ledger around
+/// each run.
 pub fn run_e2e(quick: bool) -> (Vec<E2eResult>, Vec<E2eSkip>) {
     let (cases, skipped) = suite(quick);
-    let mut results = Vec::new();
-    for case in &cases {
-        let (fp_eager, eager, ms_before) = measure(case, CopyMode::Eager);
-        let (fp_shared, shared, ms_after) = measure(case, CopyMode::Shared);
-        let copy_drop = if eager.copies > 0 {
-            1.0 - shared.copies as f64 / eager.copies as f64
-        } else {
-            0.0
-        };
-        results.push(E2eResult {
-            pipeline: case.pipeline,
-            engine: case.engine,
-            copies_before: eager.copies,
-            bytes_before: eager.bytes,
-            ms_before,
-            copies_after: shared.copies,
-            bytes_after: shared.bytes,
-            ms_after,
-            copy_drop,
-            reasons_after: shared
-                .by_reason
-                .iter()
-                .map(|(k, v)| (k.clone(), v.copies))
-                .collect(),
-            outputs_identical: fp_eager == fp_shared,
-        });
-    }
+    let results = cases
+        .iter()
+        .map(|case| {
+            let before = CopyCounter::snapshot();
+            let t = Instant::now();
+            let fingerprint = case.run();
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            let copies = CopyCounter::snapshot().since(&before);
+            E2eResult {
+                pipeline: case.pipeline,
+                engine: case.engine,
+                fingerprint,
+                copies: copies.copies,
+                bytes: copies.bytes,
+                ms,
+                reasons: copies
+                    .by_reason
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.copies))
+                    .collect(),
+            }
+        })
+        .collect();
     (results, skipped)
 }
 
 /// Render e2e results as the `BENCH_e2e.json` document
-/// (schema `scibench-bench-e2e/v1`). Hand-rolled like
+/// (schema `scibench-bench-e2e/v2`). Hand-rolled like
 /// [`crate::kernels::results_to_json`]: no JSON dependency in the
 /// workspace.
 pub fn results_to_json(
@@ -315,32 +292,26 @@ pub fn results_to_json(
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"scibench-bench-e2e/v1\",\n");
+    out.push_str("  \"schema\": \"scibench-bench-e2e/v2\",\n");
     out.push_str(&crate::hostinfo::host_block(host_parallelism));
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         let reasons = r
-            .reasons_after
+            .reasons
             .iter()
             .map(|(k, v)| format!("\"{k}\": {v}"))
             .collect::<Vec<_>>()
             .join(", ");
         out.push_str(&format!(
-            "    {{\"pipeline\": \"{}\", \"engine\": \"{}\", \"copies_before\": {}, \
-             \"bytes_before\": {}, \"ms_before\": {:.2}, \"copies_after\": {}, \
-             \"bytes_after\": {}, \"ms_after\": {:.2}, \"copy_drop\": {:.4}, \
-             \"outputs_identical\": {}, \"reasons_after\": {{{reasons}}}}}{}\n",
+            "    {{\"pipeline\": \"{}\", \"engine\": \"{}\", \"fingerprint\": \"{:016x}\", \
+             \"copies\": {}, \"bytes\": {}, \"ms\": {:.2}, \"reasons\": {{{reasons}}}}}{}\n",
             r.pipeline,
             r.engine,
-            r.copies_before,
-            r.bytes_before,
-            r.ms_before,
-            r.copies_after,
-            r.bytes_after,
-            r.ms_after,
-            r.copy_drop,
-            r.outputs_identical,
+            r.fingerprint,
+            r.copies,
+            r.bytes,
+            r.ms,
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
@@ -392,15 +363,11 @@ mod tests {
         let results = vec![E2eResult {
             pipeline: "neuro",
             engine: "spark",
-            copies_before: 100,
-            bytes_before: 800_000,
-            ms_before: 12.5,
-            copies_after: 10,
-            bytes_after: 80_000,
-            ms_after: 9.0,
-            copy_drop: 0.9,
-            reasons_after: vec![("cow".to_string(), 10)],
-            outputs_identical: true,
+            fingerprint: 0xe87f_62fd_db08_519b,
+            copies: 10,
+            bytes: 80_000,
+            ms: 9.0,
+            reasons: vec![("cow".to_string(), 10)],
         }];
         let skipped = vec![E2eSkip {
             pipeline: "astro",
@@ -408,11 +375,12 @@ mod tests {
             status: "frozen".to_string(),
         }];
         let json = results_to_json(&results, &skipped, 1, true);
-        assert!(json.contains("\"schema\": \"scibench-bench-e2e/v1\""));
+        assert!(json.contains("\"schema\": \"scibench-bench-e2e/v2\""));
         assert!(json.contains("\"single_core_host\": true"));
-        assert!(json.contains("\"copies_before\": 100"));
-        assert!(json.contains("\"copy_drop\": 0.9000"));
-        assert!(json.contains("\"reasons_after\": {\"cow\": 10}"));
+        assert!(json.contains(
+            "{\"pipeline\": \"neuro\", \"engine\": \"spark\", \"fingerprint\": \"e87f62fddb08519b\", \
+             \"copies\": 10, \"bytes\": 80000, \"ms\": 9.00, \"reasons\": {\"cow\": 10}}"
+        ));
         assert!(json.contains("\"skipped\""));
         assert!(!json.contains(",\n  ]"), "no trailing comma:\n{json}");
     }

@@ -70,7 +70,7 @@ fn pack_exposure(e: &Exposure) -> Exposure {
 /// sanctioned `myria.pack-blob` tag.
 // scilint: allow(F001, volume index and shape invariants are upheld by the pipeline driver; TODO(flow): propagate Result through the use-case API)
 fn mask_to_blob(mask: &NdArray<u8>) -> Value {
-    marray::record_copy("myria.pack-blob", mask.len() * 8);
+    marray::CopyCounter::record("myria.pack-blob", mask.len() * 8);
     let blob = NdArray::from_vec(mask.dims(), mask.data().iter().map(|&m| m as f64).collect())
         .expect("mask plane");
     // The freshly re-typed mask is the runniest plane in the pipeline:
@@ -83,7 +83,7 @@ fn mask_to_blob(mask: &NdArray<u8>) -> Value {
 /// Inverse of [`mask_to_blob`] — the matching required copy on the way out.
 // scilint: allow(F001, volume index and shape invariants are upheld by the pipeline driver; TODO(flow): propagate Result through the use-case API)
 fn blob_to_mask(blob: &NdArray<f64>) -> NdArray<u8> {
-    marray::record_copy("myria.unpack-blob", blob.len());
+    marray::CopyCounter::record("myria.unpack-blob", blob.len());
     NdArray::from_vec(blob.dims(), blob.data().iter().map(|&v| v as u8).collect())
         .expect("mask plane")
 }
@@ -96,10 +96,9 @@ fn exposure_to_blobs(e: Exposure) -> (Value, Value, Value) {
     (Value::blob(e.flux), Value::blob(e.variance), mask)
 }
 
-/// Rebuild an [`Exposure`] from its three blob columns. On the shared data
-/// plane the flux/variance clones are refcount bumps; under the eager
-/// baseline they are the per-plane deep copies Myria's blob
-/// deserialization used to pay on every UDF call.
+/// Rebuild an [`Exposure`] from its three blob columns. The flux/variance
+/// clones are refcount bumps, not the per-plane deep copies Myria's blob
+/// deserialization pays on every UDF call.
 // scilint: allow(F003, engine ingest boundary: blobs enter the engine's own tuple store, a materializing copy by contract)
 fn exposure_from_blobs(
     flux: &Value,
@@ -197,9 +196,7 @@ pub fn spark(survey: &SkySurvey, partitions: usize) -> AstroResult {
 /// the f64 planes are shared chunk handles end to end, so the only copies
 /// left on the shared data plane are the u8-mask re-typings at each UDF
 /// boundary (kept under the sanctioned `myria.pack-blob` /
-/// `myria.unpack-blob` tags). Under the eager baseline every plane handle
-/// still deep-copies — the delta is what `scibench bench e2e` reports as
-/// this engine's `copy_drop`.
+/// `myria.unpack-blob` tags), which `scibench bench e2e` counts.
 // scilint: allow(F001, volume index and shape invariants are upheld by the pipeline driver; TODO(flow): propagate Result through the use-case API)
 // scilint: allow(F003, engine ingest boundary: blobs enter the engine's own tuple store, a materializing copy by contract)
 pub fn myria(survey: &SkySurvey, nodes: usize, workers_per_node: usize) -> AstroResult {
@@ -412,8 +409,7 @@ pub fn myria(survey: &SkySurvey, nodes: usize, workers_per_node: usize) -> Astro
     for t in result.all_tuples() {
         let patch: PatchId = (t[0].as_int() as u32, t[1].as_int() as u32);
         // The flux plane leaves the engine as a shared handle — no
-        // client-side unpack copy remains (the eager baseline still
-        // deep-copies this clone, which is part of the measured delta).
+        // client-side unpack copy remains.
         let flux = t[2].as_blob().as_ref().clone();
         let cat = t[3].as_blob();
         let data = cat.data();
@@ -622,30 +618,27 @@ mod tests {
     }
 
     fn myria_blob_path_shares_planes_body() {
-        use marray::{with_copy_mode, CopyCounter, CopyMode};
+        use marray::{CopyCounter, ReasonStats};
         let s = survey();
         let before = CopyCounter::snapshot();
-        with_copy_mode(CopyMode::Eager, || {
-            myria(&s, 2, 2);
-        });
-        let eager = CopyCounter::snapshot().since(&before);
-        let before = CopyCounter::snapshot();
-        with_copy_mode(CopyMode::Shared, || {
-            myria(&s, 2, 2);
-        });
-        let shared = CopyCounter::snapshot().since(&before);
-        // The f64 planes ride shared handles, so the shared data plane must
-        // drop copies relative to the eager baseline; only the mask
-        // re-typings stay, and they stay under the sanctioned tags.
-        assert!(
-            shared.copies < eager.copies,
-            "shared {} vs eager {}",
-            shared.copies,
-            eager.copies
-        );
-        assert!(shared.by_reason.keys().all(|k| {
-            k == "myria.pack-blob" || k == "myria.unpack-blob" || !k.starts_with("myria.")
-        }));
+        myria(&s, 2, 2);
+        let copies = CopyCounter::snapshot().since(&before);
+        // The f64 planes ride shared handles, so only the mask re-typings
+        // (pack/unpack and their codec traffic) and copy-on-write remain.
+        // The counts are exact: a copied f64 plane adds a tag or raises
+        // a count.
+        let expected: BTreeMap<String, ReasonStats> = [
+            ("codec.decode", 198, 1_807_104),
+            ("codec.encode", 198, 34_956),
+            ("cow", 33, 522_368),
+            ("myria.pack-blob", 198, 1_807_104),
+            ("myria.unpack-blob", 198, 225_888),
+        ]
+        .into_iter()
+        .map(|(tag, copies, bytes)| (tag.to_string(), ReasonStats { copies, bytes }))
+        .collect();
+        assert_eq!(copies.by_reason, expected);
+        assert_eq!((copies.copies, copies.bytes), (825, 4_397_420));
     }
 
     #[test]

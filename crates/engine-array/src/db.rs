@@ -112,7 +112,7 @@ impl ArrayDb {
         // copy (Figure 11's slow path): every cell is rewritten into chunk
         // storage. The charge is the stored footprint — a compressed
         // client array crosses the boundary in its encoded form.
-        marray::record_copy("scidb.ingest-chunking", array.stored_nbytes());
+        marray::CopyCounter::record("scidb.ingest-chunking", array.stored_nbytes());
         let mut chunks = grid.split(array)?;
         // A compressed ingest array stays compressed chunk-by-chunk: each
         // split chunk re-encodes (or stays dense when its slice no longer
@@ -179,14 +179,14 @@ impl ScidbArray {
     /// chunk, so the rewrite is recorded under `"scidb.materialize"`.
     pub fn materialize(&self) -> Result<NdArray<f64>, ArrayDbError> {
         let nbytes: usize = self.chunks.iter().map(|(_, c)| c.stored_nbytes()).sum();
-        marray::record_copy("scidb.materialize", nbytes);
+        marray::CopyCounter::record("scidb.materialize", nbytes);
         Ok(self.grid.assemble(&self.chunks)?)
     }
 
     /// Record one chunked rewrite of `bytes` bytes (result re-chunking
     /// after a misaligned or shape-changing operator).
     pub(crate) fn record_rechunk(&self, bytes: usize) {
-        marray::record_copy("scidb.rechunk", bytes);
+        marray::CopyCounter::record("scidb.rechunk", bytes);
     }
 
     pub(crate) fn record_scan(&self, chunks: u64, cells: u64) {

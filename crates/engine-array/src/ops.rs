@@ -328,7 +328,7 @@ impl ScidbArray {
                 .stats
                 .stream_tsv_bytes
                 .fetch_add((outbound.len() + inbound.len()) as u64, Ordering::Relaxed);
-            marray::record_copy("scidb.stream-tsv", outbound.len() + inbound.len());
+            marray::CopyCounter::record("scidb.stream-tsv", outbound.len() + inbound.len());
             chunks.push((ix.clone(), back.cast()));
         }
         Ok(ScidbArray {

@@ -194,13 +194,13 @@ fn encode_hdu(cards_in: &[Card], data: &ImageData, primary: bool, out: &mut Vec<
     pad_to_block(out, b' ');
     match data {
         ImageData::F32(a) => {
-            marray::record_copy("formats.fits-encode", a.nbytes());
+            marray::CopyCounter::record("formats.fits-encode", a.nbytes());
             for &v in a.data() {
                 out.extend_from_slice(&v.to_be_bytes()); // FITS is big-endian
             }
         }
         ImageData::U8(a) => {
-            marray::record_copy("formats.fits-encode", a.nbytes());
+            marray::CopyCounter::record("formats.fits-encode", a.nbytes());
             out.extend_from_slice(a.data());
         }
     }
@@ -316,7 +316,7 @@ fn decode_hdu(buf: &[u8], pos: &mut usize, primary: bool) -> Result<TypedHdu> {
     }
     let data = if bitpix == -32 {
         let mut v = Vec::with_capacity(n1 * n2);
-        marray::record_copy("formats.fits-decode", nbytes);
+        marray::CopyCounter::record("formats.fits-decode", nbytes);
         for i in 0..n1 * n2 {
             let o = cursor + 4 * i;
             v.push(f32::from_be_bytes([
@@ -329,7 +329,7 @@ fn decode_hdu(buf: &[u8], pos: &mut usize, primary: bool) -> Result<TypedHdu> {
         ImageData::F32(NdArray::from_vec(&[n2, n1], v)?)
     } else {
         ImageData::U8({
-            marray::record_copy("formats.fits-decode", nbytes);
+            marray::CopyCounter::record("formats.fits-decode", nbytes);
             NdArray::from_vec(&[n2, n1], buf[cursor..cursor + nbytes].to_vec())?
         })
     };

@@ -117,7 +117,7 @@ pub fn encode(array: &NdArray<f32>, voxel_mm: f32) -> Result<Vec<u8>> {
     buf[148..228].copy_from_slice(&header.descrip); // descrip[80]
     buf[344..348].copy_from_slice(b"n+1\0"); // magic
                                              // 4 bytes of extension flags (all zero = no extensions) at 348..352.
-    marray::record_copy("formats.nifti-encode", array.nbytes());
+    marray::CopyCounter::record("formats.nifti-encode", array.nbytes());
     let mut off = VOX_OFFSET;
     for &v in array.data() {
         buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
@@ -216,7 +216,7 @@ pub fn decode(buf: &[u8]) -> Result<(NiftiHeader, NdArray<f32>)> {
             got: buf.len(),
         });
     }
-    marray::record_copy("formats.nifti-decode", 4 * n);
+    marray::CopyCounter::record("formats.nifti-decode", 4 * n);
     let mut data = Vec::with_capacity(n);
     for i in 0..n {
         let off = data_start + 4 * i;

@@ -33,7 +33,7 @@ pub fn encode_f64(array: &NdArray<f64>) -> Vec<u8> {
 fn encode_raw(descr: &str, dims: &[usize], payload: Vec<u8>) -> Vec<u8> {
     // Serializing the payload to bytes is the staging-format copy the
     // paper's Spark/Myria ingest pays; the counter makes it visible.
-    marray::record_copy("formats.npy-encode", payload.len());
+    marray::CopyCounter::record("formats.npy-encode", payload.len());
     let shape = match dims.len() {
         0 => "()".to_string(),
         1 => format!("({},)", dims[0]),
@@ -153,7 +153,7 @@ pub fn decode_f32(buf: &[u8]) -> Result<NdArray<f32>> {
             got: buf.len(),
         });
     }
-    marray::record_copy("formats.npy-decode", 4 * n);
+    marray::CopyCounter::record("formats.npy-decode", 4 * n);
     let mut data = Vec::with_capacity(n);
     for i in 0..n {
         let o = start + 4 * i;
@@ -185,7 +185,7 @@ pub fn decode_f64(buf: &[u8]) -> Result<NdArray<f64>> {
             got: buf.len(),
         });
     }
-    marray::record_copy("formats.npy-decode", 8 * n);
+    marray::CopyCounter::record("formats.npy-decode", 8 * n);
     let mut data = Vec::with_capacity(n);
     for i in 0..n {
         let o = start + 8 * i;

@@ -11,11 +11,11 @@ use crate::strided;
 /// `NdArray<f32>` / `NdArray<f64>` / `NdArray<u8>` under the hood.
 ///
 /// Storage is a reference-counted [`ChunkBuf`]: `clone()` shares the bytes
-/// (a refcount bump under [`crate::CopyMode::Shared`], the default), and
-/// mutation is copy-on-write — mutating accessors deep-copy only when the
-/// buffer is shared, and every deep copy is recorded by
-/// [`crate::CopyCounter`]. Use [`NdArray::materialize`] when a copy is
-/// architecturally required regardless of sharing.
+/// (a refcount bump; the clone starts unpinned), and mutation is
+/// copy-on-write — mutating accessors deep-copy only when the buffer is
+/// shared, and every deep copy is recorded by [`crate::CopyCounter`].
+/// Use [`NdArray::materialize`] when a copy is architecturally required
+/// regardless of sharing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NdArray<T: Element> {
     shape: Shape,
@@ -156,18 +156,6 @@ impl<T: Element> NdArray<T> {
         NdArray {
             shape: self.shape.clone(),
             data: self.data.compressed(),
-        }
-    }
-
-    /// Internal: a handle clone (refcount bump) regardless of the global
-    /// [`crate::CopyMode`] — for representation-level reads that must
-    /// never be charged as payload copies. The clone starts unpinned, so
-    /// reading a governed array through it leaves the stored handle
-    /// spillable (the pin dies with the temporary).
-    pub(crate) fn handle_clone(&self) -> NdArray<T> {
-        NdArray {
-            shape: self.shape.clone(),
-            data: self.data.handle_clone(),
         }
     }
 

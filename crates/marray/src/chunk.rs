@@ -132,7 +132,8 @@ impl ChunkGrid {
         let mut out = NdArray::zeros(&self.array_dims);
         for (ix, chunk) in chunks {
             let origin = self.chunk_origin(ix);
-            let reader = chunk.handle_clone();
+            // scilint: allow(F003, a refcount bump whose pin dies with the temporary, leaving the stored chunk spillable)
+            let reader = chunk.clone();
             out.write_subarray(&origin, &reader)?;
         }
         Ok(out)

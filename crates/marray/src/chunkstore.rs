@@ -14,130 +14,69 @@
 //!   access, deep-copying only when the buffer is actually shared, and
 //!   every such unshare is recorded.
 //! * [`CopyCounter`] — a process-wide ledger of deep copies, each tagged
-//!   with a reason (`"cow"`, `"eager-clone"`, `"scidb.materialize"`, ...),
-//!   so pipelines can report copies-per-run and the e2e bench can prove
-//!   the zero-copy path eliminates the accidental ones.
-//! * [`CopyMode`] — a global switch between the zero-copy plane
-//!   ([`CopyMode::Shared`], the default) and a faithful reproduction of
-//!   the copy-everywhere seed behaviour ([`CopyMode::Eager`], where every
-//!   clone is a counted deep copy). The bench runs both to measure the
-//!   before/after copy counts on identical code paths.
+//!   with a reason (`"cow"`, `"scidb.materialize"`, ...), so pipelines can
+//!   report copies-per-run and the e2e bench can gate them against the
+//!   committed `BENCH_e2e.json`.
 //!
 //! Copies that an engine's architectural contract genuinely requires
 //! (e.g. the SciDB analog's chunked rewrite) are *kept* and tagged via
-//! [`record_copy`] or [`ChunkBuf::deep_copy`]: the goal is to delete the
-//! accidental copies while keeping each engine's intended copy behaviour
-//! faithful to the paper.
+//! [`CopyCounter::record`] or [`ChunkBuf::deep_copy`]: the goal is to
+//! delete the accidental copies while keeping each engine's intended copy
+//! behaviour faithful to the paper.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::codec::{compress_mode, ChunkRepr, CompressMode, Encoded};
 use crate::element::Element;
 use crate::spill::{govern_stored, GovernedCell, Stored};
 
-/// How [`ChunkBuf::clone`] behaves, process-wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CopyMode {
-    /// Clones share the underlying buffer (refcount bump). The default.
-    Shared,
-    /// Clones deep-copy, reproducing the pre-chunkstore data plane; every
-    /// such copy is counted under the `"eager-clone"` reason. Used by the
-    /// e2e bench and bit-identity tests as the "copy path" baseline.
-    Eager,
-}
-
-/// 0 = Shared, 1 = Eager; mirrors [`CopyMode`] for the atomic cell.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Serializes [`with_copy_mode`] sections so concurrent tests/benches that
-/// flip the global mode (or assert on counter deltas) never interleave.
+/// Serializes mode sections ([`with_mode`]) so concurrent tests/benches
+/// that flip a process-wide mode (or assert on counter deltas) never
+/// interleave.
 static MODE_LOCK: Mutex<()> = Mutex::new(());
 
-/// The process-wide [`CopyMode`] currently in effect.
-pub fn copy_mode() -> CopyMode {
-    if MODE.load(Ordering::SeqCst) == 0 {
-        CopyMode::Shared
-    } else {
-        CopyMode::Eager
-    }
-}
-
 thread_local! {
-    /// Nesting depth of [`with_copy_mode`] sections on this thread, so
-    /// nested sections re-use the outer section's lock instead of
-    /// deadlocking on it.
+    /// Nesting depth of mode sections on this thread, so nested sections
+    /// re-use the outer section's lock instead of deadlocking on it.
     static SECTION_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
-/// Restores a global mode cell to its captured value even if the closure
-/// panics. Shared by the copy-mode and compress-mode sections.
-pub(crate) struct RestoreMode {
-    cell: &'static AtomicU8,
-    prev: u8,
+/// Leaves a mode section: restores its cell (even if the section
+/// panicked), then the nesting depth.
+struct SectionGuard {
+    cell: &'static AtomicU64,
+    prev: u64,
 }
 
-impl RestoreMode {
-    /// Capture `cell`'s current value for restoration on drop.
-    pub(crate) fn new(cell: &'static AtomicU8) -> RestoreMode {
-        RestoreMode {
-            cell,
-            prev: cell.load(Ordering::SeqCst),
-        }
-    }
-}
-
-impl Drop for RestoreMode {
+impl Drop for SectionGuard {
     fn drop(&mut self) {
         self.cell.store(self.prev, Ordering::SeqCst);
-    }
-}
-
-/// Decrements the section depth on drop.
-struct DepthGuard;
-
-impl Drop for DepthGuard {
-    fn drop(&mut self) {
         SECTION_DEPTH.with(|d| d.set(d.get() - 1));
     }
 }
 
-/// Run `f` inside a global mode section: mutually exclusive across threads
-/// (the lock is held for the duration of the outermost section), re-entrant
-/// on one thread. [`with_copy_mode`] and [`crate::with_compress_mode`] both
-/// nest through this one lock, so mixed-mode sections cannot deadlock and
-/// counter deltas observed inside one section are not polluted by another
-/// thread's section.
-pub(crate) fn with_mode_section<R>(f: impl FnOnce() -> R) -> R {
+/// Run `f` with the process-wide mode `cell` set to `value`, then restore
+/// it. Sections are mutually exclusive across threads (the lock is held
+/// for the duration of the outermost section) and re-entrant on one
+/// thread. [`crate::with_compress_mode`] and [`crate::with_mem_budget`]
+/// both nest through this one lock, so mixed-kind sections cannot deadlock
+/// and counter deltas observed inside one section are not polluted by
+/// another thread's section. Threads *spawned by* `f` (engine workers)
+/// see `value`, as the cell is process-global.
+pub(crate) fn with_mode<R>(cell: &'static AtomicU64, value: u64, f: impl FnOnce() -> R) -> R {
     let outermost = SECTION_DEPTH.with(|d| {
         let depth = d.get();
         d.set(depth + 1);
         depth == 0
     });
-    let _depth = DepthGuard;
-    let _section = if outermost {
-        Some(MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner()))
-    } else {
-        None
+    let _section = outermost.then(|| MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner()));
+    let _restore = SectionGuard {
+        cell,
+        prev: cell.swap(value, Ordering::SeqCst),
     };
     f()
-}
-
-/// Run `f` with the process-wide copy mode set to `mode`, then restore.
-///
-/// Sections are mutually exclusive across threads (a global lock is held
-/// for the duration of the outermost section; nested sections on the same
-/// thread are re-entrant), so copy-counter deltas observed inside one
-/// section are not polluted by another thread's section. Threads *spawned
-/// by* `f` (engine workers) see the requested mode, as it is
-/// process-global.
-pub fn with_copy_mode<R>(mode: CopyMode, f: impl FnOnce() -> R) -> R {
-    with_mode_section(|| {
-        let _restore = RestoreMode::new(&MODE);
-        MODE.store(mode as u8, Ordering::SeqCst);
-        f()
-    })
 }
 
 /// Total deep copies recorded since process start.
@@ -176,15 +115,6 @@ impl CopyCounter {
             by_reason: map.clone(),
         }
     }
-}
-
-/// Record one deep copy of `bytes` bytes under `reason`.
-///
-/// Free-function alias for [`CopyCounter::record`], for call sites that
-/// tag architectural copies performed with plain buffer writes (e.g. the
-/// SciDB analog's rechunk, TSV streaming round-trips).
-pub fn record_copy(reason: &str, bytes: usize) {
-    CopyCounter::record(reason, bytes);
 }
 
 /// Copy count and byte volume for one reason tag.
@@ -301,9 +231,9 @@ impl<T: Element> EncodedCell<T> {
 /// A reference-counted immutable element buffer: the storage cell behind
 /// [`crate::NdArray`] and the unit shared across engine boundaries.
 ///
-/// Cloning is a refcount bump under [`CopyMode::Shared`]; mutation goes
-/// through [`ChunkBuf::make_mut`], which deep-copies (and records the copy)
-/// only when the buffer is shared.
+/// Cloning is a refcount bump; mutation goes through
+/// [`ChunkBuf::make_mut`], which deep-copies (and records the copy) only
+/// when the buffer is shared.
 ///
 /// A buffer may hold a compressed representation ([`ChunkBuf::repr`] says
 /// which; see [`crate::codec`]). Reads through [`ChunkBuf::as_slice`]
@@ -426,29 +356,19 @@ impl<T: Element> ChunkBuf<T> {
         }
     }
 
-    /// Internal: a handle clone (refcount bump) regardless of the global
-    /// [`CopyMode`] — for representation changes that must never be
-    /// charged as payload copies.
-    // scilint: allow(F003, Payload is an enum of Arcs: cloning it bumps refcounts, never copies chunk bytes)
-    pub(crate) fn handle_clone(&self) -> ChunkBuf<T> {
-        ChunkBuf {
-            payload: self.payload.clone(),
-        }
-    }
-
     /// Re-encode into the smallest compressed representation, if any codec
     /// shrinks the buffer and the global [`CompressMode`] allows it;
     /// otherwise (or for an already-compressed buffer) a handle clone.
     /// Encodes are counted (`"codec.encode"`).
     pub fn compressed(&self) -> ChunkBuf<T> {
         if compress_mode() == CompressMode::Off {
-            return self.handle_clone();
+            return self.clone();
         }
         match &self.payload {
-            Payload::Encoded(_) | Payload::Governed(..) => self.handle_clone(),
+            Payload::Encoded(_) | Payload::Governed(..) => self.clone(),
             Payload::Dense(v) => match Encoded::encode_counted(v) {
                 Some(enc) => ChunkBuf::from_encoded(enc),
-                None => self.handle_clone(),
+                None => self.clone(),
             },
         }
     }
@@ -463,7 +383,7 @@ impl<T: Element> ChunkBuf<T> {
     /// returned handle starts unpinned even if `self` was pinned.
     pub fn govern(&self) -> ChunkBuf<T> {
         let cell = match &self.payload {
-            Payload::Governed(..) => return self.handle_clone(),
+            Payload::Governed(..) => return self.clone(),
             Payload::Dense(v) => govern_stored(Stored::Dense(v.clone()), v.len(), ChunkRepr::Dense),
             Payload::Encoded(cell) => govern_stored(
                 Stored::Encoded(cell.enc.clone()),
@@ -571,8 +491,7 @@ impl<T: Element> ChunkBuf<T> {
     ///
     /// This is the sanctioned escape hatch for copies an engine's
     /// architectural contract requires regardless of sharing. The copy is
-    /// always dense — faithful to the copy-everywhere baseline the eager
-    /// path reproduces.
+    /// always dense.
     pub fn deep_copy(&self, reason: &str) -> ChunkBuf<T> {
         CopyCounter::record(reason, self.nbytes());
         ChunkBuf::from_vec(self.as_slice().to_vec())
@@ -590,7 +509,7 @@ impl<T: Element> ChunkBuf<T> {
             self.len()
         );
         ChunkView {
-            buf: self.handle_clone(),
+            buf: self.clone(),
             start,
             len,
         }
@@ -598,12 +517,11 @@ impl<T: Element> ChunkBuf<T> {
 }
 
 impl<T: Element> Clone for ChunkBuf<T> {
-    /// Refcount bump under [`CopyMode::Shared`]; a counted deep copy
-    /// (reason `"eager-clone"`) under [`CopyMode::Eager`].
+    /// A handle clone: a refcount bump, never a copy of the chunk bytes.
+    // scilint: allow(F003, Payload is an enum of Arcs: cloning it bumps refcounts, never copies chunk bytes)
     fn clone(&self) -> Self {
-        match copy_mode() {
-            CopyMode::Shared => self.handle_clone(),
-            CopyMode::Eager => self.deep_copy("eager-clone"),
+        ChunkBuf {
+            payload: self.payload.clone(),
         }
     }
 }
@@ -616,10 +534,6 @@ impl<T: Element> PartialEq for ChunkBuf<T> {
 
 /// A zero-copy slice view into a shared [`ChunkBuf`]: the slab handle the
 /// partitioners hand to workers instead of `data[lo..hi].to_vec()`.
-///
-/// Note the clone semantics follow the buffer's: under [`CopyMode::Eager`]
-/// cloning a view deep-copies the *whole* backing buffer, faithfully
-/// reproducing the copy-everywhere baseline.
 #[derive(Debug, Clone)]
 pub struct ChunkView<T: Element> {
     buf: ChunkBuf<T>,
@@ -670,129 +584,109 @@ impl<T: Element> PartialEq for ChunkView<T> {
 mod tests {
     use super::*;
 
+    /// Hold the mode-section lock, so no mode section runs while a test
+    /// diffs the ledger or relies on the default modes.
+    fn section() -> std::sync::MutexGuard<'static, ()> {
+        MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn buf(n: usize) -> ChunkBuf<f64> {
         ChunkBuf::from_vec((0..n).map(|i| i as f64).collect())
     }
 
     #[test]
     fn shared_clone_is_a_refcount_bump() {
-        with_copy_mode(CopyMode::Shared, || {
-            let before = CopyCounter::snapshot();
-            let a = buf(16);
-            let b = a.clone();
-            assert!(a.ptr_eq(&b));
-            assert_eq!(a.ref_count(), 2);
-            let delta = CopyCounter::snapshot().since(&before);
-            assert_eq!(delta.copies, 0, "shared clone must not deep-copy");
-        });
-    }
-
-    #[test]
-    fn eager_clone_is_a_counted_deep_copy() {
-        with_copy_mode(CopyMode::Eager, || {
-            let before = CopyCounter::snapshot();
-            let a = buf(16);
-            let b = a.clone();
-            assert!(!a.ptr_eq(&b));
-            assert_eq!(a.as_slice(), b.as_slice());
-            let delta = CopyCounter::snapshot().since(&before);
-            assert_eq!(delta.copies, 1);
-            assert_eq!(delta.bytes, 16 * 8);
-            assert_eq!(
-                delta.by_reason.get("eager-clone"),
-                Some(&ReasonStats {
-                    copies: 1,
-                    bytes: 128
-                })
-            );
-        });
+        let _section = section();
+        let before = CopyCounter::snapshot();
+        let a = buf(16);
+        let b = a.clone();
+        assert!(a.ptr_eq(&b));
+        assert_eq!(a.ref_count(), 2);
+        let delta = CopyCounter::snapshot().since(&before);
+        assert_eq!(delta.copies, 0, "shared clone must not deep-copy");
     }
 
     #[test]
     fn make_mut_is_free_when_unique_and_cow_when_shared() {
-        with_copy_mode(CopyMode::Shared, || {
-            let before = CopyCounter::snapshot();
-            let mut a = buf(8);
-            a.make_mut("cow")[0] = 99.0; // sole owner: free
-            assert_eq!(CopyCounter::snapshot().since(&before).copies, 0);
+        let _section = section();
+        let before = CopyCounter::snapshot();
+        let mut a = buf(8);
+        a.make_mut("cow")[0] = 99.0; // sole owner: free
+        assert_eq!(CopyCounter::snapshot().since(&before).copies, 0);
 
-            let b = a.clone();
-            a.make_mut("cow")[1] = 7.0; // shared: copy-on-write
-            let delta = CopyCounter::snapshot().since(&before);
-            assert_eq!(delta.copies, 1);
-            assert!(delta.by_reason.contains_key("cow"));
-            // The writer sees its write; the other handle kept the original.
-            assert_eq!(a.as_slice()[1], 7.0);
-            assert_eq!(b.as_slice()[1], 1.0);
-            assert!(!a.ptr_eq(&b));
-        });
+        let b = a.clone();
+        a.make_mut("cow")[1] = 7.0; // shared: copy-on-write
+        let delta = CopyCounter::snapshot().since(&before);
+        assert_eq!(delta.copies, 1);
+        assert!(delta.by_reason.contains_key("cow"));
+        // The writer sees its write; the other handle kept the original.
+        assert_eq!(a.as_slice()[1], 7.0);
+        assert_eq!(b.as_slice()[1], 1.0);
+        assert!(!a.ptr_eq(&b));
     }
 
     #[test]
     fn into_vec_unshares_only_when_shared() {
-        with_copy_mode(CopyMode::Shared, || {
-            let before = CopyCounter::snapshot();
-            let a = buf(4);
-            let v = a.into_vec("unshare"); // sole owner: move
-            assert_eq!(v.len(), 4);
-            assert_eq!(CopyCounter::snapshot().since(&before).copies, 0);
+        let _section = section();
+        let before = CopyCounter::snapshot();
+        let a = buf(4);
+        let v = a.into_vec("unshare"); // sole owner: move
+        assert_eq!(v.len(), 4);
+        assert_eq!(CopyCounter::snapshot().since(&before).copies, 0);
 
-            let a = buf(4);
-            let _keep = a.clone();
-            let v = a.into_vec("unshare"); // shared: counted copy
-            assert_eq!(v.len(), 4);
-            let delta = CopyCounter::snapshot().since(&before);
-            assert_eq!(delta.copies, 1);
-            assert!(delta.by_reason.contains_key("unshare"));
-        });
+        let a = buf(4);
+        let _keep = a.clone();
+        let v = a.into_vec("unshare"); // shared: counted copy
+        assert_eq!(v.len(), 4);
+        let delta = CopyCounter::snapshot().since(&before);
+        assert_eq!(delta.copies, 1);
+        assert!(delta.by_reason.contains_key("unshare"));
     }
 
     #[test]
     fn sanctioned_deep_copies_are_counted_and_tagged() {
-        with_copy_mode(CopyMode::Shared, || {
-            let before = CopyCounter::snapshot();
-            let a = buf(32);
-            let b = a.deep_copy("scidb.materialize");
-            assert!(!a.ptr_eq(&b));
-            record_copy("scidb.stream-tsv", 123);
-            let delta = CopyCounter::snapshot().since(&before);
-            assert_eq!(delta.copies, 2);
-            assert_eq!(
-                delta.by_reason.get("scidb.materialize"),
-                Some(&ReasonStats {
-                    copies: 1,
-                    bytes: 32 * 8
-                })
-            );
-            assert_eq!(
-                delta.by_reason.get("scidb.stream-tsv"),
-                Some(&ReasonStats {
-                    copies: 1,
-                    bytes: 123
-                })
-            );
-        });
+        let _section = section();
+        let before = CopyCounter::snapshot();
+        let a = buf(32);
+        let b = a.deep_copy("scidb.materialize");
+        assert!(!a.ptr_eq(&b));
+        CopyCounter::record("scidb.stream-tsv", 123);
+        let delta = CopyCounter::snapshot().since(&before);
+        assert_eq!(delta.copies, 2);
+        assert_eq!(
+            delta.by_reason.get("scidb.materialize"),
+            Some(&ReasonStats {
+                copies: 1,
+                bytes: 32 * 8
+            })
+        );
+        assert_eq!(
+            delta.by_reason.get("scidb.stream-tsv"),
+            Some(&ReasonStats {
+                copies: 1,
+                bytes: 123
+            })
+        );
     }
 
     #[test]
     fn views_share_and_copy_out_is_counted() {
-        with_copy_mode(CopyMode::Shared, || {
-            let before = CopyCounter::snapshot();
-            let a = buf(10);
-            let v = a.view(3, 4);
-            assert_eq!(v.as_slice(), &[3.0, 4.0, 5.0, 6.0]);
-            assert_eq!(v.len(), 4);
-            assert_eq!(v.start(), 3);
-            assert_eq!(CopyCounter::snapshot().since(&before).copies, 0);
-            let owned = v.to_owned_vec("spark.collect");
-            assert_eq!(owned, vec![3.0, 4.0, 5.0, 6.0]);
-            let delta = CopyCounter::snapshot().since(&before);
-            assert_eq!(delta.copies, 1);
-            assert_eq!(
-                delta.by_reason.get("spark.collect").map(|r| r.bytes),
-                Some(32)
-            );
-        });
+        let _section = section();
+        let before = CopyCounter::snapshot();
+        let a = buf(10);
+        let v = a.view(3, 4);
+        assert_eq!(v.as_slice(), &[3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(v.len(), 4);
+        assert_eq!(v.start(), 3);
+        assert_eq!(CopyCounter::snapshot().since(&before).copies, 0);
+        let owned = v.to_owned_vec("spark.collect");
+        assert_eq!(owned, vec![3.0, 4.0, 5.0, 6.0]);
+        let delta = CopyCounter::snapshot().since(&before);
+        assert_eq!(delta.copies, 1);
+        assert_eq!(
+            delta.by_reason.get("spark.collect").map(|r| r.bytes),
+            Some(32)
+        );
     }
 
     #[test]
@@ -804,57 +698,40 @@ mod tests {
 
     #[test]
     fn compressed_buffer_decodes_lazily_and_shares_the_cache() {
-        with_copy_mode(CopyMode::Shared, || {
-            let a = ChunkBuf::from_vec(vec![2.5f64; 4096]);
-            let c = a.compressed();
-            assert_eq!(c.repr(), ChunkRepr::Const);
-            assert_eq!(c.len(), 4096);
-            assert_eq!(c.nbytes(), 4096 * 8);
-            assert!(c.stored_nbytes() < 64, "const chunk stays tiny");
+        let _section = section();
+        let a = ChunkBuf::from_vec(vec![2.5f64; 4096]);
+        let c = a.compressed();
+        assert_eq!(c.repr(), ChunkRepr::Const);
+        assert_eq!(c.len(), 4096);
+        assert_eq!(c.nbytes(), 4096 * 8);
+        assert!(c.stored_nbytes() < 64, "const chunk stays tiny");
 
-            let before = CopyCounter::snapshot();
-            let d = c.clone(); // handle clone of the encoded cell
-            assert!(c.ptr_eq(&d));
-            // First read decodes (counted once); the clone reuses the cache.
-            assert_eq!(c.as_slice()[7], 2.5);
-            assert_eq!(d.as_slice()[7], 2.5);
-            let delta = CopyCounter::snapshot().since(&before);
-            assert_eq!(
-                delta.by_reason.get("codec.decode").map(|r| r.copies),
-                Some(1),
-                "one shared decode for two handles"
-            );
-        });
+        let before = CopyCounter::snapshot();
+        let d = c.clone(); // handle clone of the encoded cell
+        assert!(c.ptr_eq(&d));
+        // First read decodes (counted once); the clone reuses the cache.
+        assert_eq!(c.as_slice()[7], 2.5);
+        assert_eq!(d.as_slice()[7], 2.5);
+        let delta = CopyCounter::snapshot().since(&before);
+        assert_eq!(
+            delta.by_reason.get("codec.decode").map(|r| r.copies),
+            Some(1),
+            "one shared decode for two handles"
+        );
     }
 
     #[test]
     fn make_mut_on_compressed_buffer_goes_private_dense() {
-        with_copy_mode(CopyMode::Shared, || {
-            let a = ChunkBuf::from_vec(vec![1.0f64; 512]).compressed();
-            let keep = a.clone();
-            let mut b = a.clone();
-            b.make_mut("cow")[0] = 9.0;
-            assert_eq!(b.repr(), ChunkRepr::Dense);
-            assert_eq!(b.as_slice()[0], 9.0);
-            // The other handles still see the encoded original.
-            assert_eq!(keep.repr(), ChunkRepr::Const);
-            assert_eq!(keep.as_slice()[0], 1.0);
-        });
-    }
-
-    #[test]
-    fn eager_clone_of_compressed_buffer_is_a_dense_deep_copy() {
-        let a = with_copy_mode(CopyMode::Shared, || {
-            ChunkBuf::from_vec(vec![4.0f64; 256]).compressed()
-        });
-        with_copy_mode(CopyMode::Eager, || {
-            let before = CopyCounter::snapshot();
-            let b = a.clone();
-            assert_eq!(b.repr(), ChunkRepr::Dense);
-            assert_eq!(b.as_slice(), a.as_slice());
-            let delta = CopyCounter::snapshot().since(&before);
-            assert!(delta.by_reason.contains_key("eager-clone"));
-        });
+        let _section = section();
+        let a = ChunkBuf::from_vec(vec![1.0f64; 512]).compressed();
+        let keep = a.clone();
+        let mut b = a.clone();
+        b.make_mut("cow")[0] = 9.0;
+        assert_eq!(b.repr(), ChunkRepr::Dense);
+        assert_eq!(b.as_slice()[0], 9.0);
+        // The other handles still see the encoded original.
+        assert_eq!(keep.repr(), ChunkRepr::Const);
+        assert_eq!(keep.as_slice()[0], 1.0);
     }
 
     #[test]
@@ -973,18 +850,5 @@ mod tests {
             assert_eq!(a.as_slice()[0], 0.0, "other handle unaffected");
             assert!(!a.ptr_eq(&b));
         });
-    }
-
-    #[test]
-    fn with_copy_mode_restores_on_exit() {
-        assert_eq!(copy_mode(), CopyMode::Shared);
-        with_copy_mode(CopyMode::Eager, || {
-            assert_eq!(copy_mode(), CopyMode::Eager);
-            with_copy_mode(CopyMode::Shared, || {
-                assert_eq!(copy_mode(), CopyMode::Shared);
-            });
-            assert_eq!(copy_mode(), CopyMode::Eager);
-        });
-        assert_eq!(copy_mode(), CopyMode::Shared);
     }
 }

@@ -30,10 +30,10 @@
 //! copies-per-run reporting sees compression work alongside deep copies.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::chunkstore::{with_mode_section, CopyCounter, RestoreMode};
+use crate::chunkstore::{with_mode, CopyCounter};
 use crate::element::Element;
 
 /// The storage representation of a [`crate::ChunkBuf`].
@@ -73,7 +73,7 @@ pub enum CompressMode {
 }
 
 /// 0 = Auto, 1 = Off; mirrors [`CompressMode`] for the atomic cell.
-static COMPRESS: AtomicU8 = AtomicU8::new(0);
+static COMPRESS: AtomicU64 = AtomicU64::new(0);
 
 /// The process-wide [`CompressMode`] currently in effect.
 pub fn compress_mode() -> CompressMode {
@@ -86,23 +86,13 @@ pub fn compress_mode() -> CompressMode {
 
 /// Run `f` with the process-wide compress mode set to `mode`, then restore.
 ///
-/// Shares the mode-section lock with [`crate::with_copy_mode`] (sections of
-/// either kind are mutually exclusive across threads and re-entrant on one
-/// thread), so a bench can nest a copy-mode section inside a compress-mode
+/// Shares the mode-section lock with [`crate::with_mem_budget`] (sections
+/// of either kind are mutually exclusive across threads and re-entrant on
+/// one thread), so a bench can nest a compress-mode section inside a budget
 /// section without deadlock and counter deltas observed inside one section
 /// are not polluted by another thread's section.
 pub fn with_compress_mode<R>(mode: CompressMode, f: impl FnOnce() -> R) -> R {
-    with_mode_section(|| {
-        let _restore = RestoreMode::new(&COMPRESS);
-        COMPRESS.store(
-            match mode {
-                CompressMode::Auto => 0,
-                CompressMode::Off => 1,
-            },
-            Ordering::SeqCst,
-        );
-        f()
-    })
+    with_mode(&COMPRESS, u64::from(mode == CompressMode::Off), f)
 }
 
 /// Per-codec encode/decode traffic for one representation.
@@ -544,13 +534,15 @@ mod tests {
     }
 
     #[test]
-    fn compress_mode_nests_with_copy_mode() {
-        use crate::chunkstore::{with_copy_mode, CopyMode};
-        with_compress_mode(CompressMode::Off, || {
-            with_copy_mode(CopyMode::Eager, || {
+    fn compress_mode_nests_inside_a_budget_section() {
+        // A budget far above any test's footprint: nothing spills.
+        crate::with_mem_budget(Some(1 << 40), || {
+            with_compress_mode(CompressMode::Off, || {
                 assert_eq!(compress_mode(), CompressMode::Off);
-                assert_eq!(crate::chunkstore::copy_mode(), CopyMode::Eager);
+                assert_eq!(crate::mem_budget(), Some(1 << 40));
             });
+            assert_eq!(compress_mode(), CompressMode::Auto);
+            assert_eq!(crate::mem_budget(), Some(1 << 40));
         });
     }
 

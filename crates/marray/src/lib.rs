@@ -41,10 +41,7 @@ mod window;
 
 pub use array::NdArray;
 pub use chunk::{ChunkGrid, ChunkIx};
-pub use chunkstore::{
-    copy_mode, record_copy, with_copy_mode, ChunkBuf, ChunkView, CopyCounter, CopyMode, CopyStats,
-    ReasonStats, Residency,
-};
+pub use chunkstore::{ChunkBuf, ChunkView, CopyCounter, CopyStats, ReasonStats, Residency};
 pub use codec::{
     compress_mode, with_compress_mode, ChunkRepr, CodecCounter, CodecReprStats, CodecStats,
     CompressMode, Encoded,

@@ -73,7 +73,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, TryLockError, Weak};
 
-use crate::chunkstore::{with_mode_section, CopyCounter};
+use crate::chunkstore::{with_mode, CopyCounter};
 use crate::codec::{ChunkRepr, Encoded};
 use crate::element::Element;
 
@@ -127,25 +127,16 @@ pub fn set_mem_budget(budget: Option<u64>) {
     enforce();
 }
 
-/// Restores the budget cell on drop, even across panics.
-struct RestoreBudget(u64);
-
-impl Drop for RestoreBudget {
-    fn drop(&mut self) {
-        BUDGET.store(self.0, Ordering::SeqCst);
-    }
-}
-
-/// Run `f` with the governor budget set to `budget`, then restore.
+/// Run `f` with the governor budget set to `budget` (enforced on entry),
+/// then restore.
 ///
-/// Shares the global mode-section lock with [`crate::with_copy_mode`] /
-/// [`crate::with_compress_mode`] (mutually exclusive across threads,
-/// re-entrant on one thread), so governor-stat deltas observed inside one
-/// section are not polluted by another thread's section.
+/// Shares the global mode-section lock with [`crate::with_compress_mode`]
+/// (mutually exclusive across threads, re-entrant on one thread), so
+/// governor-stat deltas observed inside one section are not polluted by
+/// another thread's section.
 pub fn with_mem_budget<R>(budget: Option<u64>, f: impl FnOnce() -> R) -> R {
-    with_mode_section(|| {
-        let _restore = RestoreBudget(BUDGET.load(Ordering::SeqCst));
-        set_mem_budget(budget);
+    with_mode(&BUDGET, budget.unwrap_or(0), || {
+        enforce();
         f()
     })
 }

@@ -5,6 +5,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+report="$tmp/report.json"
+scibench=(cargo run --release -q -p scibench-bench --bin scibench --)
+
+# artifact_gate LABEL SCHEMA COMMITTED CMD...: run CMD, which prints its
+# machine-readable report on stdout, into $report, and fail unless both
+# that report and the committed artifact COMMITTED ("-" for none) speak
+# SCHEMA.
+artifact_gate() {
+  local label=$1 schema="\"schema\": \"$2\"" committed=$3
+  shift 3
+  echo "== $label"
+  "$@" > "$report"
+  grep -qF "$schema" "$report" || {
+    echo "ci: FAIL - $label no longer emits $schema" >&2; exit 1; }
+  [ "$committed" = - ] || grep -qF "$schema" "$committed" || {
+    echo "ci: FAIL - committed $committed schema drifted from $schema" >&2
+    echo "     regenerate it: ${*/--quick/} --out $committed" >&2
+    exit 1; }
+}
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
@@ -16,95 +38,68 @@ echo "== scilint (source-level determinism & numeric-safety gate)"
 # Prints a one-line per-crate summary; details in DESIGN.md §3.9.
 cargo run --release -q -p scilint --bin scilint -- --quiet
 
-echo "== scilint --flow (sciflow: interprocedural effect gate)"
 # Panic/nondet/copy/spawn sinks reachable from engine entry points, each
 # with its witness call chain; details in DESIGN.md §3.12. Also checks the
 # machine-readable report still speaks sciflow/v1.
-tmp_flow="$(mktemp)"
-trap 'rm -f "$tmp_flow"' EXIT
-cargo run --release -q -p scilint --bin scilint -- --flow --json > "$tmp_flow"
-flow_schema='"schema": "sciflow/v1"'
-grep -qF "$flow_schema" "$tmp_flow" || {
-  echo "ci: FAIL - scilint --flow no longer emits $flow_schema" >&2; exit 1; }
+artifact_gate "scilint --flow (sciflow: interprocedural effect gate)" sciflow/v1 - \
+  cargo run --release -q -p scilint --bin scilint -- --flow --json
 
-echo "== scibench lint --memo (memoization-soundness certifier)"
 # Certifies every shipped lowering for result-cache soundness (scilint
 # purity verdicts joined with plancheck plan fingerprints), asserts the
 # deliberately-unsafe fixture is rejected with its witness chain, and
 # checks the committed MEMO_report.json still speaks scimemo/v2 (v2 added
-# the live memo_stats counter block); details in DESIGN.md §3.14.
-tmp_memo="$(mktemp)"
-trap 'rm -f "$tmp_flow" "$tmp_memo"' EXIT
-cargo run --release -q -p scibench-bench --bin scibench -- lint --memo --out "$tmp_memo"
-memo_schema='"schema": "scimemo/v2"'
-grep -qF "$memo_schema" "$tmp_memo" || {
-  echo "ci: FAIL - lint --memo no longer emits $memo_schema" >&2; exit 1; }
-grep -qF "$memo_schema" MEMO_report.json || {
-  echo "ci: FAIL - committed MEMO_report.json schema drifted from $memo_schema" >&2
-  echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- lint --memo --out MEMO_report.json" >&2
+# the live memo_stats counter block) and, as the report is deterministic,
+# matches the fresh one byte for byte; details in DESIGN.md §3.14.
+artifact_gate "scibench lint --memo (memoization-soundness certifier)" scimemo/v2 MEMO_report.json \
+  "${scibench[@]}" lint --memo
+cmp -s "$report" MEMO_report.json || {
+  echo "ci: FAIL - committed MEMO_report.json differs from a fresh lint --memo report" >&2
+  diff "$report" MEMO_report.json >&2 || true
+  echo "     regenerate it: ${scibench[*]} lint --memo --out MEMO_report.json" >&2
   exit 1; }
 
 echo "== cargo test"
 cargo test -q --workspace
 
 echo "== scibench lint (static verification of lowered task graphs)"
-cargo run --release -q -p scibench-bench --bin scibench -- lint
+"${scibench[@]}" lint
 
 echo "== scibench perf-smoke (serial vs parallel kernels, bit-identical)"
 # Tiny shapes, ~seconds: asserts every parallel kernel port matches the
 # serial reference bit for bit, and that SCIBENCH_THREADS is honored.
-SCIBENCH_THREADS=2 cargo run --release -q -p scibench-bench --bin scibench -- perf-smoke
-cargo run --release -q -p scibench-bench --bin scibench -- perf-smoke --threads 4
+SCIBENCH_THREADS=2 "${scibench[@]}" perf-smoke
+"${scibench[@]}" perf-smoke --threads 4
 
-echo "== scibench bench e2e --quick (copy accounting, eager vs shared)"
-# Runs every engine pipeline under both copy modes (bit-identity enforced
-# by the tool: non-zero exit on fingerprint divergence) and checks the
-# committed BENCH_e2e.json still speaks the schema the tool emits.
-tmp_e2e="$(mktemp)"
-tmp_skew="$(mktemp)"
-tmp_compress="$(mktemp)"
-trap 'rm -f "$tmp_e2e" "$tmp_skew" "$tmp_compress" "$tmp_flow" "$tmp_memo"' EXIT
-cargo run --release -q -p scibench-bench --bin scibench -- bench e2e --quick --out "$tmp_e2e"
-schema_line='"schema": "scibench-bench-e2e/v1"'
-grep -qF "$schema_line" "$tmp_e2e" || {
-  echo "ci: FAIL - bench e2e no longer emits $schema_line" >&2; exit 1; }
-grep -qF "$schema_line" BENCH_e2e.json || {
-  echo "ci: FAIL - committed BENCH_e2e.json schema drifted from $schema_line" >&2
-  echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- bench e2e --out BENCH_e2e.json" >&2
-  exit 1; }
+# Runs every engine pipeline once on the shared data plane and checks the
+# committed BENCH_e2e.json still speaks the schema the tool emits. Under
+# cargo test, tests/integration_zerocopy.rs gates the rest: engines that
+# run the same pipeline agree bit for bit, a full run matches every
+# committed row (fingerprints, copies, bytes, reason tags) exactly, copies
+# stay at most half the last copy-everywhere counts, and every surviving
+# copy carries a sanctioned reason tag.
+artifact_gate "scibench bench e2e --quick (copy accounting on the shared data plane)" \
+  scibench-bench-e2e/v2 BENCH_e2e.json \
+  "${scibench[@]}" bench e2e --quick
 
-echo "== scibench bench skew --quick (morsel vs static worker imbalance)"
 # Runs the skewed astro field through both schedules at 2/4/8 workers
 # (bit-identity is enforced by the tool: non-zero exit on fingerprint
 # divergence; the morsel<=static model-imbalance regression is enforced
 # on the full run that regenerates the committed artifact) and checks the
 # committed BENCH_skew.json still speaks the schema the tool emits.
-cargo run --release -q -p scibench-bench --bin scibench -- bench skew --quick --out "$tmp_skew"
-skew_schema='"schema": "scibench-bench-skew/v1"'
-grep -qF "$skew_schema" "$tmp_skew" || {
-  echo "ci: FAIL - bench skew no longer emits $skew_schema" >&2; exit 1; }
-grep -qF "$skew_schema" BENCH_skew.json || {
-  echo "ci: FAIL - committed BENCH_skew.json schema drifted from $skew_schema" >&2
-  echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- bench skew --out BENCH_skew.json" >&2
-  exit 1; }
+artifact_gate "scibench bench skew --quick (morsel vs static worker imbalance)" \
+  scibench-bench-skew/v1 BENCH_skew.json \
+  "${scibench[@]}" bench skew --quick
 
-echo "== scibench bench compress --quick (codec ratios + run-level kernel wins)"
 # Measures per-plane compression at the engine ingest boundary, runs the
 # run-level kernel fast paths against their dense twins, and replays two
 # full pipelines under CompressMode Off and Auto (the tool exits non-zero
 # on a fingerprint divergence, a mask/variance ratio below 2x, or a kernel
 # row with neither a time nor a bytes-moved win). Also checks the committed
 # BENCH_compress.json still speaks the schema the tool emits.
-cargo run --release -q -p scibench-bench --bin scibench -- bench compress --quick --out "$tmp_compress"
-compress_schema='"schema": "scibench-bench-compress/v1"'
-grep -qF "$compress_schema" "$tmp_compress" || {
-  echo "ci: FAIL - bench compress no longer emits $compress_schema" >&2; exit 1; }
-grep -qF "$compress_schema" BENCH_compress.json || {
-  echo "ci: FAIL - committed BENCH_compress.json schema drifted from $compress_schema" >&2
-  echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- bench compress --out BENCH_compress.json" >&2
-  exit 1; }
+artifact_gate "scibench bench compress --quick (codec ratios + run-level kernel wins)" \
+  scibench-bench-compress/v1 BENCH_compress.json \
+  "${scibench[@]}" bench compress --quick
 
-echo "== scibench bench serve --quick (resident service, certified zero-copy cache)"
 # Replays the seeded hot/cold query schedule against the resident service
 # four ways — serial cache-on, concurrent cache-on, serial cache-off, and
 # under a halved cache budget that forces LRU eviction — with the tool
@@ -113,18 +108,10 @@ echo "== scibench bench serve --quick (resident service, certified zero-copy cac
 # did not bypass, or a small-budget replay that never evicted or overran
 # its budget. Also checks the committed BENCH_serve.json still speaks the
 # schema the tool emits.
-tmp_serve="$(mktemp)"
-trap 'rm -f "$tmp_e2e" "$tmp_skew" "$tmp_compress" "$tmp_serve" "$tmp_flow" "$tmp_memo"' EXIT
-cargo run --release -q -p scibench-bench --bin scibench -- bench serve --quick --out "$tmp_serve"
-serve_schema='"schema": "scibench-bench-serve/v1"'
-grep -qF "$serve_schema" "$tmp_serve" || {
-  echo "ci: FAIL - bench serve no longer emits $serve_schema" >&2; exit 1; }
-grep -qF "$serve_schema" BENCH_serve.json || {
-  echo "ci: FAIL - committed BENCH_serve.json schema drifted from $serve_schema" >&2
-  echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- bench serve --out BENCH_serve.json" >&2
-  exit 1; }
+artifact_gate "scibench bench serve --quick (resident service, certified zero-copy cache)" \
+  scibench-bench-serve/v1 BENCH_serve.json \
+  "${scibench[@]}" bench serve --quick
 
-echo "== scibench bench ooc --quick (memory governor, LRU spill tier)"
 # Streams a stack deliberately larger than the memory budget through the
 # governor at 25%/50%/unbounded budgets and runs every engine analog
 # out-of-core; the tool exits non-zero if any fingerprint diverges across
@@ -132,15 +119,8 @@ echo "== scibench bench ooc --quick (memory governor, LRU spill tier)"
 # plancheck demand estimate drifts outside the documented factor of the
 # measured peak, or no engine analog spills. Also checks the committed
 # BENCH_ooc.json still speaks the schema the tool emits.
-tmp_ooc="$(mktemp)"
-trap 'rm -f "$tmp_e2e" "$tmp_skew" "$tmp_compress" "$tmp_serve" "$tmp_ooc" "$tmp_flow" "$tmp_memo"' EXIT
-cargo run --release -q -p scibench-bench --bin scibench -- bench ooc --quick --out "$tmp_ooc"
-ooc_schema='"schema": "scibench-bench-ooc/v1"'
-grep -qF "$ooc_schema" "$tmp_ooc" || {
-  echo "ci: FAIL - bench ooc no longer emits $ooc_schema" >&2; exit 1; }
-grep -qF "$ooc_schema" BENCH_ooc.json || {
-  echo "ci: FAIL - committed BENCH_ooc.json schema drifted from $ooc_schema" >&2
-  echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- bench ooc --out BENCH_ooc.json" >&2
-  exit 1; }
+artifact_gate "scibench bench ooc --quick (memory governor, LRU spill tier)" \
+  scibench-bench-ooc/v1 BENCH_ooc.json \
+  "${scibench[@]}" bench ooc --quick
 
 echo "ci: all gates passed"
