@@ -35,7 +35,7 @@
 //! pointers produce no call token and therefore no edge; closures are
 //! attributed to the defining function.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::symbols::SymbolTable;
 
@@ -108,6 +108,86 @@ impl CallGraph {
             }
         }
         rev
+    }
+}
+
+/// Propagate `masks` callee → caller to the least fixed point: every
+/// function ends with the OR of its own seed bits and those of every
+/// function it can reach. `rev` is [`CallGraph::reversed`]. A worklist over
+/// a finite lattice of `u8` masks terminates, and the fixed point does not
+/// depend on the order the worklist visits functions in.
+pub fn propagate(rev: &[BTreeSet<u32>], masks: &mut [u8]) {
+    let mut work: Vec<u32> = (0..masks.len() as u32)
+        .filter(|&f| masks[f as usize] != 0)
+        .collect();
+    while let Some(f) = work.pop() {
+        let m = masks[f as usize];
+        for &caller in &rev[f as usize] {
+            let before = masks[caller as usize];
+            if before | m != before {
+                masks[caller as usize] = before | m;
+                work.push(caller);
+            }
+        }
+    }
+}
+
+/// Shortest paths from a set of sources: a multi-source BFS over an
+/// adjacency list, forward ([`CallGraph::edges`]) to walk from callers to
+/// callees or reversed to walk from callees to callers.
+#[derive(Debug)]
+pub struct Bfs {
+    /// The function each reached function was discovered from; `None` for
+    /// the sources and for unreached functions.
+    from: Vec<Option<u32>>,
+    reached: Vec<bool>,
+}
+
+impl Bfs {
+    /// Search `adj` from `sources`. Sources are enqueued in the order given
+    /// (repeats ignored) and neighbours visited in id order, so of two
+    /// equally short paths the one from the earlier source wins, and two
+    /// runs find the same paths.
+    pub fn new(adj: &[BTreeSet<u32>], sources: impl IntoIterator<Item = u32>) -> Bfs {
+        let mut from = vec![None; adj.len()];
+        let mut reached = vec![false; adj.len()];
+        let mut queue = VecDeque::new();
+        for s in sources {
+            if !reached[s as usize] {
+                reached[s as usize] = true;
+                queue.push_back(s);
+            }
+        }
+        while let Some(f) = queue.pop_front() {
+            for &g in &adj[f as usize] {
+                if !reached[g as usize] {
+                    reached[g as usize] = true;
+                    from[g as usize] = Some(f);
+                    queue.push_back(g);
+                }
+            }
+        }
+        Bfs { from, reached }
+    }
+
+    /// True when some source reaches `f`.
+    pub fn reached(&self, f: u32) -> bool {
+        self.reached[f as usize]
+    }
+
+    /// The shortest path from `f` back to the source that reached it: `f`
+    /// first, the source last.
+    pub fn path(&self, f: u32) -> Vec<u32> {
+        let mut path = Vec::new();
+        let mut cur = Some(f);
+        while let Some(g) = cur {
+            path.push(g);
+            cur = self.from[g as usize];
+            if path.len() > 64 {
+                break; // cycle guard; BFS parents cannot cycle, belt and braces
+            }
+        }
+        path
     }
 }
 

@@ -5,9 +5,10 @@
 //! `expect()` two crates away passes them even when every engine result
 //! path runs through it. This pass closes that gap: every function is
 //! tagged with the effect lattice {`panics`, `nondet`, `copies`, `spawns`}
-//! seeded from the same sinks the token rules recognize, effects flow
-//! caller-ward to a fixed point, and four rules fire on sinks *reachable
-//! from an engine/kernel/pipeline entry point*:
+//! seeded from the [`crate::sinks`] grammar the token rules also classify
+//! with, effects flow caller-ward to a fixed point
+//! ([`callgraph::propagate`]), and four rules fire on sinks *reachable from
+//! an engine/kernel/pipeline entry point*:
 //!
 //! * **F001** — a panic sink (`panic!`/`unwrap()`/`expect()`/...) on a
 //!   result path,
@@ -21,10 +22,10 @@
 //! Each finding is anchored at the **sink line** — one justified
 //! `// scilint: allow(F00x, reason)` there covers every chain that reaches
 //! the sink — and carries the **shortest witness chain** root → … → sink,
-//! computed by a deterministic multi-source BFS from the root set. A sink
-//! already covered by the corresponding token-rule allow (H001 for panics,
-//! D001/D002/D003 for nondet, C001 for copies, D004 for spawns) is treated
-//! as sanctioned at the source and seeds nothing.
+//! computed by a deterministic multi-source BFS ([`callgraph::Bfs`]) from
+//! the root set. A sink already covered by the corresponding token-rule
+//! allow (H001 for panics, D001/D002/D003 for nondet, C001 for copies, D004
+//! for spawns) is treated as sanctioned at the source and seeds nothing.
 //!
 //! Determinism contract: function ids are assigned in sorted (path, token)
 //! order, all sets are `BTreeSet`/`BTreeMap`, the BFS visits neighbors in
@@ -33,10 +34,10 @@
 
 use std::collections::BTreeMap;
 
-use crate::callgraph;
-use crate::lex::TokenKind;
+use crate::callgraph::{self, Bfs};
 use crate::profiles;
-use crate::rules::{self, Finding};
+use crate::rules::Finding;
+use crate::sinks::{self, Sink, SinkKind};
 use crate::source::SourceFile;
 use crate::symbols::{self, SymbolTable};
 
@@ -97,23 +98,21 @@ impl Effect {
             Effect::Spawns => &["D004"],
         }
     }
-}
 
-/// One effect sink: the concrete token that seeds an effect.
-#[derive(Debug, Clone)]
-struct Sink {
-    /// Function the sink sits in (id into [`SymbolTable::fns`]).
-    owner: u32,
-    /// Which effect it seeds.
-    effect: Effect,
-    /// 1-based line of the sink token.
-    line: u32,
-    /// Short description (`.expect()`, `HashMap`, ...).
-    what: String,
+    /// The effect a sink of `kind` seeds, if any.
+    fn of(kind: SinkKind) -> Option<Effect> {
+        match kind {
+            SinkKind::PanicMacro | SinkKind::Unwrap | SinkKind::Expect => Some(Effect::Panics),
+            SinkKind::HashOrder | SinkKind::Clock | SinkKind::Randomness => Some(Effect::Nondet),
+            SinkKind::PayloadCopy => Some(Effect::Copies),
+            SinkKind::Spawn => Some(Effect::Spawns),
+            SinkKind::AmbientRead | SinkKind::Print | SinkKind::LedgerBump => None,
+        }
+    }
 }
 
 /// One hop of a witness call chain.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainHop {
     /// Function name.
     pub name: String,
@@ -121,6 +120,20 @@ pub struct ChainHop {
     pub path: String,
     /// Line of the `fn` token.
     pub line: u32,
+}
+
+/// The witness chain through the functions `ids`, in the order given.
+pub(crate) fn hops(tab: &SymbolTable, ids: impl IntoIterator<Item = u32>) -> Vec<ChainHop> {
+    ids.into_iter()
+        .map(|f| {
+            let sym = &tab.fns[f as usize];
+            ChainHop {
+                name: sym.name.clone(),
+                path: sym.path.clone(),
+                line: sym.line,
+            }
+        })
+        .collect()
 }
 
 /// One interprocedural finding with its witness chain.
@@ -175,75 +188,49 @@ pub struct FlowStats {
 pub fn analyze(files: &[SourceFile]) -> (Vec<FlowFinding>, FlowStats) {
     let tab = symbols::extract(files, &|krate| !profiles::flow_exempt(krate));
     let graph = callgraph::build(&tab);
-    let sinks = find_sinks(files, &tab);
-
-    // Fixed-point effect propagation, callee → caller, via a worklist over
-    // the reverse graph.
-    let mut masks = vec![0u8; tab.fns.len()];
-    for s in &sinks {
-        masks[s.owner as usize] |= s.effect.bit();
-    }
-    let rev = graph.reversed();
-    let mut work: Vec<u32> = (0..tab.fns.len() as u32)
-        .filter(|&f| masks[f as usize] != 0)
+    // Sinks already sanctioned by a covering token-rule allow seed nothing.
+    let sinks: Vec<(Effect, Sink)> = sinks::scan(files, &tab)
+        .into_iter()
+        .filter_map(|s| {
+            let effect = Effect::of(s.kind)?;
+            let file = &files[tab.fns[s.owner as usize].file];
+            (!s.allowed(file, effect.sanctioning_rules())).then_some((effect, s))
+        })
         .collect();
-    while let Some(f) = work.pop() {
-        let m = masks[f as usize];
-        for &caller in &rev[f as usize] {
-            let before = masks[caller as usize];
-            if before | m != before {
-                masks[caller as usize] = before | m;
-                work.push(caller);
-            }
-        }
-    }
 
-    // Deterministic multi-source BFS from the root set, recording parents
-    // for shortest witness chains. Roots and neighbors are visited in id
-    // order; ids are already sorted by (path, token position).
+    let mut masks = vec![0u8; tab.fns.len()];
+    for (effect, s) in &sinks {
+        masks[s.owner as usize] |= effect.bit();
+    }
+    callgraph::propagate(&graph.reversed(), &mut masks);
+
+    // Shortest witness chains from the root set; ids are already sorted by
+    // (path, token position).
     let roots: Vec<u32> = (0..tab.fns.len() as u32)
         .filter(|&f| {
             let sym = &tab.fns[f as usize];
             sym.is_pub && profiles::flow_root(&sym.crate_name)
         })
         .collect();
-    let mut parent: Vec<Option<u32>> = vec![None; tab.fns.len()];
-    let mut seen = vec![false; tab.fns.len()];
-    let mut queue: std::collections::VecDeque<u32> = roots.iter().copied().collect();
-    for &r in &roots {
-        seen[r as usize] = true;
-    }
-    while let Some(f) = queue.pop_front() {
-        for &callee in &graph.edges[f as usize] {
-            if !seen[callee as usize] {
-                seen[callee as usize] = true;
-                parent[callee as usize] = Some(f);
-                queue.push_back(callee);
-            }
-        }
-    }
+    let bfs = Bfs::new(&graph.edges, roots.iter().copied());
 
     // One finding per reachable sink line, shortest chain attached.
     let mut findings: BTreeMap<(String, u32, &'static str), FlowFinding> = BTreeMap::new();
-    for s in &sinks {
-        if !seen[s.owner as usize] {
+    for (effect, s) in &sinks {
+        if !bfs.reached(s.owner) {
             continue;
         }
-        let chain = chain_to(&tab, &parent, s.owner);
-        let key = (
-            tab.fns[s.owner as usize].path.clone(),
-            s.line,
-            s.effect.rule(),
-        );
+        let chain = hops(&tab, bfs.path(s.owner).into_iter().rev());
         let sym = &tab.fns[s.owner as usize];
+        let key = (sym.path.clone(), s.line, effect.rule());
         let entry = FlowFinding {
-            rule: s.effect.rule(),
-            effect: s.effect,
+            rule: effect.rule(),
+            effect: *effect,
             crate_name: sym.crate_name.clone(),
             path: sym.path.clone(),
             line: s.line,
             sink: s.what.clone(),
-            message: render_message(s, &chain),
+            message: render_message(*effect, s, &chain),
             chain,
         };
         // Keep the first (shortest-chain) finding per (path, line, rule);
@@ -267,28 +254,8 @@ pub fn analyze(files: &[SourceFile]) -> (Vec<FlowFinding>, FlowStats) {
     (findings.into_values().collect(), stats)
 }
 
-/// Walk parent pointers from the sink's function back to its root.
-fn chain_to(tab: &SymbolTable, parent: &[Option<u32>], sink_fn: u32) -> Vec<ChainHop> {
-    let mut chain = Vec::new();
-    let mut cur = Some(sink_fn);
-    while let Some(f) = cur {
-        let sym = &tab.fns[f as usize];
-        chain.push(ChainHop {
-            name: sym.name.clone(),
-            path: sym.path.clone(),
-            line: sym.line,
-        });
-        cur = parent[f as usize];
-        if chain.len() > 64 {
-            break; // cycle guard; BFS parents cannot cycle, belt and braces
-        }
-    }
-    chain.reverse();
-    chain
-}
-
-fn render_message(s: &Sink, chain: &[ChainHop]) -> String {
-    let what = match s.effect {
+fn render_message(effect: Effect, s: &Sink, chain: &[ChainHop]) -> String {
+    let what = match effect {
         Effect::Panics => "panic sink",
         Effect::Nondet => "nondeterminism source",
         Effect::Copies => "unsanctioned payload copy",
@@ -310,103 +277,6 @@ fn render_message(s: &Sink, chain: &[ChainHop]) -> String {
         s.what,
         chain.first().map_or("?", |h| h.name.as_str()),
     )
-}
-
-/// True when a token-rule suppression covering `line` sanctions `effect`.
-fn sanctioned(file: &SourceFile, line: u32, effect: Effect) -> bool {
-    file.suppressions
-        .iter()
-        .any(|s| s.covers(line) && effect.sanctioning_rules().contains(&s.rule.as_str()))
-}
-
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-const HASH_TYPES: [&str; 2] = ["HashMap", "HashSet"];
-const CLOCK_TYPES: [&str; 2] = ["Instant", "SystemTime"];
-const RAND_IDENTS: [&str; 3] = ["thread_rng", "from_entropy", "RandomState"];
-/// Receiver identifiers the copy sink treats as chunk payloads — the same
-/// list C001 uses.
-const PAYLOAD_RECEIVERS: [&str; 12] = [
-    "chunk",
-    "chunks",
-    "full",
-    "value",
-    "fed",
-    "vol",
-    "volume",
-    "tuples",
-    "fragments",
-    "blob",
-    "payload",
-    "buf",
-];
-
-/// Scan the symbolized files for effect sinks, skipping sinks already
-/// sanctioned by a covering token-rule allow.
-fn find_sinks(files: &[SourceFile], tab: &SymbolTable) -> Vec<Sink> {
-    let mut out = Vec::new();
-    for &fx in &tab.files_used {
-        let file = &files[fx];
-        let toks = &file.tokens;
-        for (i, t) in toks.iter().enumerate() {
-            let Some(owner) = tab.owner[fx][i] else {
-                continue;
-            };
-            if file.is_test_code(i) {
-                continue;
-            }
-            let TokenKind::Ident(s) = &t.kind else {
-                continue;
-            };
-            let next_is = |p: &str| toks.get(i + 1).is_some_and(|n| n.kind.is_punct(p));
-            let next_open = toks
-                .get(i + 1)
-                .is_some_and(|n| n.kind == TokenKind::Open('('));
-            let prev_is = |p: &str| i > 0 && toks[i - 1].kind.is_punct(p);
-
-            let sink: Option<(Effect, String)> = if PANIC_MACROS.contains(&s.as_str())
-                && next_is("!")
-            {
-                Some((Effect::Panics, format!("{s}!")))
-            } else if (s == "unwrap" || s == "expect") && prev_is(".") && next_open {
-                Some((Effect::Panics, format!(".{s}()")))
-            } else if HASH_TYPES.contains(&s.as_str()) {
-                Some((Effect::Nondet, format!("{s} (hash order)")))
-            } else if CLOCK_TYPES.contains(&s.as_str()) {
-                Some((Effect::Nondet, format!("{s} (clock)")))
-            } else if RAND_IDENTS.contains(&s.as_str()) || (s == "rand" && next_is("::")) {
-                Some((Effect::Nondet, format!("{s} (randomness)")))
-            } else if (s == "clone" || s == "to_vec")
-                && prev_is(".")
-                && next_open
-                && i >= 2
-                && match &toks[i - 2].kind {
-                    TokenKind::Close(')') | TokenKind::Close(']') => true,
-                    TokenKind::Ident(recv) => PAYLOAD_RECEIVERS.contains(&recv.as_str()),
-                    _ => false,
-                }
-                && !rules::copies_metadata(toks, i)
-                && !rules::sanctioned_copy_fn(&tab.fns[owner as usize].name)
-            {
-                Some((Effect::Copies, format!(".{s}() on a payload")))
-            } else if s == "spawn" && next_open && !file.path.ends_with("parexec/src/morsel.rs") {
-                Some((Effect::Spawns, "spawn(".to_string()))
-            } else {
-                None
-            };
-
-            if let Some((effect, what)) = sink {
-                if !sanctioned(file, t.line, effect) {
-                    out.push(Sink {
-                        owner,
-                        effect,
-                        line: t.line,
-                        what,
-                    });
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -434,6 +304,20 @@ mod tests {
         assert_eq!(findings[0].line, 2);
         let names: Vec<&str> = findings[0].chain.iter().map(|h| h.name.as_str()).collect();
         assert_eq!(names, ["entry", "helper"]);
+    }
+
+    #[test]
+    fn witness_starts_at_the_first_root_in_id_order() {
+        // Both roots reach `h` in one hop; the tie goes to the root that
+        // comes first in (path, token) order, not in name order.
+        let (findings, _) = run(&[(
+            "lib.rs",
+            "engine-rdd",
+            "pub fn b() { h(); }\npub fn a() { h(); }\nfn h() { panic!(\"x\"); }\n",
+        )]);
+        assert_eq!(findings.len(), 1);
+        let names: Vec<&str> = findings[0].chain.iter().map(|h| h.name.as_str()).collect();
+        assert_eq!(names, ["b", "h"]);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! It is deliberately zero-dependency — no `syn`, no regex — built on a
 //! small hand-written lexer ([`lex`]), a per-file structural model
 //! ([`source`]: test regions, enclosing functions, suppressions), a rule
-//! table ([`rules`]), per-crate profiles ([`profiles`]), and a reporter
-//! ([`report`]) with JSON output for tooling. See DESIGN.md §3.9 for the
-//! rule table and the suppression policy.
+//! table ([`rules`]), the sink grammar the rules and the interprocedural
+//! passes ([`flow`], [`purity`]) share ([`sinks`]), per-crate profiles
+//! ([`profiles`]), and a reporter ([`report`]) with JSON output for
+//! tooling. See DESIGN.md §3.9 for the rule table and the suppression
+//! policy.
 
 pub mod callgraph;
 pub mod flow;
@@ -21,6 +23,7 @@ pub mod profiles;
 pub mod purity;
 pub mod report;
 pub mod rules;
+pub mod sinks;
 pub mod source;
 pub mod symbols;
 pub mod walk;

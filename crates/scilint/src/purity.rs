@@ -1,10 +1,10 @@
 //! scimemo's source half: a purity lattice over the sciflow call graph.
 //!
-//! The result cache sketched in ROADMAP item 1 is sound only when a
-//! pipeline node's output is a pure function of its cache key. The effect
-//! lattice ([`crate::flow`]) answers "does this function panic / copy /
-//! spawn"; this pass answers the memoization question directly: every
-//! function is placed on the four-point purity lattice
+//! sciserve's result cache is sound only when a pipeline node's output is
+//! a pure function of its cache key. The effect lattice ([`crate::flow`])
+//! answers "does this function panic / copy / spawn"; this pass answers
+//! the memoization question directly: every function is placed on the
+//! four-point purity lattice
 //!
 //! ```text
 //! Pure < DetImpure < AmbientRead < Nondet
@@ -23,11 +23,15 @@
 //! * **`Nondet`** — observes hash order, the clock, or randomness; two
 //!   calls with equal arguments may disagree — not cacheable.
 //!
-//! Seeds come from a token-level sink grammar (below), levels propagate
-//! callee → caller over the same over-approximate call graph sciflow uses
-//! (join = lattice max), and every function gets a **shortest witness
-//! chain** to a sink of its verdict level via a per-level multi-source BFS
-//! over the reverse graph. A nondet sink already sanctioned by a covering
+//! Seeds come from the [`crate::sinks`] grammar sciflow and the token rules
+//! share, and levels propagate callee → caller over the same
+//! over-approximate call graph by sciflow's fixed point
+//! ([`callgraph::propagate`]): each sink seeds the one-hot bit of its
+//! level, and a verdict is the highest bit set, because the lattice join
+//! (max) of a set of levels is the top bit of their OR. Every function gets
+//! a **shortest witness chain** to a sink of its verdict level via a
+//! per-level multi-source BFS ([`callgraph::Bfs`]) over the reverse graph.
+//! A nondet sink already sanctioned by a covering
 //! `allow(D001/D002/D003/F002, reason)` is trusted not to reach results
 //! (the reviewed reason covers the memoization story too) and seeds
 //! nothing.
@@ -39,12 +43,12 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use crate::callgraph;
-use crate::flow::ChainHop;
-use crate::lex::TokenKind;
+use crate::callgraph::{self, Bfs};
+use crate::flow::{self, ChainHop};
 use crate::profiles;
+use crate::sinks::{self, Sink, SinkKind};
 use crate::source::SourceFile;
-use crate::symbols::{self, SymbolTable};
+use crate::symbols;
 use crate::walk;
 
 /// One point on the purity lattice. Discriminants are ordered so that
@@ -70,11 +74,6 @@ pub const LEVELS: [Purity; 4] = [
 ];
 
 impl Purity {
-    /// Lattice join.
-    pub fn join(self, other: Purity) -> Purity {
-        self.max(other)
-    }
-
     /// Report name (`pure`, `det_impure`, `ambient_read`, `nondet`).
     pub fn name(self) -> &'static str {
         match self {
@@ -91,18 +90,38 @@ impl Purity {
         self <= Purity::DetImpure
     }
 
-    fn from_u8(v: u8) -> Purity {
-        match v {
-            0 => Purity::Pure,
-            1 => Purity::DetImpure,
-            2 => Purity::AmbientRead,
-            _ => Purity::Nondet,
+    /// The level a sink of `kind` seeds, if any.
+    fn of(kind: SinkKind) -> Option<Purity> {
+        match kind {
+            SinkKind::HashOrder | SinkKind::Clock | SinkKind::Randomness => Some(Purity::Nondet),
+            SinkKind::AmbientRead => Some(Purity::AmbientRead),
+            SinkKind::Print | SinkKind::LedgerBump => Some(Purity::DetImpure),
+            SinkKind::PanicMacro
+            | SinkKind::Unwrap
+            | SinkKind::Expect
+            | SinkKind::PayloadCopy
+            | SinkKind::Spawn => None,
+        }
+    }
+
+    /// The one-hot bit this level seeds in a propagation mask.
+    fn bit(self) -> u8 {
+        1 << (self as u8)
+    }
+
+    /// The join of every level seeded into `mask`: its highest set bit.
+    fn from_mask(mask: u8) -> Purity {
+        match mask.checked_ilog2() {
+            None | Some(0) => Purity::Pure,
+            Some(1) => Purity::DetImpure,
+            Some(2) => Purity::AmbientRead,
+            Some(_) => Purity::Nondet,
         }
     }
 }
 
 /// The purity verdict for one function, with its witness.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PurityVerdict {
     /// Function name (unqualified).
     pub name: String,
@@ -171,48 +190,6 @@ impl PurityTable {
     }
 }
 
-/// One purity sink.
-struct PuritySink {
-    owner: u32,
-    level: Purity,
-    line: u32,
-    what: String,
-}
-
-/// Nondet sink grammar — the same sources sciflow's `F002` recognizes.
-const HASH_TYPES: [&str; 2] = ["HashMap", "HashSet"];
-const CLOCK_TYPES: [&str; 2] = ["Instant", "SystemTime"];
-const RAND_IDENTS: [&str; 3] = ["thread_rng", "from_entropy", "RandomState"];
-
-/// Ambient-read sink grammar: qualified calls that read env / config /
-/// thread-count / process state (`env::var(..)`, `fs::read_to_string(..)`,
-/// `thread::available_parallelism()`, ...).
-const AMBIENT_READS: [&str; 9] = [
-    "var",
-    "var_os",
-    "vars",
-    "args",
-    "args_os",
-    "current_dir",
-    "available_parallelism",
-    "read_to_string",
-    "read_dir",
-];
-
-/// Deterministic-side-effect sink grammar: diagnostics macros and atomic
-/// read-modify-writes (global ledgers such as `CopyCounter`).
-const PRINT_MACROS: [&str; 4] = ["println", "eprintln", "print", "eprint"];
-const ATOMIC_RMW: [&str; 8] = [
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "compare_exchange",
-];
-
 /// Token rules whose covering `allow` sanctions a nondet sink for purity
 /// purposes: the reviewed reason ("results stay bit-identical", "order
 /// never observed") is exactly a memoization-soundness argument. `F002`
@@ -220,152 +197,57 @@ const ATOMIC_RMW: [&str; 8] = [
 /// same sink lines.
 const NONDET_SANCTIONS: [&str; 4] = ["D001", "D002", "D003", "F002"];
 
-fn sanctioned_nondet(file: &SourceFile, line: u32) -> bool {
-    file.suppressions
-        .iter()
-        .any(|s| s.covers(line) && NONDET_SANCTIONS.contains(&s.rule.as_str()))
-}
-
-/// Scan for purity sinks, skipping test regions and sanctioned nondet
-/// sources.
-fn find_sinks(files: &[SourceFile], tab: &SymbolTable) -> Vec<PuritySink> {
-    let mut out = Vec::new();
-    for &fx in &tab.files_used {
-        let file = &files[fx];
-        let toks = &file.tokens;
-        for (i, t) in toks.iter().enumerate() {
-            let Some(owner) = tab.owner[fx][i] else {
-                continue;
-            };
-            if file.is_test_code(i) {
-                continue;
-            }
-            let TokenKind::Ident(s) = &t.kind else {
-                continue;
-            };
-            let next_is = |p: &str| toks.get(i + 1).is_some_and(|n| n.kind.is_punct(p));
-            let next_open = toks
-                .get(i + 1)
-                .is_some_and(|n| n.kind == TokenKind::Open('('));
-            let prev_is = |p: &str| i > 0 && toks[i - 1].kind.is_punct(p);
-
-            let sink: Option<(Purity, String)> = if HASH_TYPES.contains(&s.as_str()) {
-                Some((Purity::Nondet, format!("{s} (hash order)")))
-            } else if CLOCK_TYPES.contains(&s.as_str()) {
-                Some((Purity::Nondet, format!("{s} (clock)")))
-            } else if RAND_IDENTS.contains(&s.as_str()) || (s == "rand" && next_is("::")) {
-                Some((Purity::Nondet, format!("{s} (randomness)")))
-            } else if AMBIENT_READS.contains(&s.as_str()) && next_open && prev_is("::") {
-                Some((Purity::AmbientRead, format!("{s}() (ambient read)")))
-            } else if PRINT_MACROS.contains(&s.as_str()) && next_is("!") {
-                Some((Purity::DetImpure, format!("{s}!")))
-            } else if ATOMIC_RMW.contains(&s.as_str()) && next_open && prev_is(".") {
-                Some((Purity::DetImpure, format!(".{s}() (global ledger)")))
-            } else {
-                None
-            };
-
-            if let Some((level, what)) = sink {
-                if level == Purity::Nondet && sanctioned_nondet(file, t.line) {
-                    continue;
-                }
-                out.push(PuritySink {
-                    owner,
-                    level,
-                    line: t.line,
-                    what,
-                });
-            }
-        }
-    }
-    out
-}
-
 /// Run the purity analysis over already-parsed files.
 pub fn analyze(files: &[SourceFile]) -> PurityTable {
     let tab = symbols::extract(files, &|krate| !profiles::flow_exempt(krate));
     let graph = callgraph::build(&tab);
-    let sinks = find_sinks(files, &tab);
     let n = tab.fns.len();
+    let sinks: Vec<(Purity, Sink)> = sinks::scan(files, &tab)
+        .into_iter()
+        .filter_map(|s| {
+            let level = Purity::of(s.kind)?;
+            let file = &files[tab.fns[s.owner as usize].file];
+            let sanctioned = level == Purity::Nondet && s.allowed(file, &NONDET_SANCTIONS);
+            (!sanctioned).then_some((level, s))
+        })
+        .collect();
 
-    // Fixed-point join propagation, callee → caller.
-    let mut levels = vec![0u8; n];
-    for s in &sinks {
-        levels[s.owner as usize] = levels[s.owner as usize].max(s.level as u8);
+    let mut masks = vec![0u8; n];
+    for (level, s) in &sinks {
+        masks[s.owner as usize] |= level.bit();
     }
     let rev = graph.reversed();
-    let mut work: Vec<u32> = (0..n as u32).filter(|&f| levels[f as usize] != 0).collect();
-    while let Some(f) = work.pop() {
-        let l = levels[f as usize];
-        for &caller in &rev[f as usize] {
-            if levels[caller as usize] < l {
-                levels[caller as usize] = l;
-                work.push(caller);
-            }
-        }
-    }
+    callgraph::propagate(&rev, &mut masks);
 
-    // Per-level witness chains: multi-source BFS over the *reverse* graph
-    // from the owners of direct sinks at that level. `next[f]` points one
-    // hop toward the sink, `seed[f]` names the sink reached. Sources and
-    // neighbors are visited in id order, so chains are deterministic.
-    let mut next: Vec<[Option<u32>; 4]> = vec![[None; 4]; n];
-    let mut seed: Vec<[Option<usize>; 4]> = vec![[None; 4]; n];
-    for level in [Purity::DetImpure, Purity::AmbientRead, Purity::Nondet] {
-        let lx = level as usize;
-        let mut queue = std::collections::VecDeque::new();
-        let mut seen = vec![false; n];
-        // First sink per owner at exactly this level, in sink order
-        // (file/token order) — deterministic.
-        for (sx, s) in sinks.iter().enumerate() {
-            if s.level == level && !seen[s.owner as usize] {
-                seen[s.owner as usize] = true;
-                seed[s.owner as usize][lx] = Some(sx);
-                queue.push_back(s.owner);
-            }
-        }
-        while let Some(f) = queue.pop_front() {
-            for &caller in &rev[f as usize] {
-                if !seen[caller as usize] {
-                    seen[caller as usize] = true;
-                    next[caller as usize][lx] = Some(f);
-                    seed[caller as usize][lx] = seed[f as usize][lx];
-                    queue.push_back(caller);
-                }
-            }
-        }
+    // Per-level witness chains: a BFS over the reverse graph from the
+    // owners of that level's sinks, in sink (file/token) order. A chain
+    // ends at the sink owner that reached it, and names that owner's first
+    // sink of the level.
+    let bfs: Vec<Bfs> = LEVELS
+        .iter()
+        .map(|&l| {
+            let owners = sinks
+                .iter()
+                .filter(|(sl, _)| *sl == l)
+                .map(|(_, s)| s.owner);
+            Bfs::new(&rev, owners)
+        })
+        .collect();
+    let mut first_sink: BTreeMap<(u32, Purity), &Sink> = BTreeMap::new();
+    for (level, s) in &sinks {
+        first_sink.entry((s.owner, *level)).or_insert(s);
     }
 
     let mut verdicts = Vec::with_capacity(n);
     let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for f in 0..n {
-        let sym = &tab.fns[f];
-        let level = Purity::from_u8(levels[f]);
-        let (witness, sink_desc, sink_path, sink_line) = if level == Purity::Pure {
-            (Vec::new(), String::new(), String::new(), 0)
+    for (f, sym) in tab.fns.iter().enumerate() {
+        let level = Purity::from_mask(masks[f]);
+        let (witness, sink) = if level == Purity::Pure {
+            (Vec::new(), None)
         } else {
-            let lx = level as usize;
-            let mut chain = Vec::new();
-            let mut cur = Some(f as u32);
-            while let Some(c) = cur {
-                let csym = &tab.fns[c as usize];
-                chain.push(ChainHop {
-                    name: csym.name.clone(),
-                    path: csym.path.clone(),
-                    line: csym.line,
-                });
-                cur = next[c as usize][lx];
-                if chain.len() > 64 {
-                    break; // cycle guard; BFS next-pointers cannot cycle
-                }
-            }
-            let s = seed[f][lx].map(|sx| &sinks[sx]);
-            (
-                chain,
-                s.map_or(String::new(), |s| s.what.clone()),
-                s.map_or(String::new(), |s| tab.fns[s.owner as usize].path.clone()),
-                s.map_or(0, |s| s.line),
-            )
+            let path = bfs[level as usize].path(f as u32);
+            let sink = path.last().and_then(|&o| first_sink.get(&(o, level)));
+            (flow::hops(&tab, path), sink)
         };
         by_name.entry(sym.name.clone()).or_default().push(f);
         verdicts.push(PurityVerdict {
@@ -376,9 +258,9 @@ pub fn analyze(files: &[SourceFile]) -> PurityTable {
             is_pub: sym.is_pub,
             level,
             witness,
-            sink: sink_desc,
-            sink_path,
-            sink_line,
+            sink: sink.map_or(String::new(), |s| s.what.clone()),
+            sink_path: sink.map_or(String::new(), |s| tab.fns[s.owner as usize].path.clone()),
+            sink_line: sink.map_or(0, |s| s.line),
         });
     }
     PurityTable { verdicts, by_name }
@@ -474,6 +356,40 @@ mod tests {
         assert_eq!(level_of(&t, "a"), Purity::DetImpure);
         assert_eq!(level_of(&t, "b"), Purity::Nondet);
         assert_eq!(level_of(&t, "top"), Purity::Nondet);
+    }
+
+    #[test]
+    fn witness_tie_goes_to_the_sink_first_in_file_order() {
+        // `b()` is called first, but `a`'s print comes first in the file.
+        let t = run(&[(
+            "lib.rs",
+            "sciops",
+            "pub fn top() { b(); a(); }\n\
+             fn a() { println!(\"a\"); }\n\
+             fn b() { println!(\"b\"); }\n",
+        )]);
+        let v = t.worst_named("top").expect("top");
+        let names: Vec<&str> = v.witness.iter().map(|h| h.name.as_str()).collect();
+        assert_eq!(names, ["top", "a"]);
+        assert_eq!(v.sink_line, 2);
+    }
+
+    #[test]
+    fn witness_leads_to_a_sink_of_the_verdict_level_not_the_nearest() {
+        let t = run(&[(
+            "lib.rs",
+            "sciops",
+            "pub fn mixed() { near(); far(); }\n\
+             fn near() { println!(\"x\"); }\n\
+             fn far() { mid(); }\n\
+             fn mid() { let _ = Instant::now(); }\n",
+        )]);
+        let v = t.worst_named("mixed").expect("mixed");
+        assert_eq!(v.level, Purity::Nondet);
+        let names: Vec<&str> = v.witness.iter().map(|h| h.name.as_str()).collect();
+        assert_eq!(names, ["mixed", "far", "mid"]);
+        assert_eq!(v.sink, "Instant (clock)");
+        assert_eq!((v.sink_path.as_str(), v.sink_line), ("lib.rs", 4));
     }
 
     #[test]

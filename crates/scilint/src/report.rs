@@ -304,7 +304,8 @@ impl Report {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escape `s` for use inside a JSON string literal.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

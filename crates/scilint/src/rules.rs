@@ -4,9 +4,12 @@
 //! Every rule is a token-level check over one [`SourceFile`], except H002
 //! which is a workspace-level check (it needs the test files). Rules fire
 //! only on library code outside `#[cfg(test)]` regions; which rules apply
-//! to which crate is decided by [`crate::profiles`].
+//! to which crate is decided by [`crate::profiles`]. D001–D003, C001 and
+//! H001 flag the tokens [`crate::sinks::classify`] names, the grammar the
+//! interprocedural passes seed from.
 
 use crate::lex::{Token, TokenKind};
+use crate::sinks::{self, SinkKind};
 use crate::source::{FileKind, SourceFile};
 
 /// Rule family, for grouping in reports.
@@ -189,57 +192,7 @@ pub struct Finding {
     pub message: String,
 }
 
-const D001_TYPES: [&str; 2] = ["HashMap", "HashSet"];
-const D002_TYPES: [&str; 2] = ["Instant", "SystemTime"];
-const D003_IDENTS: [&str; 3] = ["thread_rng", "from_entropy", "RandomState"];
 const N002_NARROW: [&str; 7] = ["f32", "i8", "i16", "i32", "u8", "u16", "u32"];
-/// Nullary metadata accessors whose results are shape/length slices — a few
-/// `usize`, not chunk payloads. Copying them is outside C001/F003.
-const METADATA_ACCESSORS: [&str; 3] = ["dims", "shape", "len"];
-
-/// True when the `.clone()`/`.to_vec()` receiver ending at token `i - 2` is
-/// a nullary metadata-accessor call (`x.dims().to_vec()`): a shape-vector
-/// copy, not a payload copy.
-pub fn copies_metadata(toks: &[Token], i: usize) -> bool {
-    i >= 4
-        && toks[i - 2].kind == TokenKind::Close(')')
-        && toks[i - 3].kind == TokenKind::Open('(')
-        && toks[i - 4]
-            .kind
-            .ident()
-            .is_some_and(|a| METADATA_ACCESSORS.contains(&a))
-}
-
-/// True when a function named `name` is a sanctioned deep-copy point: the
-/// copy-discipline contract routes real copies through `materialize()` /
-/// `deep_copy()`, and codec representation changes through `encode*()` /
-/// `decode*()`, so copies *inside* those functions are the point — an
-/// encode walks the dense payload to build runs, a decode expands runs
-/// back into a dense buffer, and both are metered by the codec counter
-/// rather than hidden.
-pub fn sanctioned_copy_fn(name: &str) -> bool {
-    name.contains("materialize")
-        || name.contains("deep_copy")
-        || name.contains("encode")
-        || name.contains("decode")
-}
-
-/// Receiver identifiers C001 treats as chunk payloads. Method-call results
-/// (`...).to_vec()`, `...].clone()`) are always treated as payloads.
-const C001_PAYLOADS: [&str; 12] = [
-    "chunk",
-    "chunks",
-    "full",
-    "value",
-    "fed",
-    "vol",
-    "volume",
-    "tuples",
-    "fragments",
-    "blob",
-    "payload",
-    "buf",
-];
 
 /// Run all single-file rules in `enabled` over `file`, appending findings.
 pub fn check_file(file: &SourceFile, enabled: &[&str], out: &mut Vec<Finding>) {
@@ -264,24 +217,22 @@ pub fn check_file(file: &SourceFile, enabled: &[&str], out: &mut Vec<Finding>) {
         }
         match &t.kind {
             TokenKind::Ident(s) => {
-                if on("D001") && D001_TYPES.contains(&s.as_str()) {
+                let sink = sinks::classify(file, i);
+                if on("D001") && sink == Some(SinkKind::HashOrder) {
                     push(
                         "D001",
                         t.line,
                         format!("{s} in library code: iteration order depends on the hash seed"),
                     );
                 }
-                if on("D002") && D002_TYPES.contains(&s.as_str()) {
+                if on("D002") && sink == Some(SinkKind::Clock) {
                     push(
                         "D002",
                         t.line,
                         format!("{s} in library code: results must not read the clock"),
                     );
                 }
-                if on("D003")
-                    && (D003_IDENTS.contains(&s.as_str())
-                        || (s == "rand" && toks.get(i + 1).is_some_and(|n| n.kind.is_punct("::"))))
-                {
+                if on("D003") && sink == Some(SinkKind::Randomness) {
                     push(
                         "D003",
                         t.line,
@@ -360,23 +311,7 @@ pub fn check_file(file: &SourceFile, enabled: &[&str], out: &mut Vec<Finding>) {
                         "mutable f32 binding used as an accumulator: use f64".to_string(),
                     );
                 }
-                if on("C001")
-                    && (s == "clone" || s == "to_vec")
-                    && i >= 2
-                    && toks[i - 1].kind.is_punct(".")
-                    && toks
-                        .get(i + 1)
-                        .is_some_and(|n| n.kind == TokenKind::Open('('))
-                    && match &toks[i - 2].kind {
-                        // A call/index result being copied out wholesale.
-                        TokenKind::Close(')') | TokenKind::Close(']') => true,
-                        // A named payload handle.
-                        TokenKind::Ident(recv) => C001_PAYLOADS.contains(&recv.as_str()),
-                        _ => false,
-                    }
-                    && !copies_metadata(toks, i)
-                    && !file.fn_name_at(i).is_some_and(sanctioned_copy_fn)
-                {
+                if on("C001") && sink == Some(SinkKind::PayloadCopy) {
                     push(
                         "C001",
                         t.line,
@@ -402,14 +337,7 @@ pub fn check_file(file: &SourceFile, enabled: &[&str], out: &mut Vec<Finding>) {
                         );
                     }
                 }
-                if on("H001")
-                    && s == "unwrap"
-                    && i > 0
-                    && toks[i - 1].kind.is_punct(".")
-                    && toks
-                        .get(i + 1)
-                        .is_some_and(|n| n.kind == TokenKind::Open('('))
-                {
+                if on("H001") && sink == Some(SinkKind::Unwrap) {
                     push(
                         "H001",
                         t.line,

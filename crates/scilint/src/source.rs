@@ -68,10 +68,11 @@ pub struct SourceFile {
     pub comments: Vec<Comment>,
     /// Per-token flag: inside a `#[cfg(test)]` or `#[test]` region.
     pub in_test: Vec<bool>,
-    /// Per-token innermost enclosing function name (index into `fn_names`).
+    /// Per-token innermost enclosing function (index into `fn_defs`).
     pub enclosing_fn: Vec<Option<u32>>,
-    /// Function-name table for `enclosing_fn`.
-    pub fn_names: Vec<String>,
+    /// Every function with a body, in the order its body opens: the index
+    /// of its `fn` token, which an identifier (the name) follows.
+    pub fn_defs: Vec<usize>,
     /// Well-formed suppressions.
     pub suppressions: Vec<Suppression>,
     /// Malformed suppressions (always reported).
@@ -82,7 +83,7 @@ impl SourceFile {
     /// Lex and annotate one file.
     pub fn parse(path: &str, crate_name: &str, kind: FileKind, src: &str) -> SourceFile {
         let lexed = lex(src);
-        let (in_test, enclosing_fn, fn_names) = annotate(&lexed.tokens);
+        let (in_test, enclosing_fn, fn_defs) = annotate(&lexed.tokens);
         let (mut suppressions, bad_suppressions) = parse_suppressions(&lexed.comments);
         for s in &mut suppressions {
             s.end_line = statement_end(&lexed.tokens, s.line).max(s.line + 1);
@@ -95,7 +96,7 @@ impl SourceFile {
             comments: lexed.comments,
             in_test,
             enclosing_fn,
-            fn_names,
+            fn_defs,
             suppressions,
             bad_suppressions,
         }
@@ -108,11 +109,8 @@ impl SourceFile {
 
     /// Name of the innermost function containing token `i`, if any.
     pub fn fn_name_at(&self, i: usize) -> Option<&str> {
-        self.enclosing_fn
-            .get(i)
-            .copied()
-            .flatten()
-            .map(|ix| self.fn_names[ix as usize].as_str())
+        let def = self.fn_defs[self.enclosing_fn.get(i).copied().flatten()? as usize];
+        self.tokens[def + 1].kind.ident()
     }
 }
 
@@ -120,18 +118,19 @@ impl SourceFile {
 /// sits inside a `#[cfg(test)]`/`#[test]` item and which function encloses
 /// it.
 #[allow(clippy::type_complexity)]
-fn annotate(tokens: &[Token]) -> (Vec<bool>, Vec<Option<u32>>, Vec<String>) {
+fn annotate(tokens: &[Token]) -> (Vec<bool>, Vec<Option<u32>>, Vec<usize>) {
     let mut in_test = vec![false; tokens.len()];
     let mut enclosing = vec![None; tokens.len()];
-    let mut fn_names: Vec<String> = Vec::new();
+    let mut fn_defs: Vec<usize> = Vec::new();
 
     let mut depth: i32 = 0;
     // Open test regions: brace depth at which each region's body started.
     let mut test_stack: Vec<i32> = Vec::new();
-    // (fn-name index, depth at body open).
+    // (fn_defs index, depth at body open).
     let mut fn_stack: Vec<(u32, i32)> = Vec::new();
     let mut pending_test = false;
-    let mut pending_fn: Option<String> = None;
+    // Token index of a `fn NAME` header whose body has not opened yet.
+    let mut pending_fn: Option<usize> = None;
 
     let mut i = 0;
     while i < tokens.len() {
@@ -150,10 +149,10 @@ fn annotate(tokens: &[Token]) -> (Vec<bool>, Vec<Option<u32>>, Vec<String>) {
             }
         }
         match &t.kind {
-            TokenKind::Ident(s) if s == "fn" => {
-                if let Some(TokenKind::Ident(name)) = tokens.get(i + 1).map(|t| &t.kind) {
-                    pending_fn = Some(name.clone());
-                }
+            TokenKind::Ident(s)
+                if s == "fn" && tokens.get(i + 1).is_some_and(|t| t.kind.ident().is_some()) =>
+            {
+                pending_fn = Some(i);
             }
             TokenKind::Punct(";") => {
                 // A no-body item (`#[cfg(test)] use x;`, trait method decl)
@@ -166,10 +165,9 @@ fn annotate(tokens: &[Token]) -> (Vec<bool>, Vec<Option<u32>>, Vec<String>) {
                     test_stack.push(depth);
                     pending_test = false;
                 }
-                if let Some(name) = pending_fn.take() {
-                    let ix = fn_names.len() as u32;
-                    fn_names.push(name);
-                    fn_stack.push((ix, depth));
+                if let Some(def) = pending_fn.take() {
+                    fn_stack.push((fn_defs.len() as u32, depth));
+                    fn_defs.push(def);
                 }
                 depth += 1;
             }
@@ -188,7 +186,7 @@ fn annotate(tokens: &[Token]) -> (Vec<bool>, Vec<Option<u32>>, Vec<String>) {
         enclosing[i] = fn_stack.last().map(|&(ix, _)| ix);
         i += 1;
     }
-    (in_test, enclosing, fn_names)
+    (in_test, enclosing, fn_defs)
 }
 
 /// Last line of the statement (or item) a suppression on `from_line`

@@ -66,8 +66,9 @@ pub struct SymbolTable {
     pub by_name: BTreeMap<String, Vec<u32>>,
     /// Type name → indexes of files that define or impl it.
     pub types: BTreeMap<String, BTreeSet<usize>>,
-    /// Per file, per token: innermost enclosing [`FnSym`] id. Used by the
-    /// effect pass to attribute sink tokens to functions.
+    /// Per file, per token: innermost enclosing [`FnSym`] id, `None` in
+    /// test regions. Used by the sink scan to attribute sink tokens to
+    /// functions.
     pub owner: Vec<Vec<Option<u32>>>,
     /// Indexes of the files that were symbolized (library files of
     /// non-exempt crates); others have empty `owner` rows.
@@ -107,87 +108,60 @@ pub fn extract(files: &[SourceFile], include: &dyn Fn(&str) -> bool) -> SymbolTa
     tab
 }
 
+/// Symbolize one file. Functions and each token's enclosing function come
+/// from the file's own annotation ([`SourceFile::fn_defs`],
+/// [`SourceFile::enclosing_fn`]); functions defined in test regions get no
+/// symbol.
 fn extract_file(fx: usize, file: &SourceFile, tab: &mut SymbolTable) {
     let toks = &file.tokens;
-    let mut depth: i32 = 0;
-    // (fn id, brace depth at body open).
-    let mut fn_stack: Vec<(u32, i32)> = Vec::new();
-    let mut pending: Option<FnSym> = None;
-
     let ident_at = |i: usize| toks.get(i).and_then(|t| t.kind.ident());
 
-    let mut i = 0;
-    while i < toks.len() {
-        let t = &toks[i];
-        if file.is_test_code(i) {
-            // Still track braces so fn_stack depths stay consistent across
-            // test regions embedded in library files.
-            match &t.kind {
-                TokenKind::Open('{') => depth += 1,
-                TokenKind::Close('}') => {
-                    depth -= 1;
-                    if fn_stack.last().map(|&(_, d)| d) == Some(depth) {
-                        fn_stack.pop();
-                    }
-                }
-                _ => {}
+    let ids: Vec<Option<u32>> = file
+        .fn_defs
+        .iter()
+        .map(|&at| {
+            if file.is_test_code(at) {
+                return None;
             }
-            i += 1;
+            tab.fns.push(FnSym {
+                name: ident_at(at + 1).unwrap_or_default().to_string(),
+                file: fx,
+                crate_name: file.crate_name.clone(),
+                path: file.path.clone(),
+                line: toks[at].line,
+                is_pub: is_pub_before(file, at),
+            });
+            Some(tab.fns.len() as u32 - 1)
+        })
+        .collect();
+
+    for (i, t) in toks.iter().enumerate() {
+        if file.is_test_code(i) {
             continue;
         }
-        match &t.kind {
-            TokenKind::Ident(s) => match s.as_str() {
-                "fn" => {
-                    if let Some(name) = ident_at(i + 1) {
-                        pending = Some(FnSym {
-                            name: name.to_string(),
-                            file: fx,
-                            crate_name: file.crate_name.clone(),
-                            path: file.path.clone(),
-                            line: t.line,
-                            is_pub: is_pub_before(file, i),
-                        });
-                    }
+        let owner = file.enclosing_fn[i].and_then(|ix| ids[ix as usize]);
+        tab.owner[fx][i] = owner;
+        let TokenKind::Ident(s) = &t.kind else {
+            continue;
+        };
+        match s.as_str() {
+            "struct" | "enum" | "trait" | "union" => {
+                if let Some(name) = ident_at(i + 1) {
+                    tab.types.entry(name.to_string()).or_default().insert(fx);
                 }
-                "struct" | "enum" | "trait" | "union" => {
-                    if let Some(name) = ident_at(i + 1) {
-                        tab.types.entry(name.to_string()).or_default().insert(fx);
-                    }
-                }
-                "impl" => {
-                    for name in impl_targets(file, i) {
-                        tab.types.entry(name).or_default().insert(fx);
-                    }
-                }
-                name if !CALLISH_KEYWORDS.contains(&name) => {
-                    if let Some(call) = call_at(file, i, &fn_stack) {
-                        tab.calls.push(call);
-                    }
-                }
-                _ => {}
-            },
-            TokenKind::Punct(";") => {
-                // Body-less item (trait method decl, extern fn).
-                pending = None;
             }
-            TokenKind::Open('{') => {
-                if let Some(sym) = pending.take() {
-                    let id = tab.fns.len() as u32;
-                    tab.fns.push(sym);
-                    fn_stack.push((id, depth));
+            "impl" => {
+                for name in impl_targets(file, i) {
+                    tab.types.entry(name).or_default().insert(fx);
                 }
-                depth += 1;
             }
-            TokenKind::Close('}') => {
-                depth -= 1;
-                if fn_stack.last().map(|&(_, d)| d) == Some(depth) {
-                    fn_stack.pop();
+            name if !CALLISH_KEYWORDS.contains(&name) => {
+                if let Some(call) = owner.and_then(|caller| call_at(file, i, caller)) {
+                    tab.calls.push(call);
                 }
             }
             _ => {}
         }
-        tab.owner[fx][i] = fn_stack.last().map(|&(id, _)| id);
-        i += 1;
     }
 }
 
@@ -232,12 +206,11 @@ fn impl_targets(file: &SourceFile, impl_ix: usize) -> Vec<String> {
     out
 }
 
-/// Classify token `i` as a call site, if it is one: an identifier directly
-/// followed by `(` (or a `::<...>(` turbofish), not itself a definition, and
-/// inside some function body.
-fn call_at(file: &SourceFile, i: usize, fn_stack: &[(u32, i32)]) -> Option<CallSite> {
+/// Classify token `i`, inside the body of function `caller`, as a call
+/// site, if it is one: an identifier directly followed by `(` (or a
+/// `::<...>(` turbofish), not itself a definition.
+fn call_at(file: &SourceFile, i: usize, caller: u32) -> Option<CallSite> {
     let toks = &file.tokens;
-    let &(caller, _) = fn_stack.last()?;
     let name = toks[i].kind.ident()?;
 
     // Direct `name(` or turbofish `name::<T>(`.

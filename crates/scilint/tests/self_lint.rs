@@ -35,7 +35,8 @@ fn reports_are_deterministic_across_runs() {
     // The linter gates CI, so its output must be byte-stable: BTree maps
     // throughout, function ids in (path, token) order, findings tie-broken
     // by (path, line, rule). Two independent runs over the workspace must
-    // serialize identically in both schemas.
+    // serialize identically in both schemas, and agree on every purity
+    // verdict, witness and sink location.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
@@ -48,4 +49,11 @@ fn reports_are_deterministic_across_runs() {
         second.to_flow_json(),
         "sciflow/v1 drifted"
     );
+
+    let first = scilint::purity::analyze_workspace(root).expect("workspace readable");
+    let second = scilint::purity::analyze_workspace(root).expect("workspace readable");
+    assert_eq!(first.verdicts.len(), second.verdicts.len());
+    for (a, b) in first.verdicts.iter().zip(&second.verdicts) {
+        assert_eq!(a, b, "purity verdict of `{}` drifted", a.name);
+    }
 }

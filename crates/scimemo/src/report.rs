@@ -14,6 +14,8 @@
 
 use std::collections::BTreeMap;
 
+use scilint::report::escape;
+
 use crate::{Certification, MemoStats};
 
 /// Schema tag written into every report. Bumped v1 → v2 when the
@@ -97,22 +99,8 @@ fn rejections(cert: &Certification) -> BTreeMap<String, (String, Vec<String>)> {
     out
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_str_list(items: &[String]) -> String {
-    let inner: Vec<String> = items.iter().map(|s| format!("\"{}\"", esc(s))).collect();
+    let inner: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
     format!("[{}]", inner.join(","))
 }
 
@@ -139,7 +127,7 @@ impl Report {
         let purity: Vec<String> = self
             .purity
             .iter()
-            .map(|(k, v)| format!("\"{}\": {v}", esc(k)))
+            .map(|(k, v)| format!("\"{}\": {v}", escape(k)))
             .collect();
         s.push_str(&purity.join(", "));
         s.push_str("},\n");
@@ -149,9 +137,9 @@ impl Report {
             s.push_str("    {");
             s.push_str(&format!(
                 "\"name\": \"{}\", \"family\": \"{}\", \"engine\": \"{}\", ",
-                esc(&c.name),
-                esc(&c.family),
-                esc(&c.engine)
+                escape(&c.name),
+                escape(&c.family),
+                escape(&c.engine)
             ));
             s.push_str(&format!(
                 "\"graph_fingerprint\": \"{:016x}\", ",
@@ -168,7 +156,7 @@ impl Report {
                 .map(|(label, (class, n, cert))| {
                     format!(
                         "\"{}\": {{\"class\": \"{class}\", \"tasks\": {n}, \"certified\": {cert}}}",
-                        esc(label)
+                        escape(label)
                     )
                 })
                 .collect();
@@ -182,8 +170,8 @@ impl Report {
                     .map(|(label, (reason, witness))| {
                         format!(
                             "\"{}\": {{\"reason\": \"{}\", \"witness\": {}}}",
-                            esc(label),
-                            esc(reason),
+                            escape(label),
+                            escape(reason),
                             json_str_list(witness)
                         )
                     })
@@ -205,7 +193,7 @@ impl Report {
             s.push_str("    {");
             s.push_str(&format!(
                 "\"name\": \"{}\", \"tasks\": {}, \"certified\": {}, \"rejections\": {{",
-                esc(&f.name),
+                escape(&f.name),
                 f.cert.nodes.len(),
                 f.cert.certified_count()
             ));
@@ -214,8 +202,8 @@ impl Report {
                 .map(|(label, (reason, witness))| {
                     format!(
                         "\"{}\": {{\"reason\": \"{}\", \"witness\": {}}}",
-                        esc(label),
-                        esc(reason),
+                        escape(label),
+                        escape(reason),
                         json_str_list(witness)
                     )
                 })
@@ -251,7 +239,7 @@ impl Report {
             .map(|(fam, (tasks, cert))| {
                 format!(
                     "\"{}\": {{\"tasks\": {tasks}, \"certified\": {cert}}}",
-                    esc(fam)
+                    escape(fam)
                 )
             })
             .collect();
@@ -360,6 +348,6 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

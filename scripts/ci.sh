@@ -61,6 +61,13 @@ cmp -s "$report" MEMO_report.json || {
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== cargo test (scibench-suite)"
+# The benchmark is its own package outside the workspace, so the step above
+# does not build it. Testing it here turns a signature break in an entry
+# point it calls (scibench-suite/README.md lists them) into a tier-1 failure
+# instead of a failed benchmark run.
+cargo test --offline -q --manifest-path scibench-suite/Cargo.toml
+
 echo "== scibench lint (static verification of lowered task graphs)"
 "${scibench[@]}" lint
 
