@@ -40,7 +40,7 @@
 //! governor for any subcommand.
 
 use parexec::{parse_threads, Parallelism};
-use plancheck::{check, Code, Report};
+use plancheck::{check, Report};
 use scibench_bench::{compress, e2e, hostinfo, kernels, memo, ooc, plans, serve, skew};
 use scibench_core::experiments::Setup;
 use scibench_core::lower::Engine;
@@ -87,10 +87,6 @@ fn apply_mem_budget_env() {
             Err(e) => eprintln!("warning: ignoring invalid {MEM_BUDGET_ENV}={v}: {e}"),
         }
     }
-}
-
-fn is_memory(code: Code) -> bool {
-    matches!(code, Code::M001 | Code::M002 | Code::M003 | Code::M004)
 }
 
 /// Accumulates lint rows and the failures that decide the exit code.
@@ -143,8 +139,8 @@ impl Lint {
         let report = check(graph, cluster, &profile);
         self.checked += 1;
         let hard: Vec<&plancheck::Diagnostic> =
-            report.errors().filter(|d| !is_memory(d.code)).collect();
-        let mem_errors = report.errors().filter(|d| is_memory(d.code)).count();
+            report.errors().filter(|d| !d.code.is_memory()).collect();
+        let mem_errors = report.errors().filter(|d| d.code.is_memory()).count();
         let mut bad = Vec::new();
         if !hard.is_empty() {
             bad.push(format!("{} non-memory error(s)", hard.len()));
@@ -269,16 +265,8 @@ fn lint_memo(out_path: Option<std::path::PathBuf>) -> i32 {
             None => eprintln!("  fixture  {} NOT rejected", fx.name),
         }
     }
-    let json = sweep.report.to_json();
-    match out_path {
-        Some(p) => {
-            if let Err(e) = std::fs::write(&p, &json) {
-                eprintln!("error: cannot write {}: {e}", p.display());
-                return 1;
-            }
-            eprintln!("wrote {}", p.display());
-        }
-        None => print!("{json}"),
+    if let Err(code) = emit_json(&sweep.report.to_json(), out_path) {
+        return code;
     }
     if sweep.failures.is_empty() {
         eprintln!(

@@ -12,7 +12,7 @@
 //! fingerprints stay bit-identical with the dense runs. Results serialize
 //! as `BENCH_compress.json` (schema `scibench-bench-compress/v1`).
 
-use crate::kernels::Fingerprint;
+use crate::kernels::{fingerprint_coadd, Fingerprint};
 use marray::{with_compress_mode, ChunkRepr, CodecCounter, CodecStats, CompressMode, NdArray};
 use scibench_core::costmodel::{pack_for_boundary, PlaneKind};
 use scibench_core::usecases::astro as astro_uc;
@@ -174,16 +174,6 @@ fn time_ns(reps: usize, mut f: impl FnMut() -> u64) -> (u64, u64) {
         assert_eq!(got, fp, "kernel output changed between timing reps");
     }
     (best.max(1), fp)
-}
-
-fn fingerprint_coadd(c: &sciops::astro::coadd::Coadd) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.push_slice(c.flux.data());
-    fp.push_slice(c.variance.data());
-    for &d in c.depth.data() {
-        fp.push_usize(d as usize);
-    }
-    fp.finish()
 }
 
 /// The compressed-vs-dense kernel matrix: sigma-clip coadd on the

@@ -189,7 +189,7 @@ pub fn suite(quick: bool) -> (Vec<E2eCase>, Vec<E2eSkip>) {
     }
     {
         // SciDB: the pure-AQL clipped coadd over one patch's visit cube.
-        let cube = Arc::new(patch_cube(&survey));
+        let cube = Arc::new(sciserve::cube_for_survey(&survey));
         cases.push(E2eCase {
             pipeline: "astro",
             engine: "scidb",
@@ -218,36 +218,6 @@ pub fn suite(quick: bool) -> (Vec<E2eCase>, Vec<E2eSkip>) {
         },
     ];
     (cases, skipped)
-}
-
-/// Build the `(visit, rows, cols)` cube of merged exposures for the first
-/// patch of `survey` (the SciDB coadd's ingest input).
-fn patch_cube(survey: &SkySurvey) -> marray::NdArray<f64> {
-    let grid = survey.patch_grid();
-    let (calib, _, _) = astro_uc::astro_params();
-    let patch_box = grid.patch_box((0, 0));
-    let visits = survey.visits.len();
-    let rows = patch_box.height as usize;
-    let cols = patch_box.width as usize;
-    let mut cube = marray::NdArray::<f64>::zeros(&[visits, rows, cols]);
-    for (v, exposures) in survey.visits.iter().enumerate() {
-        let calibrated: Vec<_> = exposures
-            .iter()
-            .map(|e| sciops::astro::calibrate_exposure(e, &calib))
-            .collect();
-        let pieces: Vec<_> = calibrated
-            .iter()
-            .filter_map(|e| e.crop_to(&patch_box))
-            .collect();
-        let merged = sciops::astro::pipeline::merge_visit_pieces(&patch_box, &pieces);
-        let slice = merged
-            .flux
-            .clone()
-            .reshape(&[1, rows, cols])
-            .expect("rank-3 slice");
-        cube.write_subarray(&[v, 0, 0], &slice).expect("cube slice");
-    }
-    cube
 }
 
 /// Run the whole matrix, each case once, diffing the copy ledger around

@@ -133,7 +133,7 @@ fn coadd_inputs() -> Vec<sciops::astro::Exposure> {
         .collect()
 }
 
-fn fingerprint_coadd(c: &Coadd) -> u64 {
+pub(crate) fn fingerprint_coadd(c: &Coadd) -> u64 {
     let mut fp = Fingerprint::new();
     fp.push_slice(c.flux.data());
     fp.push_slice(c.variance.data());

@@ -10,8 +10,8 @@
 //! sweep cluster size.
 
 use engine_rel::ExecutionMode;
-use scibench_core::experiments::{tuned_partitions, Setup};
-use scibench_core::lower::{astro, ingest, neuro, steps, Engine};
+use scibench_core::experiments::{IngestSystem, Setup};
+use scibench_core::lower::{astro, steps, Engine};
 use scibench_core::workload::{AstroWorkload, NeuroWorkload};
 use simcluster::{ClusterSpec, TaskGraph};
 
@@ -51,24 +51,7 @@ pub fn shipped_configs(setup: &Setup) -> Vec<ShippedConfig> {
                 Engine::SciDb,
             ] {
                 let cluster = setup.cluster_for(engine, nodes);
-                let graph = match engine {
-                    Engine::Spark => neuro::spark(
-                        &w,
-                        &setup.cm,
-                        &setup.profiles,
-                        &cluster,
-                        Some(tuned_partitions(&cluster)),
-                        true,
-                    ),
-                    Engine::Myria => neuro::myria(&w, &setup.cm, &setup.profiles, &cluster),
-                    Engine::Dask => neuro::dask(&w, &setup.cm, &setup.profiles, &cluster),
-                    Engine::TensorFlow => {
-                        neuro::tensorflow(&w, &setup.cm, &setup.profiles, &cluster)
-                    }
-                    Engine::SciDb => {
-                        neuro::scidb_steps(&w, &setup.cm, &setup.profiles, &cluster, true)
-                    }
-                };
+                let graph = setup.neuro_e2e_plan(engine, &w, &cluster);
                 out.push(ShippedConfig {
                     name: format!(
                         "neuro e2e        {:<10} subjects={:<2} nodes={nodes}",
@@ -106,14 +89,15 @@ pub fn shipped_configs(setup: &Setup) -> Vec<ShippedConfig> {
             // Figure 15: pipelined execution exhausts memory only in the
             // full 24-visit configuration on 16 nodes (the two hottest
             // patches hash to one worker); both disk-backed modes stay
-            // within budget everywhere.
+            // within budget everywhere. The overrun is an OOM only because
+            // the lowering runs strict, with no spill fallback.
             let oom = nodes == 16 && w.visits == 24;
             for (mode, tag, expect_oom) in [
                 (ExecutionMode::Pipelined, "pipelined", oom),
                 (ExecutionMode::Materialized, "materialized", false),
                 (ExecutionMode::MultiQuery { pieces: 4 }, "multiquery", false),
             ] {
-                let (graph, _strict) = astro::myria(&w, &setup.cm, &setup.profiles, &cluster, mode);
+                let (graph, strict) = astro::myria(&w, &setup.cm, &setup.profiles, &cluster, mode);
                 out.push(ShippedConfig {
                     name: format!(
                         "astro {tag:<10} {:<10} visits={:<2}   nodes={nodes}",
@@ -123,7 +107,7 @@ pub fn shipped_configs(setup: &Setup) -> Vec<ShippedConfig> {
                     engine: Engine::Myria,
                     graph,
                     cluster: cluster.clone(),
-                    memory_expected: expect_oom,
+                    memory_expected: expect_oom && strict,
                 });
             }
 
@@ -145,29 +129,17 @@ pub fn shipped_configs(setup: &Setup) -> Vec<ShippedConfig> {
     // Ingest, Figure 11's six configurations at the largest subject count.
     let w = NeuroWorkload { subjects: 25 };
     for &nodes in &NODE_SWEEP {
-        let configs: [(&str, Engine); 6] = [
-            ("Dask", Engine::Dask),
-            ("Myria", Engine::Myria),
-            ("Spark", Engine::Spark),
-            ("TensorFlow", Engine::TensorFlow),
-            ("SciDB-1", Engine::SciDb),
-            ("SciDB-2", Engine::SciDb),
-        ];
-        for (label, engine) in configs {
+        for system in IngestSystem::all() {
+            let engine = system.engine();
             let cluster = setup.cluster_for(engine, nodes);
-            let graph = match label {
-                "Dask" => ingest::dask(&w, &setup.cm, &setup.profiles, &cluster),
-                "Myria" => ingest::myria(&w, &setup.cm, &setup.profiles, &cluster),
-                "Spark" => ingest::spark(&w, &setup.cm, &setup.profiles, &cluster),
-                "TensorFlow" => ingest::tensorflow(&w, &setup.cm, &setup.profiles, &cluster),
-                "SciDB-1" => ingest::scidb_from_array(&w, &setup.cm, &setup.profiles, &cluster),
-                _ => ingest::scidb_aio(&w, &setup.cm, &setup.profiles, &cluster),
-            };
             out.push(ShippedConfig {
-                name: format!("ingest           {label:<10} subjects=25 nodes={nodes}"),
+                name: format!(
+                    "ingest           {:<10} subjects=25 nodes={nodes}",
+                    system.name()
+                ),
                 family: "ingest",
                 engine,
-                graph,
+                graph: setup.ingest_plan(system, &w, &cluster),
                 cluster,
                 memory_expected: false,
             });

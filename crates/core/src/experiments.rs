@@ -35,6 +35,52 @@ impl Setup {
         }
     }
 
+    /// The neuroscience end-to-end plan `engine` ships (Figures 10c/g):
+    /// Spark with tuned partitions and input caching on, SciDB's steps
+    /// with the `stream()` denoise, the other engines' own lowering. The
+    /// figures, the shipped-plan catalog and the service all lower here.
+    pub fn neuro_e2e_plan(
+        &self,
+        engine: Engine,
+        w: &NeuroWorkload,
+        cluster: &ClusterSpec,
+    ) -> TaskGraph {
+        let (cm, profiles) = (&self.cm, &self.profiles);
+        match engine {
+            Engine::Spark => neuro::spark(
+                w,
+                cm,
+                profiles,
+                cluster,
+                Some(tuned_partitions(cluster)),
+                true,
+            ),
+            Engine::Myria => neuro::myria(w, cm, profiles, cluster),
+            Engine::Dask => neuro::dask(w, cm, profiles, cluster),
+            Engine::TensorFlow => neuro::tensorflow(w, cm, profiles, cluster),
+            Engine::SciDb => neuro::scidb_steps(w, cm, profiles, cluster, true),
+        }
+    }
+
+    /// The ingest plan of one of Figure 11's systems, on a cluster of
+    /// [`IngestSystem::engine`]'s shape.
+    pub fn ingest_plan(
+        &self,
+        system: IngestSystem,
+        w: &NeuroWorkload,
+        cluster: &ClusterSpec,
+    ) -> TaskGraph {
+        let (cm, profiles) = (&self.cm, &self.profiles);
+        match system {
+            IngestSystem::Dask => ingest::dask(w, cm, profiles, cluster),
+            IngestSystem::Myria => ingest::myria(w, cm, profiles, cluster),
+            IngestSystem::Spark => ingest::spark(w, cm, profiles, cluster),
+            IngestSystem::TensorFlow => ingest::tensorflow(w, cm, profiles, cluster),
+            IngestSystem::SciDb1 => ingest::scidb_from_array(w, cm, profiles, cluster),
+            IngestSystem::SciDb2 => ingest::scidb_aio(w, cm, profiles, cluster),
+        }
+    }
+
     // scilint: allow(F001, paper-script experiment driver: an infra fault aborts the whole run as the original cluster scripts do; TODO(flow): thread Result into the bench CLI)
     fn run(&self, engine: Engine, g: &TaskGraph, cluster: &ClusterSpec) -> f64 {
         simulate(g, cluster, self.profiles.policy(engine), false)
@@ -55,22 +101,8 @@ pub fn tuned_partitions(cluster: &ClusterSpec) -> usize {
 
 /// End-to-end neuroscience runtime for one engine (Figure 10c/g).
 pub fn neuro_e2e(setup: &Setup, engine: Engine, subjects: usize, nodes: usize) -> f64 {
-    let w = NeuroWorkload { subjects };
     let cluster = setup.cluster_for(engine, nodes);
-    let g = match engine {
-        Engine::Spark => neuro::spark(
-            &w,
-            &setup.cm,
-            &setup.profiles,
-            &cluster,
-            Some(tuned_partitions(&cluster)),
-            true,
-        ),
-        Engine::Myria => neuro::myria(&w, &setup.cm, &setup.profiles, &cluster),
-        Engine::Dask => neuro::dask(&w, &setup.cm, &setup.profiles, &cluster),
-        Engine::TensorFlow => neuro::tensorflow(&w, &setup.cm, &setup.profiles, &cluster),
-        Engine::SciDb => neuro::scidb_steps(&w, &setup.cm, &setup.profiles, &cluster, true),
-    };
+    let g = setup.neuro_e2e_plan(engine, &NeuroWorkload { subjects }, &cluster);
     setup.run(engine, &g, &cluster)
 }
 
@@ -147,6 +179,17 @@ impl IngestSystem {
         }
     }
 
+    /// The engine whose cluster the system ingests into.
+    pub fn engine(&self) -> Engine {
+        match self {
+            IngestSystem::Dask => Engine::Dask,
+            IngestSystem::Myria => Engine::Myria,
+            IngestSystem::Spark => Engine::Spark,
+            IngestSystem::TensorFlow => Engine::TensorFlow,
+            IngestSystem::SciDb1 | IngestSystem::SciDb2 => Engine::SciDb,
+        }
+    }
+
     /// All six, in the figure's order.
     pub fn all() -> [IngestSystem; 6] {
         [
@@ -162,27 +205,9 @@ impl IngestSystem {
 
 /// Ingest time on a 16-node cluster (Figure 11).
 pub fn ingest_time(setup: &Setup, system: IngestSystem, subjects: usize) -> f64 {
-    let w = NeuroWorkload { subjects };
-    let (engine, cluster) = match system {
-        IngestSystem::Dask => (Engine::Dask, setup.cluster_for(Engine::Dask, 16)),
-        IngestSystem::Myria => (Engine::Myria, setup.cluster_for(Engine::Myria, 16)),
-        IngestSystem::Spark => (Engine::Spark, setup.cluster_for(Engine::Spark, 16)),
-        IngestSystem::TensorFlow => (
-            Engine::TensorFlow,
-            setup.cluster_for(Engine::TensorFlow, 16),
-        ),
-        IngestSystem::SciDb1 | IngestSystem::SciDb2 => {
-            (Engine::SciDb, setup.cluster_for(Engine::SciDb, 16))
-        }
-    };
-    let g = match system {
-        IngestSystem::Dask => ingest::dask(&w, &setup.cm, &setup.profiles, &cluster),
-        IngestSystem::Myria => ingest::myria(&w, &setup.cm, &setup.profiles, &cluster),
-        IngestSystem::Spark => ingest::spark(&w, &setup.cm, &setup.profiles, &cluster),
-        IngestSystem::TensorFlow => ingest::tensorflow(&w, &setup.cm, &setup.profiles, &cluster),
-        IngestSystem::SciDb1 => ingest::scidb_from_array(&w, &setup.cm, &setup.profiles, &cluster),
-        IngestSystem::SciDb2 => ingest::scidb_aio(&w, &setup.cm, &setup.profiles, &cluster),
-    };
+    let engine = system.engine();
+    let cluster = setup.cluster_for(engine, 16);
+    let g = setup.ingest_plan(system, &NeuroWorkload { subjects }, &cluster);
     setup.run(engine, &g, &cluster)
 }
 
@@ -691,34 +716,6 @@ pub fn autotune(setup: &Setup) -> Table {
     t
 }
 
-/// Every table and figure, in paper order — the full reproduction run.
-pub fn all_tables(setup: &Setup) -> Vec<Table> {
-    let (t1a, t1b) = table1();
-    vec![
-        t1a,
-        t1b,
-        fig10a(),
-        fig10b(),
-        fig10c(setup),
-        fig10d(setup),
-        fig10e(setup),
-        fig10f(setup),
-        fig10g(setup),
-        fig10h(setup),
-        fig11(setup),
-        fig12(setup, Step::Filter),
-        fig12(setup, Step::Mean),
-        fig12(setup, Step::Denoise),
-        fig12d(setup),
-        fig13(setup),
-        fig14(setup),
-        fig15(setup),
-        chunk_sweep(setup),
-        tf_assignment(setup),
-        caching(setup),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,8 +848,8 @@ pub fn ablations(setup: &Setup) -> Table {
         ]);
     };
 
-    // 1. Dask work stealing (dynamic load balancing): turn the scheduler
-    //    into plain locality-FIFO and watch 25-subject balance suffer.
+    // 1. Dask work stealing (dynamic load balancing): price stealing out
+    //    of the scheduler and watch 25-subject balance suffer.
     {
         let w = NeuroWorkload { subjects: 25 };
         let cluster = setup.cluster_for(Engine::Dask, 16);
@@ -860,20 +857,6 @@ pub fn ablations(setup: &Setup) -> Table {
         let with = simulate(&g, &cluster, setup.profiles.policy(Engine::Dask), false)
             .expect("runs")
             .makespan;
-        let without = simulate(
-            &g,
-            &cluster,
-            simcluster::SchedPolicy::Static {
-                per_task_overhead: setup.profiles.tg.per_task_overhead,
-            },
-            false,
-        )
-        .expect("runs")
-        .makespan;
-        // Static placement honors only explicit pins; Dask's graph pins
-        // downloads per subject, so volumes lose dynamic rebalance... the
-        // comparison uses locality-FIFO with an infinite steal cost instead.
-        let _ = without;
         let frozen = simulate(
             &g,
             &cluster,

@@ -212,20 +212,8 @@ pub(crate) fn debug_verify(
 ) {
     if cfg!(debug_assertions) {
         let report = plancheck::check(graph, cluster, &profiles.invariants(engine));
-        let fatal: Vec<&plancheck::Diagnostic> = report
-            .diagnostics
-            .iter()
-            .filter(|d| {
-                d.severity == plancheck::Severity::Error
-                    && !matches!(
-                        d.code,
-                        plancheck::Code::M001
-                            | plancheck::Code::M002
-                            | plancheck::Code::M003
-                            | plancheck::Code::M004
-                    )
-            })
-            .collect();
+        let fatal: Vec<&plancheck::Diagnostic> =
+            report.errors().filter(|d| !d.code.is_memory()).collect();
         assert!(
             fatal.is_empty(),
             "{} lowering produced an invalid task graph:\n{}",

@@ -124,6 +124,13 @@ impl Code {
             Code::E002 => "forbidden barrier",
         }
     }
+
+    /// Whether this is a memory-budget finding (M001–M004). Memory
+    /// overruns are legitimate modeled outcomes (Figure 15's pipelined
+    /// OOM), decided by the simulator; every other error is a lowering bug.
+    pub fn is_memory(self) -> bool {
+        matches!(self, Code::M001 | Code::M002 | Code::M003 | Code::M004)
+    }
 }
 
 impl std::fmt::Display for Code {

@@ -55,9 +55,9 @@ use std::time::Instant;
 use marray::{Mask, NdArray};
 use parexec::{CostHint, MorselPool, Parallelism};
 use plancheck::{combine_fingerprints, graph_fingerprint, OpBinding, OpClass};
-use scibench_core::experiments::{tuned_partitions, Setup};
+use scibench_core::experiments::Setup;
 use scibench_core::lower::Engine;
-use scibench_core::lower::{astro as lower_astro, neuro as lower_neuro, steps as lower_steps};
+use scibench_core::lower::{astro as lower_astro, steps as lower_steps};
 use scibench_core::usecases::astro as astro_uc;
 use scibench_core::usecases::neuro as neuro_uc;
 use scibench_core::workload::{AstroWorkload, NeuroWorkload};
@@ -504,29 +504,7 @@ impl Server {
                         certified: certified(&den),
                     });
                     if q.pipeline == Pipeline::NeuroFa {
-                        let full = match q.engine {
-                            Engine::Spark => lower_neuro::spark(
-                                &w,
-                                &self.setup.cm,
-                                &self.setup.profiles,
-                                &cluster,
-                                Some(tuned_partitions(&cluster)),
-                                true,
-                            ),
-                            Engine::Myria => lower_neuro::myria(
-                                &w,
-                                &self.setup.cm,
-                                &self.setup.profiles,
-                                &cluster,
-                            ),
-                            Engine::Dask => lower_neuro::dask(
-                                &w,
-                                &self.setup.cm,
-                                &self.setup.profiles,
-                                &cluster,
-                            ),
-                            _ => unreachable!("validated: only the e2e engines reach here"),
-                        };
+                        let full = self.setup.neuro_e2e_plan(q.engine, &w, &cluster);
                         admit(&full)?;
                         stages.push(StagePlan {
                             name: "fa",

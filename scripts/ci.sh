@@ -71,6 +71,12 @@ cargo test --offline -q --manifest-path scibench-suite/Cargo.toml
 echo "== scibench lint (static verification of lowered task graphs)"
 "${scibench[@]}" lint
 
+# The behavioral gate: the paper's headline relationships (who wins, by
+# what factor, where crossovers fall) recomputed from the simulator; the
+# tool exits non-zero if any shape claim fails.
+echo "== reproduce --check (headline shape claims)"
+cargo run --release -q -p scibench-bench --bin reproduce -- --check
+
 echo "== scibench perf-smoke (serial vs parallel kernels, bit-identical)"
 # Tiny shapes, ~seconds: asserts every parallel kernel port matches the
 # serial reference bit for bit, and that SCIBENCH_THREADS is honored.
