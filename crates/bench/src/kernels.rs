@@ -8,6 +8,7 @@
 //! of the same case must produce the same fingerprint because the kernels
 //! guarantee bit-identical outputs at every worker count.
 
+use scibench_core::usecases::neuro::nlm_params;
 use sciops::astro::coadd::Coadd;
 use sciops::astro::pipeline::{create_patches, merge_visit_pieces};
 use sciops::astro::{
@@ -15,7 +16,7 @@ use sciops::astro::{
     CalibParams, CoaddParams, DetectParams,
 };
 use sciops::neuro::pipeline::segmentation;
-use sciops::neuro::{fit_dtm_volume_full_par, nlmeans3d_par, NlmParams};
+use sciops::neuro::{fit_dtm_volume_full_par, nlmeans3d_par, GradientTable};
 use sciops::synth::dmri::{DmriPhantom, DmriSpec};
 use sciops::synth::sky::{SkySpec, SkySurvey};
 use sciops::Parallelism;
@@ -143,30 +144,31 @@ pub(crate) fn fingerprint_coadd(c: &Coadd) -> u64 {
     fp.finish()
 }
 
+/// A phantom dMRI subject, its brain mask and its gradient table.
+fn phantom_subject(spec: &DmriSpec) -> (marray::NdArray<f64>, marray::Mask, GradientTable) {
+    let phantom = DmriPhantom::generate(42, spec);
+    let data: marray::NdArray<f64> = phantom.data.cast();
+    let (_, mask) = segmentation(&data, &phantom.gtab);
+    (data, mask, phantom.gtab)
+}
+
 /// The five hottest kernels of the two pipelines, on small synthetic
 /// inputs (~seconds for the whole suite even single-threaded).
 pub fn suite() -> Vec<KernelCase> {
     let mut cases = Vec::new();
 
-    // Neuroscience inputs: one small phantom shared by both kernels.
-    let spec = DmriSpec::test_scale();
-    let phantom = DmriPhantom::generate(42, &spec);
-    let data: marray::NdArray<f64> = phantom.data.cast();
-    let (_, mask) = segmentation(&data, &phantom.gtab);
-    let dmri_shape = format!(
-        "{}x{}x{}x{}",
-        spec.dims[0], spec.dims[1], spec.dims[2], spec.n_volumes
-    );
-
+    // NLM runs the parameters every pipeline ships on one volume of the
+    // suite's `ooc` subject geometry.
     {
-        let vol = data.slice_axis(3, 0).expect("volume 0");
-        let mask = mask.clone();
-        let nlm = NlmParams {
-            search_radius: 2,
-            patch_radius: 1,
-            sigma: 20.0,
-            h_factor: 1.0,
+        let spec = DmriSpec {
+            dims: [20, 20, 14],
+            n_volumes: 24,
+            n_b0: 3,
+            ..DmriSpec::test_scale()
         };
+        let (data, mask, _) = phantom_subject(&spec);
+        let vol = data.slice_axis(3, 0).expect("volume 0");
+        let nlm = nlm_params();
         cases.push(KernelCase {
             name: "nlm_denoise",
             shape: format!("{}x{}x{}", spec.dims[0], spec.dims[1], spec.dims[2]),
@@ -179,10 +181,14 @@ pub fn suite() -> Vec<KernelCase> {
         });
     }
 
+    // Tensor fitting runs on a small phantom subject.
     {
-        let data = data.clone();
-        let mask = mask.clone();
-        let gtab = phantom.gtab.clone();
+        let spec = DmriSpec::test_scale();
+        let (data, mask, gtab) = phantom_subject(&spec);
+        let dmri_shape = format!(
+            "{}x{}x{}x{}",
+            spec.dims[0], spec.dims[1], spec.dims[2], spec.n_volumes
+        );
         cases.push(KernelCase {
             name: "dtm_fit",
             shape: dmri_shape,

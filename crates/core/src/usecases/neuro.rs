@@ -169,7 +169,6 @@ pub fn spark(subjects: &[Subject], partitions: usize) -> BTreeMap<u32, NdArray<f
         .collect();
     let gtabs = Arc::new(gtabs);
     let m2 = mask_bc.clone();
-    let d3 = dims3.clone();
     let fa_blocks = models.map(move |((s, b), mut pieces)| {
         // regroup: order by volume id, then fit each voxel of the block.
         pieces.sort_by_key(|(v, _)| *v);
@@ -191,7 +190,6 @@ pub fn spark(subjects: &[Subject], partitions: usize) -> BTreeMap<u32, NdArray<f
                 fa[i] = fit.fa();
             }
         }
-        let _ = &d3;
         ((s, b), fa)
     });
 
@@ -273,14 +271,12 @@ pub fn myria(
     });
 
     // Query 1: mask per subject (scan with b0 pushdown → mean → mask).
-    let n_b0 = subjects[0].gtab.b0_indices().len() as i64;
     let first_b0: Vec<i64> = subjects[0]
         .gtab
         .b0_indices()
         .iter()
         .map(|&v| v as i64)
         .collect();
-    let _ = n_b0;
     let mask_rel = Query::scan_select("Images", "imgId", move |v| first_b0.contains(&v.as_int()))
         .group_by(&["subjId"], "MeanVol", "mean", ValueType::Blob)
         .apply(
@@ -442,7 +438,6 @@ pub fn tensorflow(subjects: &[Subject]) -> TfNeuroOutput {
 
     for s in subjects {
         let dims3: Vec<usize> = s.data.dims()[..3].to_vec();
-        let n_vols = s.gtab.len();
 
         // Graph 1: the paper's filter workaround in-graph — transpose the
         // (x,y,z,v) tensor so the volume axis leads, gather the b0 rows
@@ -466,7 +461,6 @@ pub fn tensorflow(subjects: &[Subject]) -> TfNeuroOutput {
         let mean_vol = out[0].clone();
         assert_eq!(mean_vol.dims(), &dims3[..]);
         let voxels: usize = dims3.iter().product();
-        let _ = (n_vols, voxels);
 
         // Graph 2: simplified mask = mean > global-mean threshold.
         let mut g2 = GraphBuilder::new();

@@ -4,12 +4,12 @@
 //! ("executes as a single process on one machine"): every engine's output is
 //! validated against it.
 
-use crate::neuro::denoise::{nlmeans3d_par, NlmParams};
+use crate::neuro::denoise::{nlmeans3d, NlmParams};
 use crate::neuro::dtm::fit_dtm_volume_par;
 use crate::neuro::gradients::GradientTable;
 use crate::neuro::segment::median_otsu;
 use marray::{Mask, NdArray};
-use parexec::Parallelism;
+use parexec::{par_map_slabs, Parallelism};
 
 /// Output of the full neuroscience pipeline for one subject.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,9 +40,11 @@ pub fn denoise_all(data: &NdArray<f64>, mask: &Mask, params: &NlmParams) -> NdAr
     denoise_all_par(data, mask, params, Parallelism::Serial)
 }
 
-/// [`denoise_all`] with explicit intra-node parallelism: the volume loop
-/// stays serial (each volume is a full NLM invocation), and each volume's
-/// slabs run across `par.workers()` threads.
+/// [`denoise_all`] with explicit intra-node parallelism: the volumes fan
+/// out across `par.workers()` threads, each denoised by the serial kernel,
+/// so a subject costs one parallel call instead of one per volume. Output
+/// is bit-identical at every worker count: each volume's result is the
+/// serial kernel's, and the stack keeps volume order.
 // scilint: allow(F001, shape invariant upheld by construction; a violation is a kernel bug, not a data error)
 pub fn denoise_all_par(
     data: &NdArray<f64>,
@@ -50,16 +52,14 @@ pub fn denoise_all_par(
     params: &NlmParams,
     par: Parallelism,
 ) -> NdArray<f64> {
-    let dims = data.dims();
-    let n_vols = dims[3];
-    let mut volumes = Vec::with_capacity(n_vols);
-    for v in 0..n_vols {
+    let ids: Vec<usize> = (0..data.dims()[3]).collect();
+    let volumes = par_map_slabs(&ids, par, |_, &v| {
         let vol = data.slice_axis(3, v).expect("volume index in range");
-        let den = nlmeans3d_par(&vol, Some(mask), params, par);
+        let den = nlmeans3d(&vol, Some(mask), params);
         let mut vd = den.dims().to_vec();
         vd.push(1);
-        volumes.push(den.reshape(&vd).expect("same element count"));
-    }
+        den.reshape(&vd).expect("same element count")
+    });
     let refs: Vec<&NdArray<f64>> = volumes.iter().collect();
     NdArray::concat(&refs, 3).expect("volumes share spatial dims")
 }
