@@ -17,11 +17,9 @@
 //! source-skewed astro field under morsel claiming and under static
 //! splits and emits `BENCH_skew.json` with per-worker imbalance and steal
 //! counts;
-//! `scibench bench compress` measures per-codec compression ratios at the
-//! engine ingest boundary, runs the run-level kernel fast paths against
-//! their dense twins, replays two full pipelines under `CompressMode`
-//! Off and Auto (fingerprint equality enforced), and emits
-//! `BENCH_compress.json`; `scibench bench serve` replays a seeded
+//! `scibench bench compress` measures per-plane compression ratios at
+//! the engine ingest boundary (mask and variance must pack at least 2x)
+//! and emits `BENCH_compress.json`; `scibench bench serve` replays a seeded
 //! hot/cold query schedule against the resident service ([`sciserve`]) —
 //! serial, concurrent, cache-off, and under a halved cache budget that
 //! forces LRU eviction, all fingerprint-identical — and emits
@@ -493,8 +491,7 @@ fn bench_compress(args: &[String]) -> i32 {
 
     let host = hostinfo::available_parallelism();
     eprintln!(
-        "compress bench: codec ratios at the engine boundary, run-level kernels \
-         compressed vs dense, and Off-vs-Auto pipeline fingerprints{}...",
+        "compress bench: codec ratios at the engine boundary{}...",
         if quick { " (quick)" } else { "" }
     );
     let run = compress::run_compress(quick);
@@ -518,52 +515,12 @@ fn bench_compress(args: &[String]) -> i32 {
             bad += 1;
         }
     }
-    for k in &run.kernels {
-        eprintln!(
-            "  kernel {:<20} {:>10} ns -> {:<10} ns ({:.2}x)  bytes {:>8} -> {:<8}{}",
-            k.kernel,
-            k.dense_ns,
-            k.compressed_ns,
-            k.time_ratio,
-            k.dense_bytes_read,
-            k.compressed_bytes_read,
-            if k.outputs_identical {
-                ""
-            } else {
-                "  FINGERPRINT DIVERGED"
-            }
-        );
-        // Each run-level kernel must win on time or bytes moved, and must
-        // be bit-identical to the dense execution.
-        if !k.outputs_identical
-            || (k.compressed_ns >= k.dense_ns && k.compressed_bytes_read >= k.dense_bytes_read)
-        {
-            bad += 1;
-        }
-    }
-    for p in &run.pipelines {
-        eprintln!(
-            "  pipeline {:<6} {:<6} {:>8.1} ms -> {:<8.1} ms{}",
-            p.pipeline,
-            p.engine,
-            p.dense_ms,
-            p.compressed_ms,
-            if p.outputs_identical {
-                ""
-            } else {
-                "  FINGERPRINT DIVERGED"
-            }
-        );
-        if !p.outputs_identical {
-            bad += 1;
-        }
-    }
     let json = compress::results_to_json(&run, host, quick);
     if let Err(code) = emit_json(&json, flags.out_path) {
         return code;
     }
     if bad > 0 {
-        eprintln!("error: {bad} compression check(s) failed (ratio floor, win, or fingerprint)");
+        eprintln!("error: {bad} plane(s) below the 2x compression floor");
         return 1;
     }
     0
@@ -867,10 +824,9 @@ fn usage() -> i32 {
     eprintln!("              imbalance and steal counts");
     eprintln!("              options: [--quick] [--out PATH]");
     eprintln!("  bench compress");
-    eprintln!("              measure per-codec compression ratios at the engine");
-    eprintln!("              boundary, run-level kernels on compressed vs dense");
-    eprintln!("              chunks, and Off-vs-Auto pipeline fingerprints, and");
-    eprintln!("              emit BENCH_compress.json");
+    eprintln!("              measure per-plane compression ratios at the engine");
+    eprintln!("              boundary (mask and variance >= 2x) and emit");
+    eprintln!("              BENCH_compress.json");
     eprintln!("              options: [--quick] [--out PATH]");
     eprintln!("  bench serve replay a seeded hot/cold query schedule against the");
     eprintln!("              resident service (sciserve): serial, concurrent, cache-off,");

@@ -66,7 +66,7 @@ pub struct E2eResult {
     pub reasons: Vec<(String, u64)>,
 }
 
-pub(crate) fn subjects(n: usize) -> Vec<neuro_uc::Subject> {
+fn subjects(n: usize) -> Vec<neuro_uc::Subject> {
     let spec = DmriSpec::test_scale();
     (0..n)
         .map(|i| {
@@ -76,7 +76,7 @@ pub(crate) fn subjects(n: usize) -> Vec<neuro_uc::Subject> {
         .collect()
 }
 
-pub(crate) fn fingerprint_fa(out: &std::collections::BTreeMap<u32, marray::NdArray<f64>>) -> u64 {
+fn fingerprint_fa(out: &std::collections::BTreeMap<u32, marray::NdArray<f64>>) -> u64 {
     let mut fp = Fingerprint::new();
     for (id, fa) in out {
         fp.push_usize(*id as usize);
@@ -85,7 +85,7 @@ pub(crate) fn fingerprint_fa(out: &std::collections::BTreeMap<u32, marray::NdArr
     fp.finish()
 }
 
-pub(crate) fn fingerprint_astro(r: &astro_uc::AstroResult) -> u64 {
+fn fingerprint_astro(r: &astro_uc::AstroResult) -> u64 {
     let mut fp = Fingerprint::new();
     for (patch, flux) in &r.coadd_flux {
         fp.push_usize(patch.0 as usize);

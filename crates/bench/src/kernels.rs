@@ -74,20 +74,6 @@ pub struct KernelCase {
 }
 
 impl KernelCase {
-    /// Build a case from its parts (used by [`crate::compress`] to add the
-    /// compressed-vs-dense rows to the bench matrix).
-    pub(crate) fn new(
-        name: &'static str,
-        shape: String,
-        runner: Box<dyn Fn(Parallelism) -> u64>,
-    ) -> KernelCase {
-        KernelCase {
-            name,
-            shape,
-            runner,
-        }
-    }
-
     /// Run the kernel once; returns the output fingerprint.
     pub fn run(&self, par: Parallelism) -> u64 {
         (self.runner)(par)
@@ -134,7 +120,7 @@ fn coadd_inputs() -> Vec<sciops::astro::Exposure> {
         .collect()
 }
 
-pub(crate) fn fingerprint_coadd(c: &Coadd) -> u64 {
+fn fingerprint_coadd(c: &Coadd) -> u64 {
     let mut fp = Fingerprint::new();
     fp.push_slice(c.flux.data());
     fp.push_slice(c.variance.data());
@@ -279,14 +265,11 @@ pub struct BenchResult {
     pub speedup_vs_serial: f64,
 }
 
-/// Time every kernel of [`suite`] — plus the compressed-vs-dense pairs
-/// from [`crate::compress::bench_cases`] — at each thread level. Level 1
-/// runs the serial path and anchors the speedup column.
+/// Time every kernel of [`suite`] at each thread level. Level 1 runs the
+/// serial path and anchors the speedup column.
 pub fn run_bench(thread_levels: &[usize], reps: usize) -> Vec<BenchResult> {
     let mut results = Vec::new();
-    let mut cases = suite();
-    cases.extend(crate::compress::bench_cases());
-    for case in cases {
+    for case in suite() {
         let serial_ns = case.time_ns(Parallelism::Serial, reps);
         for &threads in thread_levels {
             let ns = if threads <= 1 {

@@ -168,10 +168,9 @@ pub enum PlaneKind {
 /// The thresholds mirror the codecs' break-even points: an RLE run of
 /// f64s stores 12 bytes (4-byte count + 8-byte value) against 8 bytes per
 /// dense element, so RLE shrinks once runs average >1.5 elements. Masks
-/// always try — they are tiny, usually a single Const run, and skipping
-/// the mask load is what the coadd's run-level fast path feeds on. Flux
-/// pays a full encode scan that almost never shrinks, so it needs clear
-/// run structure before the pass is worth scheduling.
+/// always try — they are tiny and usually a single Const run. Flux pays a
+/// full encode scan that almost never shrinks, so it needs clear run
+/// structure before the pass is worth scheduling.
 pub fn choose_repr(kind: PlaneKind, mean_run_len: f64) -> bool {
     match kind {
         PlaneKind::Mask => true,
@@ -183,16 +182,13 @@ pub fn choose_repr(kind: PlaneKind, mean_run_len: f64) -> bool {
 /// Apply [`choose_repr`] at an engine boundary: measure the run length on
 /// a bounded prefix sample and re-encode when the heuristic says the
 /// crossing wins. Returns `None` (keep the caller's handle) when the
-/// global [`marray::CompressMode`] is off, the array is already
-/// non-dense, the heuristic declines, or no codec actually shrinks it.
+/// array is already non-dense, the heuristic declines, or no codec
+/// actually shrinks it.
 pub fn pack_for_boundary<T: marray::Element>(
     arr: &marray::NdArray<T>,
     kind: PlaneKind,
 ) -> Option<marray::NdArray<T>> {
-    if marray::compress_mode() == marray::CompressMode::Off
-        || arr.len() < 2
-        || arr.repr() != marray::ChunkRepr::Dense
-    {
+    if arr.len() < 2 || arr.repr() != marray::ChunkRepr::Dense {
         return None;
     }
     let sample = &arr.data()[..arr.len().min(4096)];
@@ -516,6 +512,13 @@ mod tests {
         let packed = pack_for_boundary(&mask, PlaneKind::Mask).expect("mask should pack");
         assert_eq!(packed.repr(), marray::ChunkRepr::Const);
         assert_eq!(packed.data(), mask.data());
+
+        // A flat-field variance plane (the read-noise floor everywhere)
+        // lands on Const.
+        let flat = marray::NdArray::full(&[24, 24], 64.0);
+        let packed = pack_for_boundary(&flat, PlaneKind::Variance).expect("flat plane packs");
+        assert_eq!(packed.repr(), marray::ChunkRepr::Const);
+        assert_eq!(packed.data(), flat.data());
 
         // Noise in every pixel: the flux prior declines without scanning.
         let mut state = 0x2545_f491_4f6c_dd1du64;

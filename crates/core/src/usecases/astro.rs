@@ -39,8 +39,8 @@ pub struct AstroResult {
 /// ([`crate::costmodel::choose_repr`]) packs the mask and any
 /// sufficiently runny variance plane, while noisy flux stays dense. The
 /// clone is a refcount bump when the heuristic declines, an encoded
-/// (smaller) buffer when it packs — downstream kernels' run-level fast
-/// paths consume the encoded forms directly. Under an active memory
+/// (smaller) buffer when it packs; kernels read every plane dense, so a
+/// packed plane is decoded once, on its first read. Under an active memory
 /// budget ([`marray::mem_budget`]) each plane additionally enters the
 /// governor's spill tier ([`crate::costmodel::govern_for_boundary`]), so
 /// an ingested working set larger than the budget degrades to spill I/O
@@ -75,7 +75,7 @@ fn mask_to_blob(mask: &NdArray<u8>) -> Value {
         .expect("mask plane");
     // The freshly re-typed mask is the runniest plane in the pipeline:
     // pack it so the blob column crosses worker boundaries at its
-    // encoded size.
+    // encoded size. `blob_to_mask` reads it back through one decode.
     let blob = pack_for_boundary(&blob, PlaneKind::Mask).unwrap_or(blob);
     Value::blob(blob)
 }

@@ -101,7 +101,8 @@ impl ArrayDb {
 
     /// SciDB-1 ingest: the client-side `from_array()` path. The whole
     /// array travels through the client serially before being chunked —
-    /// the slow path in Figure 11.
+    /// the slow path in Figure 11. The stored chunks are dense: splitting
+    /// a compressed client array reads it through one shared decode.
     pub fn from_array(
         &self,
         array: &NdArray<f64>,
@@ -114,19 +115,9 @@ impl ArrayDb {
         // client array crosses the boundary in its encoded form.
         marray::CopyCounter::record("scidb.ingest-chunking", array.stored_nbytes());
         let mut chunks = grid.split(array)?;
-        // A compressed ingest array stays compressed chunk-by-chunk: each
-        // split chunk re-encodes (or stays dense when its slice no longer
-        // shrinks), so downstream operators see the same representations
-        // the cost-model heuristic chose at the boundary.
-        if array.repr() != marray::ChunkRepr::Dense {
-            for (_, chunk) in &mut chunks {
-                *chunk = chunk.compressed();
-            }
-        }
         // Under an active memory budget the stored chunks enter the
         // governor's spill tier, so an ingested array larger than the
         // budget degrades to spill I/O instead of exhausting memory.
-        // Compressed chunks are governed (and spilled) in encoded form.
         if marray::mem_budget().is_some() {
             for (_, chunk) in &mut chunks {
                 *chunk = chunk.govern();

@@ -148,8 +148,7 @@ impl<T: Element> NdArray<T> {
 
     /// Re-encode this array's buffer into the smallest compressed
     /// representation (see [`crate::codec`]), when a codec actually
-    /// shrinks it and the global [`crate::CompressMode`] allows it;
-    /// otherwise a cheap handle clone. Reads through [`NdArray::data`]
+    /// shrinks it; otherwise a cheap handle clone. Reads through [`NdArray::data`]
     /// keep working transparently (lazy shared decode); mutation
     /// materializes a private dense buffer (COW).
     pub fn compressed(&self) -> NdArray<T> {
@@ -189,13 +188,6 @@ impl<T: Element> NdArray<T> {
     /// The stored representation of this array's buffer.
     pub fn repr(&self) -> crate::ChunkRepr {
         self.data.repr()
-    }
-
-    /// The compressed form, when the buffer holds one — run-consuming
-    /// kernels branch on this to do run-level arithmetic instead of
-    /// decoding to per-pixel data.
-    pub fn encoded(&self) -> Option<&crate::Encoded<T>> {
-        self.data.encoded()
     }
 
     /// Bytes the stored representation occupies: equals [`NdArray::nbytes`]

@@ -28,56 +28,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::codec::{compress_mode, ChunkRepr, CompressMode, Encoded};
+use crate::codec::{ChunkRepr, Encoded};
 use crate::element::Element;
 use crate::spill::{govern_stored, GovernedCell, Stored};
-
-/// Serializes mode sections ([`with_mode`]) so concurrent tests/benches
-/// that flip a process-wide mode (or assert on counter deltas) never
-/// interleave.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-thread_local! {
-    /// Nesting depth of mode sections on this thread, so nested sections
-    /// re-use the outer section's lock instead of deadlocking on it.
-    static SECTION_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
-/// Leaves a mode section: restores its cell (even if the section
-/// panicked), then the nesting depth.
-struct SectionGuard {
-    cell: &'static AtomicU64,
-    prev: u64,
-}
-
-impl Drop for SectionGuard {
-    fn drop(&mut self) {
-        self.cell.store(self.prev, Ordering::SeqCst);
-        SECTION_DEPTH.with(|d| d.set(d.get() - 1));
-    }
-}
-
-/// Run `f` with the process-wide mode `cell` set to `value`, then restore
-/// it. Sections are mutually exclusive across threads (the lock is held
-/// for the duration of the outermost section) and re-entrant on one
-/// thread. [`crate::with_compress_mode`] and [`crate::with_mem_budget`]
-/// both nest through this one lock, so mixed-kind sections cannot deadlock
-/// and counter deltas observed inside one section are not polluted by
-/// another thread's section. Threads *spawned by* `f` (engine workers)
-/// see `value`, as the cell is process-global.
-pub(crate) fn with_mode<R>(cell: &'static AtomicU64, value: u64, f: impl FnOnce() -> R) -> R {
-    let outermost = SECTION_DEPTH.with(|d| {
-        let depth = d.get();
-        d.set(depth + 1);
-        depth == 0
-    });
-    let _section = outermost.then(|| MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner()));
-    let _restore = SectionGuard {
-        cell,
-        prev: cell.swap(value, Ordering::SeqCst),
-    };
-    f()
-}
 
 /// Total deep copies recorded since process start.
 static COPIES: AtomicU64 = AtomicU64::new(0);
@@ -322,21 +275,6 @@ impl<T: Element> ChunkBuf<T> {
         }
     }
 
-    /// The compressed form, when the buffer holds one. The encoded runs
-    /// stay authoritative even after a dense cache materializes, so
-    /// run-consuming kernels can branch on this without forcing a decode.
-    ///
-    /// `None` for a governed buffer even when it stores an encoded form:
-    /// the runs live behind the residency lock and may be on disk, so
-    /// run-consuming fast paths fall back to the (bit-identical) dense
-    /// path instead.
-    pub fn encoded(&self) -> Option<&Encoded<T>> {
-        match &self.payload {
-            Payload::Dense(_) | Payload::Governed(..) => None,
-            Payload::Encoded(cell) => Some(&cell.enc),
-        }
-    }
-
     /// Number of handles currently sharing these bytes.
     pub fn ref_count(&self) -> usize {
         match &self.payload {
@@ -357,13 +295,9 @@ impl<T: Element> ChunkBuf<T> {
     }
 
     /// Re-encode into the smallest compressed representation, if any codec
-    /// shrinks the buffer and the global [`CompressMode`] allows it;
-    /// otherwise (or for an already-compressed buffer) a handle clone.
-    /// Encodes are counted (`"codec.encode"`).
+    /// shrinks the buffer; otherwise (or for an already-compressed buffer)
+    /// a handle clone. Encodes are counted (`"codec.encode"`).
     pub fn compressed(&self) -> ChunkBuf<T> {
-        if compress_mode() == CompressMode::Off {
-            return self.clone();
-        }
         match &self.payload {
             Payload::Encoded(_) | Payload::Governed(..) => self.clone(),
             Payload::Dense(v) => match Encoded::encode_counted(v) {
@@ -584,10 +518,12 @@ impl<T: Element> PartialEq for ChunkView<T> {
 mod tests {
     use super::*;
 
-    /// Hold the mode-section lock, so no mode section runs while a test
-    /// diffs the ledger or relies on the default modes.
+    /// Hold the budget-section lock, so no budget section runs while a
+    /// test diffs the ledger.
     fn section() -> std::sync::MutexGuard<'static, ()> {
-        MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        crate::spill::MODE_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
     }
 
     fn buf(n: usize) -> ChunkBuf<f64> {
@@ -735,16 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn compress_mode_off_keeps_buffers_dense() {
-        crate::codec::with_compress_mode(CompressMode::Off, || {
-            let a = ChunkBuf::from_vec(vec![0.0f64; 1024]);
-            let c = a.compressed();
-            assert_eq!(c.repr(), ChunkRepr::Dense);
-            assert!(a.ptr_eq(&c), "Off-mode compressed() is a handle clone");
-        });
-    }
-
-    #[test]
     fn incompressible_buffer_stays_dense() {
         let a = ChunkBuf::from_vec((0..257).map(|i| (i * i) as f64).collect::<Vec<_>>());
         let c = a.compressed();
@@ -823,7 +749,6 @@ mod tests {
         crate::with_mem_budget(Some(64), || {
             let g = ChunkBuf::from_vec(vec![7.0f64; 4096]).compressed().govern();
             assert_eq!(g.repr(), ChunkRepr::Const);
-            assert!(g.encoded().is_none(), "governed cells hide the runs");
             let before = crate::MemoryGovernor::snapshot();
             // Force it out and back in: the spilled record is the tiny
             // encoded form, not 32 KiB of dense bytes.

@@ -6,22 +6,19 @@
 //! move are highly redundant — mask planes are almost entirely zero,
 //! variance planes are per-sensor constants, sky backgrounds are smooth —
 //! so the bytes crossing engine boundaries can shrink by integer factors
-//! without touching payload semantics. Three codecs cover those shapes:
+//! without touching payload semantics. Two codecs cover those shapes:
 //!
 //! * **Const** — a single value covering the whole chunk (all-zero masks,
 //!   uniform variance planes). One value + a length.
 //! * **Rle** — run-length encoding over *bit-pattern* runs (mostly-constant
 //!   masks and variance planes with a few flagged regions).
-//! * **For** — frame-of-reference: each value stored as a fixed-width
-//!   little-endian delta from the chunk minimum, in the order-preserving
-//!   `u64` key space of [`Element::to_ordered_u64`] (narrow-range label /
-//!   depth planes).
 //!
 //! Every codec is exact: `encode` → [`Encoded::decode`] reproduces the
 //! original buffer **bit for bit**, NaN payloads, `-0.0` and subnormals
-//! included, because run detection and deltas operate on the ordered bit
-//! patterns, never on float `==`. That is what lets compressed chunks flow
-//! through kernels bound by the workspace's bit-identity contract.
+//! included, because run detection operates on the ordered bit patterns of
+//! [`Element::to_ordered_u64`], never on float `==`. Kernels read every
+//! plane dense, so that round trip is the whole of the bit-identity
+//! argument for compressed chunks.
 //!
 //! Encode/decode traffic is accounted twice over: the [`CodecCounter`]
 //! ledger tracks per-codec bytes in/out and call counts, and each call is
@@ -30,10 +27,9 @@
 //! copies-per-run reporting sees compression work alongside deep copies.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::chunkstore::{with_mode, CopyCounter};
+use crate::chunkstore::CopyCounter;
 use crate::element::Element;
 
 /// The storage representation of a [`crate::ChunkBuf`].
@@ -43,8 +39,6 @@ pub enum ChunkRepr {
     Dense,
     /// Run-length encoded bit-pattern runs.
     Rle,
-    /// Frame-of-reference fixed-width deltas from the chunk minimum.
-    For,
     /// A single value covering the whole chunk.
     Const,
 }
@@ -55,44 +49,9 @@ impl ChunkRepr {
         match self {
             ChunkRepr::Dense => "dense",
             ChunkRepr::Rle => "rle",
-            ChunkRepr::For => "for",
             ChunkRepr::Const => "const",
         }
     }
-}
-
-/// Whether chunk producers may choose compressed representations,
-/// process-wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompressMode {
-    /// Never compress: every chunk stays dense. The baseline the compress
-    /// bench measures against.
-    Off,
-    /// Compress when a codec actually shrinks the chunk (the default).
-    Auto,
-}
-
-/// 0 = Auto, 1 = Off; mirrors [`CompressMode`] for the atomic cell.
-static COMPRESS: AtomicU64 = AtomicU64::new(0);
-
-/// The process-wide [`CompressMode`] currently in effect.
-pub fn compress_mode() -> CompressMode {
-    if COMPRESS.load(Ordering::SeqCst) == 0 {
-        CompressMode::Auto
-    } else {
-        CompressMode::Off
-    }
-}
-
-/// Run `f` with the process-wide compress mode set to `mode`, then restore.
-///
-/// Shares the mode-section lock with [`crate::with_mem_budget`] (sections
-/// of either kind are mutually exclusive across threads and re-entrant on
-/// one thread), so a bench can nest a compress-mode section inside a budget
-/// section without deadlock and counter deltas observed inside one section
-/// are not polluted by another thread's section.
-pub fn with_compress_mode<R>(mode: CompressMode, f: impl FnOnce() -> R) -> R {
-    with_mode(&COMPRESS, u64::from(mode == CompressMode::Off), f)
 }
 
 /// Per-codec encode/decode traffic for one representation.
@@ -111,7 +70,7 @@ pub struct CodecReprStats {
 /// Per-codec ledger snapshot (or delta), deterministically ordered.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CodecStats {
-    /// Traffic per representation name (`"rle"`, `"for"`, `"const"`).
+    /// Traffic per representation name (`"rle"`, `"const"`).
     pub by_codec: BTreeMap<String, CodecReprStats>,
 }
 
@@ -165,11 +124,10 @@ impl CodecCounter {
         slot.encoded_bytes += encoded as u64;
     }
 
-    /// Record one decode out of `repr` (`dense` bytes materialized).
-    pub fn record_decode(repr: ChunkRepr, dense: usize) {
+    /// Record one decode out of `repr`.
+    pub fn record_decode(repr: ChunkRepr) {
         let mut map = BY_CODEC.lock().unwrap_or_else(|e| e.into_inner());
         map.entry(repr.as_str().to_string()).or_default().decodes += 1;
-        let _ = dense;
     }
 
     /// A consistent view of the ledger as of now.
@@ -199,22 +157,6 @@ pub enum Encoded<T: Element> {
         /// Element count.
         len: usize,
     },
-    /// Fixed-width deltas from `reference` in ordered-`u64` key space.
-    For {
-        /// `min` of the buffer under [`Element::to_ordered_u64`].
-        reference: u64,
-        /// Bytes per delta (1..=7); always less than `T::BYTES`.
-        width: usize,
-        /// Little-endian packed deltas, `len * width` bytes.
-        deltas: Vec<u8>,
-        /// Element count.
-        len: usize,
-    },
-}
-
-/// Bytes needed to store `delta` little-endian (at least 1).
-fn width_for(delta: u64) -> usize {
-    ((64 - delta.leading_zeros() as usize).div_ceil(8)).max(1)
 }
 
 impl<T: Element> Encoded<T> {
@@ -223,24 +165,13 @@ impl<T: Element> Encoded<T> {
         match self {
             Encoded::Const { .. } => ChunkRepr::Const,
             Encoded::Rle { .. } => ChunkRepr::Rle,
-            Encoded::For { .. } => ChunkRepr::For,
-        }
-    }
-
-    /// The repeated value, when this is a [`ChunkRepr::Const`] encoding.
-    pub fn as_const(&self) -> Option<T> {
-        match self {
-            Encoded::Const { value, .. } => Some(*value),
-            _ => None,
         }
     }
 
     /// Logical element count.
     pub fn len(&self) -> usize {
         match self {
-            Encoded::Const { len, .. } | Encoded::Rle { len, .. } | Encoded::For { len, .. } => {
-                *len
-            }
+            Encoded::Const { len, .. } | Encoded::Rle { len, .. } => *len,
         }
     }
 
@@ -254,7 +185,6 @@ impl<T: Element> Encoded<T> {
         match self {
             Encoded::Const { .. } => 8 + T::BYTES,
             Encoded::Rle { runs, .. } => runs.len() * (4 + T::BYTES),
-            Encoded::For { deltas, .. } => 8 + 1 + deltas.len(),
         }
     }
 
@@ -270,70 +200,36 @@ impl<T: Element> Encoded<T> {
         if data.is_empty() {
             return None;
         }
-        // One ordered-bits pass: run count and key range.
-        let mut runs = 1usize;
-        let mut prev = data[0].to_ordered_u64();
-        let (mut min_key, mut max_key) = (prev, prev);
-        for v in &data[1..] {
-            let k = v.to_ordered_u64();
-            if k != prev {
-                runs += 1;
-                prev = k;
-            }
-            min_key = min_key.min(k);
-            max_key = max_key.max(k);
-        }
+        let runs = run_count(data);
         if runs == 1 {
             return Some(Encoded::Const {
                 value: data[0],
                 len: data.len(),
             });
         }
-        let dense = data.len() * T::BYTES;
-        let rle_bytes = runs * (4 + T::BYTES);
-        let width = width_for(max_key - min_key);
-        let for_bytes = if width < T::BYTES {
-            8 + 1 + data.len() * width
-        } else {
-            usize::MAX
-        };
-        if rle_bytes.min(for_bytes) >= dense {
+        if runs * (4 + T::BYTES) >= data.len() * T::BYTES {
             return None;
         }
-        if rle_bytes <= for_bytes {
-            let mut out: Vec<(u32, T)> = Vec::with_capacity(runs);
-            let mut cur = data[0];
-            let mut cur_key = cur.to_ordered_u64();
-            let mut count = 0u32;
-            for &v in data {
-                let k = v.to_ordered_u64();
-                if k == cur_key && count < u32::MAX {
-                    count += 1;
-                } else {
-                    out.push((count, cur));
-                    cur = v;
-                    cur_key = k;
-                    count = 1;
-                }
+        let mut out: Vec<(u32, T)> = Vec::with_capacity(runs);
+        let mut cur = data[0];
+        let mut cur_key = cur.to_ordered_u64();
+        let mut count = 0u32;
+        for &v in data {
+            let k = v.to_ordered_u64();
+            if k == cur_key && count < u32::MAX {
+                count += 1;
+            } else {
+                out.push((count, cur));
+                cur = v;
+                cur_key = k;
+                count = 1;
             }
-            out.push((count, cur));
-            Some(Encoded::Rle {
-                runs: out,
-                len: data.len(),
-            })
-        } else {
-            let mut deltas = Vec::with_capacity(data.len() * width);
-            for v in data {
-                let d = v.to_ordered_u64() - min_key;
-                deltas.extend_from_slice(&d.to_le_bytes()[..width]);
-            }
-            Some(Encoded::For {
-                reference: min_key,
-                width,
-                deltas,
-                len: data.len(),
-            })
         }
+        out.push((count, cur));
+        Some(Encoded::Rle {
+            runs: out,
+            len: data.len(),
+        })
     }
 
     /// [`Encoded::encode`] with ledger traffic: the encode is recorded in
@@ -359,20 +255,6 @@ impl<T: Element> Encoded<T> {
                 }
                 out
             }
-            Encoded::For {
-                reference,
-                width,
-                deltas,
-                len,
-            } => {
-                let mut out = Vec::with_capacity(*len);
-                for chunk in deltas.chunks_exact(*width) {
-                    let mut le = [0u8; 8];
-                    le[..*width].copy_from_slice(chunk);
-                    out.push(T::from_ordered_u64(reference + u64::from_le_bytes(le)));
-                }
-                out
-            }
         }
     }
 
@@ -380,7 +262,7 @@ impl<T: Element> Encoded<T> {
     /// [`CodecCounter`] and folded into the [`CopyCounter`] under the
     /// `"codec.decode"` reason (the dense buffer is written out in full).
     pub fn decode_counted(&self) -> Vec<T> {
-        CodecCounter::record_decode(self.repr(), self.dense_bytes());
+        CodecCounter::record_decode(self.repr());
         CopyCounter::record("codec.decode", self.dense_bytes());
         self.decode()
     }
@@ -394,16 +276,21 @@ pub fn mean_run_len<T: Element>(sample: &[T]) -> f64 {
     if sample.is_empty() {
         return 0.0;
     }
+    sample.len() as f64 / run_count(sample) as f64
+}
+
+/// Number of bit-pattern runs in the non-empty `data`.
+fn run_count<T: Element>(data: &[T]) -> usize {
     let mut runs = 1usize;
-    let mut prev = sample[0].to_ordered_u64();
-    for v in &sample[1..] {
+    let mut prev = data[0].to_ordered_u64();
+    for v in &data[1..] {
         let k = v.to_ordered_u64();
         if k != prev {
             runs += 1;
             prev = k;
         }
     }
-    sample.len() as f64 / runs as f64
+    runs
 }
 
 #[cfg(test)]
@@ -436,17 +323,6 @@ mod tests {
         assert_eq!(enc.repr(), ChunkRepr::Rle);
         assert!(enc.encoded_bytes() * 2 < enc.dense_bytes());
         assert_bits_eq(&enc.decode(), &data);
-    }
-
-    #[test]
-    fn narrow_range_labels_encode_for() {
-        // u32 labels in 0..200 — one byte of range, 4 dense bytes each,
-        // alternating so RLE cannot win.
-        let data: Vec<u32> = (0..4096u32).map(|i| i % 197).collect();
-        let enc = Encoded::encode(&data).expect("compressible");
-        assert_eq!(enc.repr(), ChunkRepr::For);
-        assert_eq!(enc.decode(), data);
-        assert!(enc.encoded_bytes() * 3 < enc.dense_bytes());
     }
 
     #[test]
@@ -518,32 +394,6 @@ mod tests {
             cc.by_reason.get("codec.decode").map(|r| r.bytes),
             Some(256 * 8)
         );
-    }
-
-    #[test]
-    fn compress_mode_section_restores() {
-        assert_eq!(compress_mode(), CompressMode::Auto);
-        with_compress_mode(CompressMode::Off, || {
-            assert_eq!(compress_mode(), CompressMode::Off);
-            with_compress_mode(CompressMode::Auto, || {
-                assert_eq!(compress_mode(), CompressMode::Auto);
-            });
-            assert_eq!(compress_mode(), CompressMode::Off);
-        });
-        assert_eq!(compress_mode(), CompressMode::Auto);
-    }
-
-    #[test]
-    fn compress_mode_nests_inside_a_budget_section() {
-        // A budget far above any test's footprint: nothing spills.
-        crate::with_mem_budget(Some(1 << 40), || {
-            with_compress_mode(CompressMode::Off, || {
-                assert_eq!(compress_mode(), CompressMode::Off);
-                assert_eq!(crate::mem_budget(), Some(1 << 40));
-            });
-            assert_eq!(compress_mode(), CompressMode::Auto);
-            assert_eq!(crate::mem_budget(), Some(1 << 40));
-        });
     }
 
     /// Adversarial palette for the roundtrip property: `-0.0` vs `0.0`,

@@ -21,10 +21,10 @@ pub trait Element: Copy + PartialOrd + PartialEq + std::fmt::Debug + Send + Sync
     /// iff `a.to_ordered_u64() <= b.to_ordered_u64()`, and
     /// [`Element::from_ordered_u64`] inverts it exactly — every bit
     /// pattern round-trips, including NaN payloads, `-0.0`, and
-    /// subnormals. The codec layer keys run detection and
-    /// frame-of-reference deltas on this mapping so that encode→decode
-    /// reproduces the original buffer bit for bit (plain `==` would
-    /// conflate `0.0`/`-0.0` and reject NaN runs).
+    /// subnormals. The codec layer keys run detection on this mapping so
+    /// that encode→decode reproduces the original buffer bit for bit
+    /// (plain `==` would conflate `0.0`/`-0.0` and reject NaN runs), and
+    /// spill records store values as these keys.
     fn to_ordered_u64(self) -> u64;
     /// Exact inverse of [`Element::to_ordered_u64`].
     fn from_ordered_u64(k: u64) -> Self;

@@ -42,10 +42,7 @@ mod window;
 pub use array::NdArray;
 pub use chunk::{ChunkGrid, ChunkIx};
 pub use chunkstore::{ChunkBuf, ChunkView, CopyCounter, CopyStats, ReasonStats, Residency};
-pub use codec::{
-    compress_mode, with_compress_mode, ChunkRepr, CodecCounter, CodecReprStats, CodecStats,
-    CompressMode, Encoded,
-};
+pub use codec::{ChunkRepr, CodecCounter, CodecReprStats, CodecStats};
 pub use element::Element;
 pub use error::{ArrayError, Result};
 pub use mask::Mask;

@@ -28,12 +28,11 @@
 //! cell is one record, serialized by [`spill_encode`]:
 //!
 //! ```text
-//! tag: u8      0 = dense, 1 = const, 2 = rle, 3 = for
+//! tag: u8      0 = dense, 1 = const, 2 = rle
 //! len: u64 LE  element count
 //! dense: len × T::BYTES bytes (ordered-u64 keys, LE-truncated)
 //! const: one T::BYTES key
 //! rle:   run count u64 LE, then (count u32 LE, value key) pairs
-//! for:   reference u64 LE, width u8, delta byte count u64 LE, deltas
 //! ```
 //!
 //! Values travel as [`crate::Element::to_ordered_u64`] keys truncated to
@@ -73,7 +72,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, TryLockError, Weak};
 
-use crate::chunkstore::{with_mode, CopyCounter};
+use crate::chunkstore::CopyCounter;
 use crate::codec::{ChunkRepr, Encoded};
 use crate::element::Element;
 
@@ -127,18 +126,50 @@ pub fn set_mem_budget(budget: Option<u64>) {
     enforce();
 }
 
+/// Serializes budget sections ([`with_mem_budget`]) so concurrent
+/// tests/benches that change the budget (or assert on counter deltas)
+/// never interleave.
+pub(crate) static MODE_LOCK: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Nesting depth of budget sections on this thread, so nested sections
+    /// re-use the outer section's lock instead of deadlocking on it.
+    static SECTION_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// Leaves a budget section: restores the budget (even if the section
+/// panicked), then the nesting depth.
+struct SectionGuard {
+    prev: u64,
+}
+
+impl Drop for SectionGuard {
+    fn drop(&mut self) {
+        BUDGET.store(self.prev, Ordering::SeqCst);
+        SECTION_DEPTH.with(|d| d.set(d.get() - 1));
+    }
+}
+
 /// Run `f` with the governor budget set to `budget` (enforced on entry),
 /// then restore.
 ///
-/// Shares the global mode-section lock with [`crate::with_compress_mode`]
-/// (mutually exclusive across threads, re-entrant on one thread), so
-/// governor-stat deltas observed inside one section are not polluted by
-/// another thread's section.
+/// Sections are mutually exclusive across threads (the lock is held for
+/// the duration of the outermost section) and re-entrant on one thread,
+/// so governor-stat deltas observed inside one section are not polluted
+/// by another thread's section. Threads *spawned by* `f` (engine workers)
+/// see `budget`, as the budget is process-global.
 pub fn with_mem_budget<R>(budget: Option<u64>, f: impl FnOnce() -> R) -> R {
-    with_mode(&BUDGET, budget.unwrap_or(0), || {
-        enforce();
-        f()
-    })
+    let outermost = SECTION_DEPTH.with(|d| {
+        let depth = d.get();
+        d.set(depth + 1);
+        depth == 0
+    });
+    let _section = outermost.then(|| MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner()));
+    let _restore = SectionGuard {
+        prev: BUDGET.swap(budget.unwrap_or(0), Ordering::SeqCst),
+    };
+    enforce();
+    f()
 }
 
 /// A snapshot (or delta) of the governor's spill ledger.
@@ -607,19 +638,6 @@ fn spill_encode<T: Element>(stored: &Stored<T>) -> Vec<u8> {
                 push_key(&mut out, value);
             }
         }
-        Stored::Encoded(Encoded::For {
-            reference,
-            width,
-            deltas,
-            len,
-        }) => {
-            out.push(3u8);
-            out.extend_from_slice(&(*len as u64).to_le_bytes());
-            out.extend_from_slice(&reference.to_le_bytes());
-            out.push(*width as u8);
-            out.extend_from_slice(&(deltas.len() as u64).to_le_bytes());
-            out.extend_from_slice(deltas);
-        }
     }
     out
 }
@@ -661,19 +679,6 @@ fn spill_decode<T: Element>(bytes: &[u8]) -> Stored<T> {
                 runs.push((count, value));
             }
             Stored::Encoded(Encoded::Rle { runs, len })
-        }
-        3 => {
-            let reference = read_u64(&mut pos);
-            let width = bytes[pos] as usize;
-            pos += 1;
-            let n_deltas = read_u64(&mut pos) as usize;
-            let deltas = bytes[pos..pos + n_deltas].to_vec();
-            Stored::Encoded(Encoded::For {
-                reference,
-                width,
-                deltas,
-                len,
-            })
         }
         other => unreachable!("unknown spill record tag {other}"),
     }
@@ -772,18 +777,6 @@ mod tests {
                 }
                 Stored::Dense(_) => panic!("encoded record must reload encoded"),
             }
-        }
-        // Frame-of-reference over a narrow-range label plane (u32).
-        let labels: Vec<u32> = (0..512u32).map(|i| i % 7).collect();
-        let enc = Encoded::encode(&labels).expect("narrow-range labels encode");
-        assert_eq!(enc.repr(), ChunkRepr::For);
-        let t = file.write_record(&Stored::Encoded(enc.clone()));
-        match file.read_record::<u32>(t) {
-            Stored::Encoded(back) => {
-                assert_eq!(back.repr(), ChunkRepr::For);
-                assert_eq!(back.decode(), labels);
-            }
-            Stored::Dense(_) => panic!("encoded record must reload encoded"),
         }
     }
 

@@ -11,6 +11,7 @@
 use crate::lex::{Token, TokenKind};
 use crate::sinks::{self, SinkKind};
 use crate::source::{FileKind, SourceFile};
+use crate::symbols::is_pub_before;
 
 /// Rule family, for grouping in reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -390,50 +391,40 @@ pub fn check_par_twins(files: &[SourceFile], kernel_crates: &[&str], out: &mut V
         let tests: Vec<&SourceFile> = files.iter().filter(|f| f.kind == FileKind::Test).collect();
 
         // All function definitions in the crate's library code.
-        let mut defs: Vec<(String, String, u32, bool)> = Vec::new(); // (name, path, line, is_pub)
+        let mut defs: Vec<(&str, &str, u32, bool)> = Vec::new(); // (name, path, line, is_pub)
         for f in &libs {
-            for (i, t) in f.tokens.iter().enumerate() {
-                if t.kind.ident() != Some("fn") || f.is_test_code(i) {
+            for &at in &f.fn_defs {
+                if f.is_test_code(at) {
                     continue;
                 }
-                let Some(name) = f.tokens.get(i + 1).and_then(|n| n.kind.ident()) else {
-                    continue;
-                };
-                // `pub fn`, `pub(crate) fn` — scan a few tokens back.
-                let is_pub = (1..=5).any(|back| {
-                    i.checked_sub(back)
-                        .and_then(|j| f.tokens.get(j))
-                        .is_some_and(|p| p.kind.ident() == Some("pub"))
-                });
-                defs.push((name.to_string(), f.path.clone(), t.line, is_pub));
+                let name = f.tokens[at + 1].kind.ident().unwrap_or_default();
+                defs.push((name, &f.path, f.tokens[at].line, is_pub_before(f, at)));
             }
         }
 
-        for (name, path, line, is_pub) in &defs {
+        for &(name, path, line, is_pub) in &defs {
             if !is_pub || !name.ends_with("_par") {
                 continue;
             }
             let twin = &name[..name.len() - "_par".len()];
-            if !defs.iter().any(|(n, _, _, _)| n == twin) {
+            if !defs.iter().any(|&(n, ..)| n == twin) {
                 out.push(Finding {
                     rule: "H002",
-                    path: path.clone(),
+                    path: path.to_string(),
                     crate_name: (*krate).to_string(),
-                    line: *line,
+                    line,
                     message: format!("`{name}` has no serial twin `{twin}` in crate `{krate}`"),
                 });
             }
-            let referenced = tests.iter().any(|f| {
-                f.tokens
-                    .iter()
-                    .any(|t| t.kind.ident() == Some(name.as_str()))
-            });
+            let referenced = tests
+                .iter()
+                .any(|f| f.tokens.iter().any(|t| t.kind.ident() == Some(name)));
             if !referenced {
                 out.push(Finding {
                     rule: "H002",
-                    path: path.clone(),
+                    path: path.to_string(),
                     crate_name: (*krate).to_string(),
-                    line: *line,
+                    line,
                     message: format!(
                         "`{name}` is not referenced by any test: add a bit-identity test \
                          comparing it against `{twin}` (or Parallelism::Serial)"

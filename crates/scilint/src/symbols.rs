@@ -166,7 +166,7 @@ fn extract_file(fx: usize, file: &SourceFile, tab: &mut SymbolTable) {
 }
 
 /// A `pub` / `pub(crate)` marker within the few tokens before the `fn`.
-fn is_pub_before(file: &SourceFile, fn_ix: usize) -> bool {
+pub(crate) fn is_pub_before(file: &SourceFile, fn_ix: usize) -> bool {
     (1..=6).any(|back| {
         fn_ix
             .checked_sub(back)

@@ -6,7 +6,7 @@
 //! the per-pixel background is bilinear interpolation between cell centers.
 
 use crate::stats::sigma_clipped_median;
-use marray::{Encoded, NdArray};
+use marray::NdArray;
 use parexec::{par_chunks_mut, par_map_slabs, Parallelism};
 
 /// Background-mesh parameters.
@@ -56,80 +56,17 @@ pub fn estimate_background_par(
     let mesh_cols = cols.div_ceil(cell).max(1);
 
     // Robust per-cell levels, one mesh row per slab.
-    //
-    // Run-level fast path: when the image is Rle/Const-encoded, cells
-    // gather straight from the run table (the plane is never decoded) and
-    // consecutive all-constant cells reuse the previous cell's clipped
-    // median. Both are bit-identical to the dense path — the run table
-    // reproduces the exact pixel values, and `sigma_clipped_median` is a
-    // pure function of the gathered values.
-    let runs: Option<(Vec<usize>, Vec<f64>)> = match image.encoded() {
-        Some(Encoded::Const { value, len }) => Some((vec![0, *len], vec![*value])),
-        Some(Encoded::Rle { runs, len }) => {
-            let mut bounds = Vec::with_capacity(runs.len() + 1);
-            let mut values = Vec::with_capacity(runs.len());
-            let mut at = 0usize;
-            for &(n, v) in runs {
-                bounds.push(at);
-                values.push(v);
-                at += n as usize;
-            }
-            bounds.push(*len);
-            Some((bounds, values))
-        }
-        _ => None,
-    };
     let mesh_row_ids: Vec<usize> = (0..mesh_rows).collect();
     let mesh: Vec<f64> = par_map_slabs(&mesh_row_ids, par, |_, &mr| {
         let mut mesh_row = vec![0.0f64; mesh_cols];
         let mut cell_values = Vec::with_capacity(cell * cell);
-        // (value bits, count) -> clipped median of the last constant cell.
-        let mut memo: Option<(u64, usize, f64)> = None;
         for (mc, slot) in mesh_row.iter_mut().enumerate() {
             cell_values.clear();
             let r1 = ((mr + 1) * cell).min(rows);
             let c1 = ((mc + 1) * cell).min(cols);
-            match &runs {
-                Some((bounds, values)) => {
-                    for r in mr * cell..r1 {
-                        let (lo, hi) = (r * cols + mc * cell, r * cols + c1);
-                        let mut i = bounds.partition_point(|&b| b <= lo) - 1;
-                        let mut at = lo;
-                        while at < hi {
-                            let end = bounds[i + 1].min(hi);
-                            cell_values.resize(cell_values.len() + (end - at), values[i]);
-                            at = end;
-                            i += 1;
-                        }
-                    }
-                }
-                None => {
-                    for r in mr * cell..r1 {
-                        for c in mc * cell..c1 {
-                            cell_values.push(image.data()[r * cols + c]);
-                        }
-                    }
-                }
-            }
-            if runs.is_some() {
-                if let Some((&head, tail)) = cell_values.split_first() {
-                    if tail.iter().all(|v| v.to_bits() == head.to_bits()) {
-                        let key = (head.to_bits(), cell_values.len());
-                        if let Some((bits, count, med)) = memo {
-                            if (bits, count) == key {
-                                *slot = med;
-                                continue;
-                            }
-                        }
-                        let med = sigma_clipped_median(
-                            &cell_values,
-                            params.kappa,
-                            params.clip_iterations,
-                        );
-                        memo = Some((key.0, key.1, med));
-                        *slot = med;
-                        continue;
-                    }
+            for r in mr * cell..r1 {
+                for c in mc * cell..c1 {
+                    cell_values.push(image.data()[r * cols + c]);
                 }
             }
             *slot = sigma_clipped_median(&cell_values, params.kappa, params.clip_iterations);
@@ -281,7 +218,8 @@ mod tests {
     #[test]
     fn compressed_image_reproduces_dense_background_bitwise() {
         // Mostly-constant "flat-field" plane with a few star islands:
-        // compresses to Rle, so the run-level mesh path engages.
+        // packs to Rle, and the kernel must read it exactly as it reads the
+        // dense plane.
         let mut img = NdArray::<f64>::full(&[33, 29], 120.0);
         for &(r, c) in &[(3usize, 4usize), (3, 5), (17, 20), (30, 2)] {
             img[&[r, c][..]] = 50_000.0 + (r * 29 + c) as f64;
@@ -294,11 +232,11 @@ mod tests {
         };
         let base = estimate_background(&img, &params);
         for workers in [1usize, 2, 4, 8] {
-            let fast = estimate_background_par(&packed, &params, Parallelism::threads(workers));
+            let got = estimate_background_par(&packed, &params, Parallelism::threads(workers));
             assert!(
                 base.data()
                     .iter()
-                    .zip(fast.data())
+                    .zip(got.data())
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "compressed background differs at workers={workers}"
             );

@@ -28,17 +28,6 @@ impl Default for CoaddParams {
     }
 }
 
-/// How one exposure's mask gates its samples, resolved once per stack
-/// from the mask plane's stored representation.
-enum MaskPlan {
-    /// Const-encoded all-zero mask: every pixel contributes.
-    AllGood,
-    /// Const-encoded non-zero mask: no pixel contributes.
-    AllBad,
-    /// Dense (or non-Const) mask: check per pixel.
-    PerPixel,
-}
-
 /// The stacked output for one patch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Coadd {
@@ -79,29 +68,6 @@ pub fn coadd_sigma_clip_par(
     let (rows, cols) = first.dims();
     let n = exposures.len();
 
-    // Run-level fast paths over compressed planes: a Const-encoded mask
-    // or variance plane is a single run covering the patch, so its
-    // contribution is resolved once for the whole stack and the plane is
-    // never decoded. The per-pixel branch below sees exactly the values
-    // the dense path would read, so output is bit-identical.
-    let mask_plan: Vec<MaskPlan> = exposures
-        .iter()
-        .map(|e| match e.mask.encoded().and_then(|m| m.as_const()) {
-            Some(0) => MaskPlan::AllGood,
-            Some(_) => MaskPlan::AllBad,
-            None => MaskPlan::PerPixel,
-        })
-        .collect();
-    let var_const: Vec<Option<f64>> = exposures
-        .iter()
-        .map(|e| {
-            e.variance
-                .encoded()
-                .and_then(|v| v.as_const())
-                .map(|v| v.max(1e-12))
-        })
-        .collect();
-
     let row_ids: Vec<usize> = (0..rows).collect();
     let stacked = par_map_slabs(&row_ids, par, |_, &r| {
         let mut flux_row = vec![0.0f64; cols];
@@ -111,18 +77,9 @@ pub fn coadd_sigma_clip_par(
         for c in 0..cols {
             let p = r * cols + c;
             samples.clear();
-            for (e, (plan, vc)) in exposures.iter().zip(mask_plan.iter().zip(&var_const)) {
-                let good = match plan {
-                    MaskPlan::AllGood => true,
-                    MaskPlan::AllBad => false,
-                    MaskPlan::PerPixel => e.mask.data()[p] == 0,
-                };
-                if good {
-                    let v = match vc {
-                        Some(v) => *v,
-                        None => e.variance.data()[p].max(1e-12),
-                    };
-                    samples.push((e.flux.data()[p], v));
+            for e in exposures {
+                if e.mask.data()[p] == 0 {
+                    samples.push((e.flux.data()[p], e.variance.data()[p].max(1e-12)));
                 }
             }
             if samples.is_empty() {
@@ -293,12 +250,12 @@ mod tests {
                     }),
                 );
                 if v == 3 {
-                    // Partially flagged mask: stays per-pixel after compression.
+                    // Partially flagged mask: packs to Rle.
                     e.mask[&[2, 2][..]] = 1;
                     e.mask[&[2, 3][..]] = 1;
                 }
                 if v == 5 {
-                    // Fully flagged: compresses to Const(1), i.e. MaskPlan::AllBad.
+                    // Fully flagged mask: packs to Const(1).
                     e.mask = NdArray::full(&[11, 7], 1);
                 }
                 e
@@ -318,7 +275,7 @@ mod tests {
                 .iter()
                 .any(|e| e.mask.repr() == marray::ChunkRepr::Const
                     && e.variance.repr() == marray::ChunkRepr::Const),
-            "fast-path preconditions not met"
+            "no exposure packed both its mask and its variance plane"
         );
         let params = CoaddParams::default();
         let base = coadd_sigma_clip(&dense, &params);
@@ -329,16 +286,16 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits())
         };
         for workers in [1usize, 2, 4, 8] {
-            let fast = coadd_sigma_clip_par(&compressed, &params, Parallelism::threads(workers));
+            let got = coadd_sigma_clip_par(&compressed, &params, Parallelism::threads(workers));
             assert!(
-                eq(&base.flux, &fast.flux),
+                eq(&base.flux, &got.flux),
                 "flux differs at workers={workers}"
             );
             assert!(
-                eq(&base.variance, &fast.variance),
+                eq(&base.variance, &got.variance),
                 "variance differs at workers={workers}"
             );
-            assert_eq!(base.depth, fast.depth, "depth differs at workers={workers}");
+            assert_eq!(base.depth, got.depth, "depth differs at workers={workers}");
         }
     }
 
