@@ -134,7 +134,7 @@ pub fn astro_params() -> (CalibParams, CoaddParams, DetectParams) {
 /// Run the full astronomy pipeline on the Spark analog.
 // scilint: allow(F003, engine ingest boundary: blobs enter the engine's own tuple store, a materializing copy by contract)
 pub fn spark(survey: &SkySurvey, partitions: usize) -> AstroResult {
-    let sc = SparkContext::new(128);
+    let sc = SparkContext::new();
     let grid = Arc::new(survey.patch_grid());
     let (calib, coadd_p, detect_p) = astro_params();
 

@@ -91,7 +91,7 @@ fn stack_volumes(dims3: &[usize], volumes: &mut [(usize, NdArray<f64>)]) -> NdAr
 // scilint: allow(F001, volume index and shape invariants are upheld by the pipeline driver; TODO(flow): propagate Result through the use-case API)
 // scilint: allow(F003, engine ingest boundary: blobs enter the engine's own tuple store, a materializing copy by contract)
 pub fn spark(subjects: &[Subject], partitions: usize) -> BTreeMap<u32, NdArray<f64>> {
-    let sc = SparkContext::new(128);
+    let sc = SparkContext::new();
 
     // imgRDD: ((subjId, imgId), volume)
     type ImgRecord = ((u32, u32), Arc<NdArray<f64>>);

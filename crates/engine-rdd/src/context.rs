@@ -11,18 +11,13 @@ use crate::rdd::Rdd;
 pub const DEFAULT_BLOCK_BYTES: u64 = 128 * 1024 * 1024;
 
 /// The cluster connection / driver context.
-#[derive(Debug, Clone)]
-pub struct SparkContext {
-    /// Worker slots available across the cluster (nodes × cores).
-    pub total_slots: usize,
-}
+#[derive(Debug, Clone, Default)]
+pub struct SparkContext;
 
 impl SparkContext {
-    /// Connect to a cluster with the given number of total worker slots.
-    pub fn new(total_slots: usize) -> SparkContext {
-        SparkContext {
-            total_slots: total_slots.max(1),
-        }
+    /// Connect to the cluster. Each action runs one task per partition.
+    pub fn new() -> SparkContext {
+        SparkContext
     }
 
     /// Distribute a local collection into `num_partitions` partitions
@@ -58,7 +53,7 @@ mod tests {
 
     #[test]
     fn parallelize_round_robins() {
-        let sc = SparkContext::new(8);
+        let sc = SparkContext::new();
         let r = sc.parallelize((0..10).collect(), 3);
         assert_eq!(r.num_partitions(), 3);
         assert_eq!(r.count(), 10);
@@ -66,7 +61,7 @@ mod tests {
 
     #[test]
     fn default_partitions_is_block_count() {
-        let sc = SparkContext::new(128);
+        let sc = SparkContext::new();
         // A single 4.2 GB subject → only 4 blocks of ~128 MB... the paper:
         // "for the neuroscience use case with a single subject, Spark
         // creates only 4 partitions". Four 1 GB-ish volume groups → with
@@ -80,7 +75,7 @@ mod tests {
 
     #[test]
     fn broadcast_usable_in_closures() {
-        let sc = SparkContext::new(4);
+        let sc = SparkContext::new();
         let factor = sc.broadcast(10usize);
         let r = sc.parallelize(vec![1usize, 2, 3], 2);
         let f = factor.clone();

@@ -21,14 +21,15 @@
 //!   serialization boundary in the cost model; the eager executor runs
 //!   closures natively and counts the crossings.
 //!
-//! The eager executor really computes (multi-threaded over partitions);
-//! [`RddEngineProfile`] exports the scheduling/overhead constants the
-//! benchmark harness uses to lower RDD jobs onto `simcluster`.
+//! The eager executor really computes, one `parexec` pool worker per
+//! partition task in [`Rdd::collect`]; [`RddEngineProfile`] exports the
+//! scheduling/overhead constants the benchmark harness uses to lower RDD
+//! jobs onto `simcluster`.
 //!
 //! ```
 //! use engine_rdd::SparkContext;
 //!
-//! let sc = SparkContext::new(8);
+//! let sc = SparkContext::new();
 //! let totals = sc
 //!     .parallelize((0..100u32).map(|i| (i % 3, i)).collect(), 4)
 //!     .reduce_by_key(2, |a, b| a + b)

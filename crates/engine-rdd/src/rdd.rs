@@ -1,5 +1,6 @@
 //! Lazy, partitioned, lineage-carrying collections.
 
+use parexec::{MorselPool, Parallelism};
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
@@ -253,24 +254,20 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         }
     }
 
-    /// Action: materialize every partition (in parallel) and concatenate.
-    // scilint: allow(F001, partition-task panics propagate to the driver, mirroring Spark task failure)
-    // scilint: allow(F004, this scope.spawn IS the simulated Spark executor's partition tasks, the engine boundary; TODO(flow): route through the morsel pool)
+    /// Action: materialize every partition and concatenate, one pool worker
+    /// per partition task. A task's panic reaches the caller with its own
+    /// payload, mirroring Spark task failure.
     pub fn collect(&self) -> Vec<T> {
         let n = self.num_partitions();
-        let mut parts: Vec<Vec<T>> = Vec::with_capacity(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|p| {
-                    let inner = Arc::clone(&self.inner);
-                    scope.spawn(move || inner.compute(p))
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("partition task panicked"));
-            }
-        });
-        parts.into_iter().flatten().collect()
+        MorselPool::new(Parallelism::threads(n.max(1)))
+            .map_ranges(n, |_, parts| {
+                parts
+                    .flat_map(|p| self.inner.compute(p))
+                    .collect::<Vec<T>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Action: number of records.
@@ -465,6 +462,17 @@ mod tests {
             20,
             "lineage recomputed without cache"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "spark udf failed on 5")]
+    fn task_panic_reaches_the_caller_with_its_message() {
+        rdd_of(8, 4)
+            .map(|(k, v)| {
+                assert!(v != 5, "spark udf failed on {v}");
+                (k, v)
+            })
+            .collect();
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// A representative shuffle-heavy job: string keys (where hash seeds bite
 /// hardest), group, reduce, join, then fold everything into one digest.
 fn run_job() -> u64 {
-    let sc = SparkContext::new(8);
+    let sc = SparkContext::new();
     let words: Vec<(String, u64)> = (0..512u64)
         .map(|i| (format!("key-{}", i % 37), i))
         .collect();

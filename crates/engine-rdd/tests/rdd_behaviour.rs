@@ -9,7 +9,7 @@ use std::sync::Arc;
 #[test]
 fn shuffle_is_deterministic_across_runs() {
     let build = || {
-        let sc = SparkContext::new(8);
+        let sc = SparkContext::new();
         sc.parallelize((0..200).map(|i| (i % 7, i)).collect::<Vec<_>>(), 5)
             .group_by_key(3)
             .map(|(k, vs)| (k, vs.iter().sum::<i32>()))
@@ -20,7 +20,7 @@ fn shuffle_is_deterministic_across_runs() {
 
 #[test]
 fn flat_map_can_drop_and_multiply() {
-    let sc = SparkContext::new(4);
+    let sc = SparkContext::new();
     let r = sc
         .parallelize((0..10).collect::<Vec<i32>>(), 3)
         .flat_map(|x| {
@@ -37,7 +37,7 @@ fn flat_map_can_drop_and_multiply() {
 
 #[test]
 fn chained_shuffles_compose() {
-    let sc = SparkContext::new(8);
+    let sc = SparkContext::new();
     let out = sc
         .parallelize(
             (0..120).map(|i| ((i % 4, i % 3), 1u32)).collect::<Vec<_>>(),
@@ -56,7 +56,7 @@ fn cache_interacts_with_branches() {
     // Two downstream branches off a cached RDD compute the parent once —
     // the §5.3.3 caching scenario in miniature.
     let calls = Arc::new(AtomicUsize::new(0));
-    let sc = SparkContext::new(4);
+    let sc = SparkContext::new();
     let c = Arc::clone(&calls);
     let base = sc
         .parallelize((0..16).collect::<Vec<u32>>(), 4)
@@ -79,7 +79,7 @@ fn cache_interacts_with_branches() {
 #[test]
 fn uncached_branches_recompute_like_the_paper_says() {
     let calls = Arc::new(AtomicUsize::new(0));
-    let sc = SparkContext::new(4);
+    let sc = SparkContext::new();
     let c = Arc::clone(&calls);
     let base = sc
         .parallelize((0..16).collect::<Vec<u32>>(), 4)
@@ -100,7 +100,7 @@ fn uncached_branches_recompute_like_the_paper_says() {
 fn broadcast_replaces_join_pattern() {
     // The paper's mask-as-broadcast idiom: key the small side by subject
     // and read it from every closure without a shuffle.
-    let sc = SparkContext::new(4);
+    let sc = SparkContext::new();
     let masks: HashMap<u32, f64> = (0..4).map(|s| (s, (s + 1) as f64)).collect();
     let bc = sc.broadcast(masks);
     let records: Vec<(u32, f64)> = (0..40).map(|i| (i % 4, i as f64)).collect();
@@ -117,7 +117,7 @@ fn broadcast_replaces_join_pattern() {
 
 #[test]
 fn default_partition_rule_matches_block_math() {
-    let sc = SparkContext::new(128);
+    let sc = SparkContext::new();
     assert_eq!(sc.default_partitions(0), 1);
     assert_eq!(sc.default_partitions(DEFAULT_BLOCK_BYTES), 1);
     assert_eq!(sc.default_partitions(DEFAULT_BLOCK_BYTES + 1), 2);
@@ -127,7 +127,7 @@ fn default_partition_rule_matches_block_math() {
 #[test]
 fn group_by_key_handles_skewed_keys() {
     // One hot key with 90% of the records (astro patch skew in miniature).
-    let sc = SparkContext::new(8);
+    let sc = SparkContext::new();
     let mut records: Vec<(u8, u32)> = (0..900).map(|i| (0u8, i)).collect();
     records.extend((0..100).map(|i| ((1 + (i % 5)) as u8, i)));
     let grouped = sc.parallelize(records, 10).group_by_key(4).collect();
@@ -143,7 +143,7 @@ fn group_by_key_handles_skewed_keys() {
 #[test]
 fn join_matches_broadcast_result() {
     // The join-vs-broadcast trade-off from the paper: same answer either way.
-    let sc = SparkContext::new(4);
+    let sc = SparkContext::new();
     let images: Vec<(u32, f64)> = (0..24).map(|i| (i % 4, i as f64)).collect();
     let masks: Vec<(u32, f64)> = (0..4).map(|s| (s, (s + 1) as f64)).collect();
 
@@ -170,7 +170,7 @@ fn join_matches_broadcast_result() {
 
 #[test]
 fn join_is_inner() {
-    let sc = SparkContext::new(4);
+    let sc = SparkContext::new();
     let left = sc.parallelize(vec![(1u32, "a"), (2, "b"), (3, "c")], 2);
     let right = sc.parallelize(vec![(2u32, 20), (3, 30), (4, 40)], 2);
     let out = left.join(&right, 3).collect();
@@ -180,7 +180,7 @@ fn join_is_inner() {
 
 #[test]
 fn join_produces_cross_product_per_key() {
-    let sc = SparkContext::new(4);
+    let sc = SparkContext::new();
     let left = sc.parallelize(vec![(0u8, 1), (0, 2)], 2);
     let right = sc.parallelize(vec![(0u8, 10), (0, 20), (0, 30)], 2);
     let out = left.join(&right, 2).collect();

@@ -71,6 +71,20 @@ pub(crate) fn partition_hash(value: &Value) -> u64 {
     h.finish()
 }
 
+/// Hash-partition every tuple on column `key` over `workers` fragments,
+/// visiting the input fragments in worker order.
+pub(crate) fn repartition(
+    fragments: Vec<Vec<Tuple>>,
+    key: usize,
+    workers: usize,
+) -> Vec<Vec<Tuple>> {
+    let mut next: Vec<Vec<Tuple>> = vec![Vec::new(); workers];
+    for t in fragments.into_iter().flatten() {
+        next[(partition_hash(&t[key]) % workers as u64) as usize].push(t);
+    }
+    next
+}
+
 impl Relation {
     /// Hash-partition `tuples` on `partition_column` over `workers`
     /// fragments.
@@ -84,15 +98,13 @@ impl Relation {
             partition_column < schema.arity(),
             "partition column out of range"
         );
-        let mut fragments: Vec<Vec<Tuple>> = (0..workers.max(1)).map(|_| Vec::new()).collect();
-        for t in tuples {
-            debug_assert!(schema.check(&t), "tuple does not match schema");
-            let w = (partition_hash(&t[partition_column]) % fragments.len() as u64) as usize;
-            fragments[w].push(t);
-        }
+        debug_assert!(
+            tuples.iter().all(|t| schema.check(t)),
+            "tuple does not match schema"
+        );
         Relation {
             schema,
-            fragments,
+            fragments: repartition(vec![tuples], partition_column, workers.max(1)),
             partition_column: Some(partition_column),
         }
     }
@@ -136,13 +148,10 @@ impl Relation {
 /// values, returns one value.
 pub type Udf = Arc<dyn Fn(&[Value]) -> Value + Send + Sync>;
 
-/// Registered UDA: folds a group's tuples into one value.
-pub type Uda = Arc<dyn Fn(&[Tuple]) -> Value + Send + Sync>;
-
-/// Registered multi-output UDA: folds a group's tuples into several output
-/// columns at once. This is what lets image-valued aggregates return their
-/// planes as separate blob columns instead of packing them into one blob
-/// (the pack/unpack round trip §5.3 charges Myria for).
+/// Registered UDA: folds a group's tuples into its output columns, one
+/// value each. Several outputs are what let image-valued aggregates return
+/// their planes as separate blob columns instead of packing them into one
+/// blob (the pack/unpack round trip §5.3 charges Myria for).
 pub type MultiUda = Arc<dyn Fn(&[Tuple]) -> Vec<Value> + Send + Sync>;
 
 /// Registered table-valued UDF: maps one tuple's argument values to zero
@@ -160,8 +169,7 @@ pub struct MyriaConnection {
     pub workers_per_node: usize,
     catalog: RwLock<BTreeMap<String, Arc<Relation>>>,
     udfs: RwLock<BTreeMap<String, Udf>>,
-    udas: RwLock<BTreeMap<String, Uda>>,
-    multi_udas: RwLock<BTreeMap<String, MultiUda>>,
+    udas: RwLock<BTreeMap<String, MultiUda>>,
     table_udfs: RwLock<BTreeMap<String, TableUdf>>,
 }
 
@@ -190,7 +198,6 @@ impl MyriaConnection {
             catalog: RwLock::new(BTreeMap::new()),
             udfs: RwLock::new(BTreeMap::new()),
             udas: RwLock::new(BTreeMap::new()),
-            multi_udas: RwLock::new(BTreeMap::new()),
             table_udfs: RwLock::new(BTreeMap::new()),
         }
     }
@@ -231,13 +238,13 @@ impl MyriaConnection {
         write_guard(&self.udfs).insert(name.to_string(), Arc::new(f));
     }
 
-    /// Register a UDA.
+    /// Register a single-output UDA.
     pub fn create_aggregate(
         &self,
         name: &str,
         f: impl Fn(&[Tuple]) -> Value + Send + Sync + 'static,
     ) {
-        write_guard(&self.udas).insert(name.to_string(), Arc::new(f));
+        self.create_multi_aggregate(name, move |t| vec![f(t)]);
     }
 
     /// Register a multi-output UDA (see [`MultiUda`]).
@@ -246,7 +253,7 @@ impl MyriaConnection {
         name: &str,
         f: impl Fn(&[Tuple]) -> Vec<Value> + Send + Sync + 'static,
     ) {
-        write_guard(&self.multi_udas).insert(name.to_string(), Arc::new(f));
+        write_guard(&self.udas).insert(name.to_string(), Arc::new(f));
     }
 
     /// Register a table-valued (flatmap) UDF.
@@ -266,12 +273,8 @@ impl MyriaConnection {
         read_guard(&self.table_udfs).get(name).cloned()
     }
 
-    pub(crate) fn uda(&self, name: &str) -> Option<Uda> {
+    pub(crate) fn uda(&self, name: &str) -> Option<MultiUda> {
         read_guard(&self.udas).get(name).cloned()
-    }
-
-    pub(crate) fn multi_uda(&self, name: &str) -> Option<MultiUda> {
-        read_guard(&self.multi_udas).get(name).cloned()
     }
 }
 

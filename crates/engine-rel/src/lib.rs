@@ -24,7 +24,8 @@
 //!   (Figure 15's three strategies).
 //! * **Broadcast join** — small relations replicate to all workers.
 //!
-//! The eager executor really computes; [`RelEngineProfile`] exports the
+//! The eager executor really computes (UDF apply and UDA group-by run one
+//! `parexec` pool worker per fragment); [`RelEngineProfile`] exports the
 //! lowering constants for `simcluster`.
 //!
 //! ```
@@ -42,7 +43,7 @@ mod profile;
 mod query;
 mod value;
 
-pub use catalog::{MultiUda, MyriaConnection, Relation, Schema, TableUdf, Uda, Udf};
+pub use catalog::{MultiUda, MyriaConnection, Relation, Schema, TableUdf, Udf};
 pub use profile::{ExecutionMode, RelEngineProfile};
 pub use query::{Query, QueryError};
 pub use value::{tuple_nbytes, Tuple, Value, ValueType};

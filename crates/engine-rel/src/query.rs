@@ -7,8 +7,10 @@
 //! through the operator chain without intermediate materialization; only
 //! shuffles exchange tuples between workers.
 
-use crate::catalog::{partition_hash, MyriaConnection, Relation, Schema};
+use crate::catalog::{partition_hash, repartition, MyriaConnection, Relation, Schema};
 use crate::value::{Tuple, Value, ValueType};
+use parexec::{par_chunks_mut, Parallelism};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -68,13 +70,15 @@ enum Op {
     GroupBy {
         keys: Vec<String>,
         uda: String,
-        out: (String, ValueType),
-    },
-    GroupByMulti {
-        keys: Vec<String>,
-        uda: String,
         out: Vec<(String, ValueType)>,
     },
+}
+
+/// Run `f` on every fragment, one engine worker per fragment, as each
+/// Myria worker evaluates its own fragment.
+fn per_fragment(fragments: &mut [Vec<Tuple>], f: impl Fn(&mut Vec<Tuple>) + Sync) {
+    let workers = Parallelism::threads(fragments.len().max(1));
+    par_chunks_mut(fragments, 1, workers, |_, frag| f(&mut frag[0]));
 }
 
 /// A query plan under construction.
@@ -185,19 +189,8 @@ impl Query {
 
     /// Group by `keys`, folding each group with a registered UDA.
     /// Performs the necessary shuffle on the first key.
-    pub fn group_by(
-        mut self,
-        keys: &[&str],
-        uda: &str,
-        out_name: &str,
-        out_type: ValueType,
-    ) -> Query {
-        self.ops.push(Op::GroupBy {
-            keys: keys.iter().map(|s| s.to_string()).collect(),
-            uda: uda.to_string(),
-            out: (out_name.to_string(), out_type),
-        });
-        self
+    pub fn group_by(self, keys: &[&str], uda: &str, out_name: &str, out_type: ValueType) -> Query {
+        self.group_by_multi(keys, uda, &[(out_name, out_type)])
     }
 
     /// Group by `keys`, folding each group with a registered multi-output
@@ -206,7 +199,7 @@ impl Query {
     /// image-valued aggregates keep their planes in separate blob columns
     /// instead of packing them into one blob.
     pub fn group_by_multi(mut self, keys: &[&str], uda: &str, out: &[(&str, ValueType)]) -> Query {
-        self.ops.push(Op::GroupByMulti {
+        self.ops.push(Op::GroupBy {
             keys: keys.iter().map(|s| s.to_string()).collect(),
             uda: uda.to_string(),
             out: out.iter().map(|(n, t)| (n.to_string(), *t)).collect(),
@@ -221,7 +214,6 @@ impl Query {
 
     /// Execute the plan on `conn`, returning the result relation.
     // scilint: allow(F001, operator invariants (schema before scan, non-empty plan) abort the simulated query like a coordinator fault)
-    // scilint: allow(F004, this scope.spawn IS the simulated engine's own worker pool, the engine boundary; TODO(flow): route through the morsel pool)
     pub fn execute(&self, conn: &MyriaConnection) -> Result<Relation, QueryError> {
         let workers = conn.workers();
         let mut schema: Option<Schema> = None;
@@ -245,14 +237,8 @@ impl Query {
                     let mut frags = rel.fragments.clone();
                     if frags.len() != workers {
                         // Catalog built under a different worker count:
-                        // re-partition on ingest column 0.
-                        let all: Vec<Tuple> = frags.into_iter().flatten().collect();
-                        let pc = rel.partition_column.unwrap_or(0);
-                        frags = vec![Vec::new(); workers];
-                        for t in all {
-                            let w = (partition_hash(&t[pc]) % workers as u64) as usize;
-                            frags[w].push(t);
-                        }
+                        // re-partition on the partition column (else 0).
+                        frags = repartition(frags, rel.partition_column.unwrap_or(0), workers);
                     }
                     if let Some((column, pred)) = pushdown {
                         let ci = col(&s, column)?;
@@ -287,27 +273,20 @@ impl Query {
                         keep.iter().map(|k| col(s, k)).collect::<Result<_, _>>()?;
                     // Workers evaluate their fragments independently and in
                     // parallel, as the real engine's Python UDF workers do.
-                    std::thread::scope(|scope| {
-                        for frag in fragments.iter_mut() {
-                            let f = &f;
-                            let arg_ix = &arg_ix;
-                            let keep_ix = &keep_ix;
-                            scope.spawn(move || {
-                                *frag = frag
-                                    .iter()
-                                    .map(|t| {
-                                        let argv: Vec<Value> =
-                                            // scilint: allow(C001, Value is a small scalar enum; per-cell clone)
-                                            arg_ix.iter().map(|&i| t[i].clone()).collect();
-                                        let mut row: Tuple =
-                                            // scilint: allow(C001, Value is a small scalar enum; per-cell clone)
-                                            keep_ix.iter().map(|&i| t[i].clone()).collect();
-                                        row.push(f(&argv));
-                                        row
-                                    })
-                                    .collect();
-                            });
-                        }
+                    per_fragment(&mut fragments, |frag| {
+                        *frag = frag
+                            .iter()
+                            .map(|t| {
+                                let argv: Vec<Value> =
+                                    // scilint: allow(C001, Value is a small scalar enum; per-cell clone)
+                                    arg_ix.iter().map(|&i| t[i].clone()).collect();
+                                let mut row: Tuple =
+                                    // scilint: allow(C001, Value is a small scalar enum; per-cell clone)
+                                    keep_ix.iter().map(|&i| t[i].clone()).collect();
+                                row.push(f(&argv));
+                                row
+                            })
+                            .collect();
                     });
                     let mut cols: Vec<(&str, ValueType)> = Vec::new();
                     for (i, k) in keep.iter().enumerate() {
@@ -397,14 +376,7 @@ impl Query {
                 Op::Shuffle { column } => {
                     let s = schema.as_ref().expect("shuffle before scan");
                     let ci = col(s, column)?;
-                    let mut next: Vec<Vec<Tuple>> = vec![Vec::new(); workers];
-                    for f in fragments.drain(..) {
-                        for t in f {
-                            let w = (partition_hash(&t[ci]) % workers as u64) as usize;
-                            next[w].push(t);
-                        }
-                    }
-                    fragments = next;
+                    fragments = repartition(std::mem::take(&mut fragments), ci, workers);
                     partition_column = Some(ci);
                 }
                 Op::GroupBy { keys, uda, out } => {
@@ -417,110 +389,39 @@ impl Query {
                         keys.iter().map(|k| col(&s, k)).collect::<Result<_, _>>()?;
                     // Shuffle on the first key unless already partitioned so.
                     if partition_column != Some(key_ix[0]) {
-                        let mut next: Vec<Vec<Tuple>> = vec![Vec::new(); workers];
-                        for f in fragments.drain(..) {
-                            for t in f {
-                                let w = (partition_hash(&t[key_ix[0]]) % workers as u64) as usize;
-                                next[w].push(t);
+                        fragments = repartition(std::mem::take(&mut fragments), key_ix[0], workers);
+                    }
+                    per_fragment(&mut fragments, |frag| {
+                        // Groups in first-arrival order.
+                        let mut groups: Vec<Vec<Tuple>> = Vec::new();
+                        let mut lookup: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+                        for t in frag.drain(..) {
+                            let key: Vec<u64> =
+                                key_ix.iter().map(|&i| partition_hash(&t[i])).collect();
+                            match lookup.entry(key) {
+                                Entry::Occupied(g) => groups[*g.get()].push(t),
+                                Entry::Vacant(g) => {
+                                    g.insert(groups.len());
+                                    groups.push(vec![t]);
+                                }
                             }
                         }
-                        fragments = next;
-                    }
-                    std::thread::scope(|scope| {
-                        for frag in fragments.iter_mut() {
-                            let agg = &agg;
-                            let key_ix = &key_ix;
-                            scope.spawn(move || {
-                                let mut groups: Vec<(Vec<u64>, Vec<Tuple>)> = Vec::new();
-                                let mut lookup: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
-                                for t in frag.drain(..) {
-                                    let key: Vec<u64> =
-                                        key_ix.iter().map(|&i| partition_hash(&t[i])).collect();
-                                    match lookup.get(&key) {
-                                        Some(&g) => groups[g].1.push(t),
-                                        None => {
-                                            lookup.insert(key.clone(), groups.len());
-                                            groups.push((key, vec![t]));
-                                        }
-                                    }
-                                }
-                                *frag = groups
-                                    .into_iter()
-                                    .map(|(_, tuples)| {
-                                        let mut row: Tuple =
-                                            // scilint: allow(C001, Value is a small scalar enum; per-cell clone)
-                                            key_ix.iter().map(|&i| tuples[0][i].clone()).collect();
-                                        row.push(agg(&tuples));
-                                        row
-                                    })
-                                    .collect();
-                            });
-                        }
+                        *frag = groups
+                            .into_iter()
+                            .map(|tuples| {
+                                let mut row: Tuple =
+                                    // scilint: allow(C001, Value is a small scalar enum; per-cell clone)
+                                    key_ix.iter().map(|&i| tuples[0][i].clone()).collect();
+                                row.extend(agg(&tuples));
+                                row
+                            })
+                            .collect();
                     });
                     let mut cols: Vec<(&str, ValueType)> = key_ix
                         .iter()
                         .map(|&i| (s.columns()[i].0.as_str(), s.columns()[i].1))
                         .collect();
-                    cols.push((out.0.as_str(), out.1));
-                    schema = Some(Schema::new(&cols));
-                    partition_column = Some(0);
-                }
-                Op::GroupByMulti { keys, uda, out } => {
-                    // scilint: allow(C001, Schema clone - column-name metadata rather than payload)
-                    let s = schema.as_ref().expect("group by before scan").clone();
-                    let agg = conn
-                        .multi_uda(uda)
-                        .ok_or_else(|| QueryError::UnknownFunction(uda.clone()))?;
-                    let key_ix: Vec<usize> =
-                        keys.iter().map(|k| col(&s, k)).collect::<Result<_, _>>()?;
-                    if partition_column != Some(key_ix[0]) {
-                        let mut next: Vec<Vec<Tuple>> = vec![Vec::new(); workers];
-                        for f in fragments.drain(..) {
-                            for t in f {
-                                let w = (partition_hash(&t[key_ix[0]]) % workers as u64) as usize;
-                                next[w].push(t);
-                            }
-                        }
-                        fragments = next;
-                    }
-                    std::thread::scope(|scope| {
-                        for frag in fragments.iter_mut() {
-                            let agg = &agg;
-                            let key_ix = &key_ix;
-                            scope.spawn(move || {
-                                let mut groups: Vec<(Vec<u64>, Vec<Tuple>)> = Vec::new();
-                                let mut lookup: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
-                                for t in frag.drain(..) {
-                                    let key: Vec<u64> =
-                                        key_ix.iter().map(|&i| partition_hash(&t[i])).collect();
-                                    match lookup.get(&key) {
-                                        Some(&g) => groups[g].1.push(t),
-                                        None => {
-                                            lookup.insert(key.clone(), groups.len());
-                                            groups.push((key, vec![t]));
-                                        }
-                                    }
-                                }
-                                *frag = groups
-                                    .into_iter()
-                                    .map(|(_, tuples)| {
-                                        let mut row: Tuple =
-                                            // scilint: allow(C001, Value is a small scalar enum; per-cell clone)
-                                            key_ix.iter().map(|&i| tuples[0][i].clone()).collect();
-                                        row.extend(agg(&tuples));
-                                        row
-                                    })
-                                    .collect();
-                            });
-                        }
-                    });
-                    let mut cols: Vec<(&str, ValueType)> = key_ix
-                        .iter()
-                        .map(|&i| (s.columns()[i].0.as_str(), s.columns()[i].1))
-                        .collect();
-                    for (n, t) in out {
-                        cols.push((n.as_str(), *t));
-                    }
+                    cols.extend(out.iter().map(|(n, t)| (n.as_str(), *t)));
                     schema = Some(Schema::new(&cols));
                     partition_column = Some(0);
                 }
@@ -697,6 +598,34 @@ mod tests {
             .execute(&conn)
             .unwrap_err();
         assert_eq!(err, QueryError::UnknownFunction("Nope".into()));
+    }
+
+    #[test]
+    #[should_panic(expected = "myria udf failed on 5")]
+    fn udf_panic_reaches_the_caller_with_its_message() {
+        let conn = conn_with_images();
+        conn.create_function("Boom", |args| {
+            let id = args[0].as_int();
+            assert!(id != 5, "myria udf failed on {id}");
+            Value::Int(id)
+        });
+        let _ = Query::scan("Images")
+            .apply("Boom", &["imgId"], &[], "id", ValueType::Int)
+            .execute(&conn);
+    }
+
+    #[test]
+    #[should_panic(expected = "myria uda failed on subject 1")]
+    fn uda_panic_reaches_the_caller_with_its_message() {
+        let conn = conn_with_images();
+        conn.create_aggregate("Boom", |tuples| {
+            let subj = tuples[0][0].as_int();
+            assert!(subj != 1, "myria uda failed on subject {subj}");
+            Value::Int(subj)
+        });
+        let _ = Query::scan("Images")
+            .group_by(&["subjId"], "Boom", "n", ValueType::Int)
+            .execute(&conn);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The delayed-graph builder and its work-stealing executor.
 
+use parexec::{MorselPool, Parallelism};
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 type AnyValue = Arc<dyn Any + Send + Sync>;
 type NodeFn = Box<dyn FnOnce(&[AnyValue]) -> AnyValue + Send>;
@@ -32,9 +33,10 @@ impl<T> Copy for Delayed<T> {}
 
 /// The distributed scheduler client.
 ///
-/// Builds compute graphs and executes them on demand with a pool of
-/// `workers` threads draining a shared ready queue (dynamic load balancing —
-/// idle workers take whatever is ready, Dask's work-stealing behaviour).
+/// Builds compute graphs and executes them on demand with up to `workers`
+/// `parexec` pool workers draining a shared ready queue (dynamic load
+/// balancing — idle workers take whatever is ready, Dask's work-stealing
+/// behaviour).
 pub struct DaskClient {
     workers: usize,
     graph: Mutex<Vec<Node>>,
@@ -194,15 +196,17 @@ impl DaskClient {
 
     /// Run the pending subgraph reachable from `targets`.
     ///
-    /// The worker pool below is the simulated engine's own work-stealing
-    /// executor (the paper's Dask analog), so its spawns and its
-    /// poisoned-lock aborts are the engine boundary, not kernel code.
-    // scilint: allow(F001, worker-pool lock poisoning and ran-twice/dep-done invariants abort the scheduler by design; TODO(flow): route through morsel pool once engines share it)
-    // scilint: allow(F004, this scope.spawn IS the simulated Dask work-stealing pool, the engine's executor boundary)
+    /// `min(workers, pending)` pool workers each drain one shared ready
+    /// queue, so any idle worker takes any ready task (Dask's stealing). A
+    /// panicking task wakes its peers, which stop, and the pool re-raises
+    /// the task's own payload on the caller.
+    // scilint: allow(F001, ready-queue lock poisoning and ran-twice/dep-done invariants abort the scheduler by design)
     fn execute(&self, targets: &[usize]) {
         *self.barrier_counter() += 1;
-        // Collect the incomplete subgraph.
+        // Collect the incomplete subgraph and its dependency counts.
         let mut needed: Vec<usize> = Vec::new();
+        let mut pending: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut dependents: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         {
             let graph = self.graph();
             let mut stack: Vec<usize> = targets.to_vec();
@@ -215,18 +219,6 @@ impl DaskClient {
                 needed.push(n);
                 stack.extend_from_slice(&graph[n].deps);
             }
-        }
-        if needed.is_empty() {
-            return;
-        }
-
-        // Dependency counts within the pending set.
-        let mut pending: std::collections::BTreeMap<usize, usize> =
-            std::collections::BTreeMap::new();
-        let mut dependents: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        {
-            let graph = self.graph();
             for &n in &needed {
                 let unmet = graph[n]
                     .deps
@@ -241,79 +233,83 @@ impl DaskClient {
                 }
             }
         }
-
-        struct Shared {
-            queue: Mutex<(VecDeque<usize>, usize)>, // (ready, remaining)
-            cv: Condvar,
+        if needed.is_empty() {
+            return;
         }
-        let shared = Arc::new(Shared {
-            queue: Mutex::new((
-                needed.iter().copied().filter(|n| pending[n] == 0).collect(),
-                needed.len(),
-            )),
-            cv: Condvar::new(),
-        });
-        let pending = Arc::new(Mutex::new(pending));
-        let dependents = Arc::new(dependents);
 
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(needed.len()) {
-                let shared = Arc::clone(&shared);
-                let pending = Arc::clone(&pending);
-                let dependents = Arc::clone(&dependents);
-                scope.spawn(move || loop {
-                    // Steal the next ready task from the shared queue.
-                    let task = {
-                        let mut q = shared.queue.lock().expect("queue lock poisoned");
-                        loop {
-                            if q.1 == 0 {
-                                shared.cv.notify_all();
-                                return;
-                            }
-                            if let Some(t) = q.0.pop_front() {
-                                break t;
-                            }
-                            q = shared.cv.wait(q).expect("queue lock poisoned");
+        /// The barrier's scheduling state, under one lock.
+        struct Queue {
+            ready: VecDeque<usize>,
+            /// Unmet dependency count per pending task.
+            pending: BTreeMap<usize, usize>,
+            /// Tasks not yet finished.
+            remaining: usize,
+            /// A task panicked; every worker stops.
+            aborted: bool,
+        }
+        /// Sets `aborted` and wakes every peer when its worker unwinds.
+        struct AbortOnPanic<'a>(&'a Mutex<Queue>, &'a Condvar);
+        impl Drop for AbortOnPanic<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .aborted = true;
+                    self.1.notify_all();
+                }
+            }
+        }
+        let queue = Mutex::new(Queue {
+            ready: needed.iter().copied().filter(|n| pending[n] == 0).collect(),
+            pending,
+            remaining: needed.len(),
+            aborted: false,
+        });
+        let wake = Condvar::new();
+
+        let workers = self.workers.min(needed.len());
+        MorselPool::new(Parallelism::threads(workers)).map_ranges(workers, |_, _| {
+            let _abort = AbortOnPanic(&queue, &wake);
+            loop {
+                // Steal the next ready task from the shared queue.
+                let task = {
+                    let mut q = queue.lock().expect("queue lock poisoned");
+                    loop {
+                        if q.remaining == 0 || q.aborted {
+                            return;
                         }
-                    };
-                    // Take the function + argument snapshots under the lock,
-                    // run outside it.
-                    let (func, args) = {
-                        let mut graph = self.graph();
-                        let func = graph[task].func.take().expect("task ran twice");
-                        let args: Vec<AnyValue> = graph[task]
-                            .deps
-                            .iter()
-                            .map(|&d| Arc::clone(graph[d].result.as_ref().expect("dep done")))
-                            .collect();
-                        (func, args)
-                    };
-                    let value = func(&args);
-                    {
-                        let mut graph = self.graph();
-                        graph[task].result = Some(value);
-                    }
-                    // Release dependents.
-                    let mut newly_ready: Vec<usize> = Vec::new();
-                    if let Some(deps) = dependents.get(&task) {
-                        let mut p = pending.lock().expect("pending lock poisoned");
-                        for &d in deps {
-                            let c = p.get_mut(&d).expect("tracked");
-                            *c -= 1;
-                            if *c == 0 {
-                                newly_ready.push(d);
-                            }
+                        if let Some(t) = q.ready.pop_front() {
+                            break t;
                         }
+                        q = wake.wait(q).expect("queue lock poisoned");
                     }
-                    {
-                        let mut q = shared.queue.lock().expect("queue lock poisoned");
-                        q.1 -= 1;
-                        for d in newly_ready {
-                            q.0.push_back(d);
-                        }
-                        shared.cv.notify_all();
+                };
+                // Take the function + argument snapshots under the lock,
+                // run outside it.
+                let (func, args) = {
+                    let mut graph = self.graph();
+                    let func = graph[task].func.take().expect("task ran twice");
+                    let args: Vec<AnyValue> = graph[task]
+                        .deps
+                        .iter()
+                        .map(|&d| Arc::clone(graph[d].result.as_ref().expect("dep done")))
+                        .collect();
+                    (func, args)
+                };
+                let value = func(&args);
+                self.graph()[task].result = Some(value);
+                // Release dependents.
+                let mut q = queue.lock().expect("queue lock poisoned");
+                q.remaining -= 1;
+                for &d in dependents.get(&task).into_iter().flatten() {
+                    let c = q.pending.get_mut(&d).expect("tracked");
+                    *c -= 1;
+                    if *c == 0 {
+                        q.ready.push_back(d);
                     }
-                });
+                }
+                wake.notify_all();
             }
         });
     }
@@ -420,6 +416,30 @@ mod tests {
         let vals = client.compute_many(&xs);
         assert_eq!(vals, vec![0, 1, 4, 9, 16]);
         assert_eq!(client.barrier_count(), 1);
+    }
+
+    #[test]
+    fn task_panic_stops_every_worker_and_keeps_its_message() {
+        // Run each width on a helper thread so a scheduler that hangs after
+        // a task panic fails this test instead of stalling the suite.
+        for workers in [1usize, 2, 4] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let client = DaskClient::new(workers);
+                let a = client.delayed(|| -> u32 { panic!("task a failed") });
+                let b = client.delayed(|| 2u32);
+                let c = client.delayed_zip(a, b, |x, y| x + y);
+                let payload =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client.result(c)))
+                        .expect_err("the task panicked");
+                let msg = payload.downcast_ref::<&str>().map(|m| m.to_string());
+                let _ = tx.send(msg);
+            });
+            let msg = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("execute hung after a task panic at {workers} workers"));
+            assert_eq!(msg.as_deref(), Some("task a failed"), "workers={workers}");
+        }
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!   and blocks. Users must reason about where to place these barriers.
 //! * **No persistence layer** — computed values stay in the graph where
 //!   they were produced; there is no storage/caching service.
-//! * **Dynamic scheduling with work stealing** — the eager executor drains
-//!   a shared ready queue with a thread pool (any idle worker takes any
-//!   ready task); the cost model charges Dask's aggressive stealing via
-//!   [`TaskGraphEngineProfile::steal_cost`], which erodes efficiency at
-//!   larger cluster sizes (Figure 10g).
+//! * **Dynamic scheduling with work stealing** — the eager executor's
+//!   `parexec` pool workers drain one shared ready queue (any idle worker
+//!   takes any ready task); the cost model charges Dask's aggressive
+//!   stealing via [`TaskGraphEngineProfile::steal_cost`], which erodes
+//!   efficiency at larger cluster sizes (Figure 10g).
 //! * **Manual data placement for ingest** — the scheduler does not know
 //!   download sizes, so users assign subjects to machines explicitly
 //!   (Figure 11's flat Dask ingest curve); see the harness's ingest

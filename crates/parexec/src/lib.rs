@@ -40,10 +40,10 @@
 //! No `unsafe` (the workspace lint wall denies it): mutable-buffer sharing
 //! uses `slice::chunks_mut` to obtain disjoint `&mut [T]` borrows parked in
 //! take-once slots, and [`std::thread::scope`] makes borrowing from the
-//! caller's stack sound. All thread spawning lives in the [`MorselPool`]
-//! internals (`morsel.rs` — the single sanctioned spawn site, enforced by
-//! scilint rule D004). A panic in any worker is re-raised on the calling
-//! thread with its original payload.
+//! caller's stack sound. All thread spawning in the workspace lives in the
+//! [`MorselPool`] internals (`morsel.rs` — the single sanctioned spawn
+//! site, enforced by scilint rules D004 and F004). A panic in any worker is
+//! re-raised on the calling thread with its original payload.
 
 use std::num::NonZeroUsize;
 

@@ -10,9 +10,10 @@
 //! the result goes, which is the whole determinism argument: output is
 //! bit-identical to the serial scan at any worker count.
 //!
-//! This module is the crate's **only** thread-spawn site (scilint rule D004
-//! enforces that); the public `par_*` primitives in the crate root and the
-//! [`crate::pipeline`] stage overlap are thin layers over it.
+//! This module is the workspace's **only** thread-spawn site (scilint rule
+//! D004 enforces that inside parexec, sciflow F004 everywhere else); the
+//! public `par_*` primitives in the crate root, the [`crate::pipeline`]
+//! stage overlap and the engine analogs' executors are layers over it.
 
 use crate::Parallelism;
 use std::ops::Range;

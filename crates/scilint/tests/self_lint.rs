@@ -4,13 +4,16 @@
 
 use std::path::Path;
 
-#[test]
-fn workspace_including_scilint_itself_is_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
-        .expect("crates/scilint sits two levels below the workspace root");
-    let report = scilint::analyze_workspace(root).expect("workspace readable");
+        .expect("crates/scilint sits two levels below the workspace root")
+}
+
+#[test]
+fn workspace_including_scilint_itself_is_clean() {
+    let report = scilint::analyze_workspace(workspace_root()).expect("workspace readable");
     assert!(
         report.files > 100,
         "walker found too few files — layout changed?"
@@ -31,16 +34,32 @@ fn workspace_including_scilint_itself_is_clean() {
 }
 
 #[test]
+fn morsel_pool_is_the_only_spawn_site() {
+    // Every engine analog schedules its tasks on `parexec::MorselPool`, so
+    // no spawn anywhere needs sanctioning: a new one outside `morsel.rs`
+    // must be routed through the pool, not allowed.
+    let report = scilint::analyze_workspace(workspace_root()).expect("workspace readable");
+    for rule in ["F004", "D004"] {
+        assert!(
+            !report.suppressed.contains_key(rule),
+            "{rule} allows in the workspace: {:?}",
+            report.suppressed
+        );
+    }
+    assert_eq!(
+        report.flow_stats.tagged["spawns"], 0,
+        "functions that reach a spawn outside the morsel pool"
+    );
+}
+
+#[test]
 fn reports_are_deterministic_across_runs() {
     // The linter gates CI, so its output must be byte-stable: BTree maps
     // throughout, function ids in (path, token) order, findings tie-broken
     // by (path, line, rule). Two independent runs over the workspace must
     // serialize identically in both schemas, and agree on every purity
     // verdict, witness and sink location.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/scilint sits two levels below the workspace root");
+    let root = workspace_root();
     let first = scilint::analyze_workspace(root).expect("workspace readable");
     let second = scilint::analyze_workspace(root).expect("workspace readable");
     assert_eq!(first.to_json(), second.to_json(), "scilint/v1 drifted");
