@@ -8,6 +8,7 @@
 //! of the same case must produce the same fingerprint because the kernels
 //! guarantee bit-identical outputs at every worker count.
 
+use scibench_core::usecases::astro::astro_params;
 use scibench_core::usecases::neuro::nlm_params;
 use sciops::astro::coadd::Coadd;
 use sciops::astro::pipeline::{create_patches, merge_visit_pieces};
@@ -203,14 +204,22 @@ pub fn suite() -> Vec<KernelCase> {
         });
     }
 
+    // Background estimation runs the shipped calibration parameters on one
+    // exposure of the suite's `astro` sensor geometry.
     {
-        let survey = SkySurvey::generate(103, &SkySpec::test_scale());
+        let spec = SkySpec {
+            sensor_width: 112,
+            sensor_height: 112,
+            n_visits: 8,
+            n_sources: 60,
+            cosmic_rays_per_sensor: 4,
+            patch_size: 64,
+            ..SkySpec::test_scale()
+        };
+        let survey = SkySurvey::generate(103, &spec);
         let flux = survey.visits[0][0].flux.clone();
         let shape = format!("{}x{}", flux.dims()[0], flux.dims()[1]);
-        let params = sciops::astro::BackgroundParams {
-            cell_size: 8,
-            ..Default::default()
-        };
+        let params = astro_params().0.background;
         cases.push(KernelCase {
             name: "background_estimate",
             shape,

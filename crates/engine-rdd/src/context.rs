@@ -15,13 +15,19 @@ pub const DEFAULT_BLOCK_BYTES: u64 = 128 * 1024 * 1024;
 pub struct SparkContext;
 
 impl SparkContext {
-    /// Connect to the cluster. Each action runs one task per partition.
+    /// Connect to the cluster. Each action runs one task per partition, on
+    /// the task slots of the job it belongs to (see
+    /// [`SparkContext::parallelize`]).
     pub fn new() -> SparkContext {
         SparkContext
     }
 
     /// Distribute a local collection into `num_partitions` partitions
-    /// (round-robin, like Spark's `parallelize` slicing).
+    /// (round-robin, like Spark's `parallelize` slicing). The slice count
+    /// is also the job's task-slot count: every RDD derived from the
+    /// result runs each stage's partition tasks on at most
+    /// `num_partitions` pool workers, however many partitions a later
+    /// shuffle creates.
     pub fn parallelize<T: Clone + Send + Sync + 'static>(
         &self,
         items: Vec<T>,
@@ -32,7 +38,7 @@ impl SparkContext {
         for (i, item) in items.into_iter().enumerate() {
             partitions[i % p].push(item);
         }
-        Rdd::from_partitions(partitions)
+        Rdd::from_partitions(partitions, p)
     }
 
     /// Partition count chosen when the user does not specify one: one per

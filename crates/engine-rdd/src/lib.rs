@@ -21,8 +21,14 @@
 //!   serialization boundary in the cost model; the eager executor runs
 //!   closures natively and counts the crossings.
 //!
-//! The eager executor really computes, one `parexec` pool worker per
-//! partition task in [`Rdd::collect`]; [`RddEngineProfile`] exports the
+//! * **Task slots** — a job runs on as many slots as
+//!   [`SparkContext::parallelize`] sliced its input into. Each stage's
+//!   partition tasks ([`Rdd::collect`], [`Rdd::count`] and the map side of
+//!   every shuffle) run on `min(partitions, slots)` `parexec` pool
+//!   workers, so extra partitions queue for a slot instead of adding
+//!   threads (Figure 14: gains stop once partitions pass the slot count).
+//!
+//! The eager executor really computes; [`RddEngineProfile`] exports the
 //! scheduling/overhead constants the benchmark harness uses to lower RDD
 //! jobs onto `simcluster`.
 //!

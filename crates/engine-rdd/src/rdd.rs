@@ -1,6 +1,6 @@
 //! Lazy, partitioned, lineage-carrying collections.
 
-use parexec::{MorselPool, Parallelism};
+use parexec::{CostHint, MorselPool, Parallelism};
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
@@ -19,14 +19,20 @@ trait RddImpl<T>: Send + Sync {
 /// materialization; wide ones (`group_by_key`, `reduce_by_key`,
 /// `repartition`) introduce a shuffle that materializes every parent
 /// partition first — a stage barrier, exactly as in Spark.
+///
+/// Every RDD carries its job's task-slot count, set where
+/// [`crate::SparkContext::parallelize`] created the job's input: each stage
+/// runs its partition tasks on at most that many pool workers.
 pub struct Rdd<T> {
     inner: Arc<dyn RddImpl<T>>,
+    task_slots: usize,
 }
 
 impl<T> Clone for Rdd<T> {
     fn clone(&self) -> Self {
         Rdd {
             inner: Arc::clone(&self.inner),
+            task_slots: self.task_slots,
         }
     }
 }
@@ -134,13 +140,14 @@ where
         if let Some(m) = guard.as_ref() {
             return Arc::clone(m);
         }
-        // Barrier: compute every parent partition, then bucket by key hash.
-        // BTreeMap keeps each bucket key-ordered, so shuffle output is
-        // deterministic regardless of any hash seed.
+        // Barrier: compute every parent partition on the job's slots (the
+        // map side), then bucket by key hash in partition order. BTreeMap
+        // keeps each bucket key-ordered, so shuffle output is deterministic
+        // regardless of any hash seed or task schedule.
         let mut buckets: Vec<BTreeMap<K, Vec<V>>> =
             (0..self.partitions).map(|_| BTreeMap::new()).collect();
-        for p in 0..self.parent.inner.num_partitions() {
-            for (k, v) in self.parent.inner.compute(p) {
+        for records in self.parent.run_tasks(|records| records) {
+            for (k, v) in records {
                 let b = bucket_of(&k, self.partitions);
                 buckets[b].entry(k).or_default().push(v);
             }
@@ -195,10 +202,20 @@ impl<T: Clone + Send + Sync + 'static> RddImpl<T> for CachedRdd<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> Rdd<T> {
-    /// Build an RDD from explicit partitions (used by `SparkContext`).
-    pub(crate) fn from_partitions(partitions: Vec<Vec<T>>) -> Rdd<T> {
+    /// Build an RDD from explicit partitions whose job runs on `slots` task
+    /// slots (used by `SparkContext`).
+    pub(crate) fn from_partitions(partitions: Vec<Vec<T>>, slots: usize) -> Rdd<T> {
         Rdd {
             inner: Arc::new(Parallelized { partitions }),
+            task_slots: slots,
+        }
+    }
+
+    /// An RDD of the same job, computed by `inner`.
+    fn derive<U>(&self, inner: Arc<dyn RddImpl<U>>) -> Rdd<U> {
+        Rdd {
+            inner,
+            task_slots: self.task_slots,
         }
     }
 
@@ -207,17 +224,35 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         self.inner.num_partitions()
     }
 
+    /// Run one task per partition, `task` applied to the partition's
+    /// records, on `min(partitions, slots)` pool workers; idle workers
+    /// claim the next partition. Results come back in partition order
+    /// whatever the schedule, and a task's panic reaches the caller with
+    /// its own payload, mirroring Spark task failure.
+    fn run_tasks<O: Send>(&self, task: impl Fn(Vec<T>) -> O + Sync) -> Vec<O> {
+        let n = self.num_partitions();
+        let workers = Parallelism::threads(n.min(self.task_slots).max(1));
+        let one_partition_per_task = CostHint::uniform().with_max_items(1);
+        MorselPool::with_hint(workers, one_partition_per_task)
+            .map_ranges(n, |_, parts| {
+                parts
+                    .map(|p| task(self.inner.compute(p)))
+                    .collect::<Vec<O>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
     /// Narrow transformation: apply `f` to each record.
     pub fn map<U: Clone + Send + Sync + 'static>(
         &self,
         f: impl Fn(T) -> U + Send + Sync + 'static,
     ) -> Rdd<U> {
-        Rdd {
-            inner: Arc::new(MapRdd {
-                parent: self.clone(),
-                f: Arc::new(f),
-            }),
-        }
+        self.derive(Arc::new(MapRdd {
+            parent: self.clone(),
+            f: Arc::new(f),
+        }))
     }
 
     /// Narrow transformation: apply `f` producing zero or more records each.
@@ -225,56 +260,42 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         &self,
         f: impl Fn(T) -> Vec<U> + Send + Sync + 'static,
     ) -> Rdd<U> {
-        Rdd {
-            inner: Arc::new(FlatMapRdd {
-                parent: self.clone(),
-                f: Arc::new(f),
-            }),
-        }
+        self.derive(Arc::new(FlatMapRdd {
+            parent: self.clone(),
+            f: Arc::new(f),
+        }))
     }
 
     /// Narrow transformation: keep records satisfying `f`.
     pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Rdd<T> {
-        Rdd {
-            inner: Arc::new(FilterRdd {
-                parent: self.clone(),
-                f: Arc::new(f),
-            }),
-        }
+        self.derive(Arc::new(FilterRdd {
+            parent: self.clone(),
+            f: Arc::new(f),
+        }))
     }
 
     /// Pin computed partitions in memory (Spark `.cache()`).
     pub fn cache(&self) -> Rdd<T> {
         let n = self.num_partitions();
-        Rdd {
-            inner: Arc::new(CachedRdd {
-                parent: self.clone(),
-                slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            }),
-        }
+        self.derive(Arc::new(CachedRdd {
+            parent: self.clone(),
+            slots: (0..n).map(|_| Mutex::new(None)).collect(),
+        }))
     }
 
-    /// Action: materialize every partition and concatenate, one pool worker
-    /// per partition task. A task's panic reaches the caller with its own
-    /// payload, mirroring Spark task failure.
+    /// Action: materialize every partition on the job's task slots and
+    /// concatenate in partition order. A task's panic reaches the caller
+    /// with its own payload, mirroring Spark task failure.
     pub fn collect(&self) -> Vec<T> {
-        let n = self.num_partitions();
-        MorselPool::new(Parallelism::threads(n.max(1)))
-            .map_ranges(n, |_, parts| {
-                parts
-                    .flat_map(|p| self.inner.compute(p))
-                    .collect::<Vec<T>>()
-            })
+        self.run_tasks(|records| records)
             .into_iter()
             .flatten()
             .collect()
     }
 
-    /// Action: number of records.
+    /// Action: number of records, counted on the job's task slots.
     pub fn count(&self) -> usize {
-        (0..self.num_partitions())
-            .map(|p| self.inner.compute(p).len())
-            .sum()
+        self.run_tasks(|records| records.len()).into_iter().sum()
     }
 }
 
@@ -286,13 +307,11 @@ where
     /// Wide transformation: group records by key into `partitions` output
     /// partitions (a shuffle with a stage barrier).
     pub fn group_by_key(&self, partitions: usize) -> Rdd<(K, Vec<V>)> {
-        Rdd {
-            inner: Arc::new(ShuffledRdd {
-                parent: self.clone(),
-                partitions: partitions.max(1),
-                materialized: Mutex::new(None),
-            }),
-        }
+        self.derive(Arc::new(ShuffledRdd {
+            parent: self.clone(),
+            partitions: partitions.max(1),
+            materialized: Mutex::new(None),
+        }))
     }
 
     /// Wide transformation: combine values per key with `f`.
@@ -348,7 +367,7 @@ where
             }
             joined.push(out);
         }
-        Rdd::from_partitions(joined)
+        Rdd::from_partitions(joined, self.task_slots)
     }
 }
 
@@ -362,7 +381,7 @@ mod tests {
         for i in 0..n {
             partitions[i % parts].push((i % 4, i));
         }
-        Rdd::from_partitions(partitions)
+        Rdd::from_partitions(partitions, parts)
     }
 
     #[test]

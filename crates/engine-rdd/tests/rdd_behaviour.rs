@@ -5,6 +5,7 @@ use engine_rdd::{SparkContext, DEFAULT_BLOCK_BYTES};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn shuffle_is_deterministic_across_runs() {
@@ -185,4 +186,35 @@ fn join_produces_cross_product_per_key() {
     let right = sc.parallelize(vec![(0u8, 10), (0, 20), (0, 30)], 2);
     let out = left.join(&right, 2).collect();
     assert_eq!(out.len(), 6);
+}
+
+#[test]
+fn stages_run_on_the_jobs_task_slots() {
+    // A job parallelized into two slices runs every stage on two task
+    // slots: the shuffle's map side over the two slices, and the 64 tasks
+    // after the shuffle, however many partitions a stage has.
+    let running = Arc::new(AtomicUsize::new(0));
+    let most = Arc::new(AtomicUsize::new(0));
+    let task = {
+        let (running, most) = (Arc::clone(&running), Arc::clone(&most));
+        move |x: u32| {
+            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+            most.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(1));
+            running.fetch_sub(1, Ordering::SeqCst);
+            x
+        }
+    };
+    let map_side = task.clone();
+    let sc = SparkContext::new();
+    let groups = sc
+        .parallelize((0..256u32).collect::<Vec<_>>(), 2)
+        .map(move |i| (map_side(i) % 128, i))
+        .group_by_key(64)
+        .map(move |(k, vs)| (task(k), vs.len()))
+        .collect();
+    assert_eq!(groups.len(), 128);
+    assert_eq!(groups.iter().map(|(_, n)| n).sum::<usize>(), 256);
+    let most = most.load(Ordering::SeqCst);
+    assert!(most <= 2, "{most} tasks ran at once on a two-slot job");
 }

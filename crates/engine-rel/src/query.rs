@@ -303,7 +303,7 @@ impl Query {
                         .ok_or_else(|| QueryError::UnknownFunction(udf.clone()))?;
                     let arg_ix: Vec<usize> =
                         args.iter().map(|a| col(s, a)).collect::<Result<_, _>>()?;
-                    for frag in &mut fragments {
+                    per_fragment(&mut fragments, |frag| {
                         *frag = frag
                             .iter()
                             .flat_map(|t| {
@@ -313,7 +313,7 @@ impl Query {
                                 f(&argv)
                             })
                             .collect();
-                    }
+                    });
                     let cols: Vec<(&str, ValueType)> =
                         out.iter().map(|(n, t)| (n.as_str(), *t)).collect();
                     schema = Some(Schema::new(&cols));
@@ -601,7 +601,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "myria udf failed on 5")]
     fn udf_panic_reaches_the_caller_with_its_message() {
         let conn = conn_with_images();
         conn.create_function("Boom", |args| {
@@ -609,9 +608,25 @@ mod tests {
             assert!(id != 5, "myria udf failed on {id}");
             Value::Int(id)
         });
-        let _ = Query::scan("Images")
-            .apply("Boom", &["imgId"], &[], "id", ValueType::Int)
-            .execute(&conn);
+        conn.create_table_function("TableBoom", |args| {
+            let id = args[0].as_int();
+            assert!(id != 7, "myria table udf failed on {id}");
+            vec![vec![Value::Int(id)]]
+        });
+        let panic_message = |query: Query| -> String {
+            let run = std::panic::AssertUnwindSafe(|| query.execute(&conn));
+            let payload =
+                std::panic::catch_unwind(run).expect_err("the udf panic reaches the caller");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        };
+        let apply = Query::scan("Images").apply("Boom", &["imgId"], &[], "id", ValueType::Int);
+        assert_eq!(panic_message(apply), "myria udf failed on 5");
+        let flat_apply =
+            Query::scan("Images").flat_apply("TableBoom", &["imgId"], &[("id", ValueType::Int)]);
+        assert_eq!(panic_message(flat_apply), "myria table udf failed on 7");
     }
 
     #[test]

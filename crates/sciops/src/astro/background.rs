@@ -79,35 +79,30 @@ pub fn estimate_background_par(
 
     // Bilinear interpolation between cell centers, one pixel row per slab.
     let mut out = NdArray::zeros(&[rows, cols]);
-    let center = |m: usize| (m * cell) as f64 + (cell as f64 - 1.0) / 2.0;
     if cols == 0 {
         return out;
     }
-    par_chunks_mut(out.data_mut(), cols, par, |r, out_row| {
-        // Fractional mesh-row position of this pixel row.
-        let fr = if mesh_rows == 1 {
+    // Fractional mesh position of pixel `i` along an axis of `mesh_len`
+    // cells, measured from the first cell's center: the two neighbouring
+    // cells and the weight of the second.
+    let center0 = (cell as f64 - 1.0) / 2.0;
+    let weights = |i: usize, mesh_len: usize| -> (usize, usize, f64) {
+        let f = if mesh_len == 1 {
             0.0
         } else {
-            (((r as f64) - center(0)) / cell as f64).clamp(0.0, (mesh_rows - 1) as f64)
+            (((i as f64) - center0) / cell as f64).clamp(0.0, (mesh_len - 1) as f64)
         };
-        let mr0 = fr.floor() as usize;
-        let mr1 = (mr0 + 1).min(mesh_rows - 1);
-        let tr = fr - mr0 as f64;
-        for (c, slot) in out_row.iter_mut().enumerate() {
-            let fc = if mesh_cols == 1 {
-                0.0
-            } else {
-                (((c as f64) - center(0)) / cell as f64).clamp(0.0, (mesh_cols - 1) as f64)
-            };
-            let mc0 = fc.floor() as usize;
-            let mc1 = (mc0 + 1).min(mesh_cols - 1);
-            let tc = fc - mc0 as f64;
-            let v00 = mesh[mr0 * mesh_cols + mc0];
-            let v01 = mesh[mr0 * mesh_cols + mc1];
-            let v10 = mesh[mr1 * mesh_cols + mc0];
-            let v11 = mesh[mr1 * mesh_cols + mc1];
-            let top = v00 * (1.0 - tc) + v01 * tc;
-            let bottom = v10 * (1.0 - tc) + v11 * tc;
+        let m0 = f.floor() as usize;
+        (m0, (m0 + 1).min(mesh_len - 1), f - m0 as f64)
+    };
+    // Column weights depend only on the column, so compute them once.
+    let col_weights: Vec<(usize, usize, f64)> = (0..cols).map(|c| weights(c, mesh_cols)).collect();
+    par_chunks_mut(out.data_mut(), cols, par, |r, out_row| {
+        let (mr0, mr1, tr) = weights(r, mesh_rows);
+        let (top_row, bottom_row) = (&mesh[mr0 * mesh_cols..], &mesh[mr1 * mesh_cols..]);
+        for (slot, &(mc0, mc1, tc)) in out_row.iter_mut().zip(&col_weights) {
+            let top = top_row[mc0] * (1.0 - tc) + top_row[mc1] * tc;
+            let bottom = bottom_row[mc0] * (1.0 - tc) + bottom_row[mc1] * tc;
             *slot = top * (1.0 - tr) + bottom * tr;
         }
     });

@@ -4,8 +4,8 @@
 //! engines' outputs are validated against it.
 
 use crate::astro::calib::{calibrate_exposure, CalibParams};
-use crate::astro::coadd::{coadd_sigma_clip_par, Coadd, CoaddParams};
-use crate::astro::detect::{detect_sources_par, DetectParams, Source};
+use crate::astro::coadd::{coadd_sigma_clip, Coadd, CoaddParams};
+use crate::astro::detect::{detect_sources, DetectParams, Source};
 use crate::astro::geometry::{Exposure, PatchGrid, PatchId};
 use parexec::{par_map_slabs, Parallelism};
 use std::collections::BTreeMap;
@@ -90,10 +90,13 @@ pub fn reference_pipeline(
 }
 
 /// [`reference_pipeline`] with explicit intra-node parallelism: calibration
-/// fans out over exposures, and each patch's co-add and detection use the
-/// row-parallel kernels. Patch iteration order (BTreeMap) and every
-/// per-pixel accumulation order are unchanged, so output is bit-identical
-/// at every worker count.
+/// fans out over exposures, and co-addition plus detection fan out over
+/// patches, each patch on the serial kernels (as `denoise_all_par` fans
+/// out over volumes). A patch is a whole unit of work, so one fan-out
+/// replaces the several row-parallel rounds per patch that the `_par`
+/// kernels would pay. Every patch is computed by the same serial code at
+/// every worker count and lands in its patch's slot, so output is
+/// bit-identical at every worker count.
 pub fn reference_pipeline_par(
     visits: &[Vec<Exposure>],
     grid: &PatchGrid,
@@ -118,9 +121,11 @@ pub fn reference_pipeline_calibrated(
     reference_pipeline_calibrated_par(calibrated, grid, coadd, detect, Parallelism::Serial)
 }
 
-/// Steps 2A → 4A over already-calibrated exposures. Split out so ingest
-/// paths that overlap decode with calibration (see `parexec::pipeline`) can
-/// join the reference pipeline after Step 1A with bit-identical results.
+/// Steps 2A → 4A over already-calibrated exposures, with Steps 3A + 4A
+/// fanned out per patch as in [`reference_pipeline_par`]. Split out so
+/// ingest paths that overlap decode with calibration (see
+/// `parexec::pipeline`) can join the reference pipeline after Step 1A with
+/// bit-identical results.
 pub fn reference_pipeline_calibrated_par(
     calibrated: Vec<Exposure>,
     grid: &PatchGrid,
@@ -130,7 +135,7 @@ pub fn reference_pipeline_calibrated_par(
 ) -> AstroOutput {
     // Step 2A: flatmap to patches, then merge pieces per (patch, visit).
     let by_patch = create_patches(&calibrated, grid);
-    let mut merged: BTreeMap<PatchId, Vec<Exposure>> = BTreeMap::new();
+    let mut merged: Vec<(PatchId, Vec<Exposure>)> = Vec::with_capacity(by_patch.len());
     for (patch, pieces) in by_patch {
         let patch_box = grid.patch_box(patch);
         let mut by_visit: BTreeMap<u32, Vec<Exposure>> = BTreeMap::new();
@@ -141,22 +146,25 @@ pub fn reference_pipeline_calibrated_par(
             .into_values()
             .map(|pieces| merge_visit_pieces(&patch_box, &pieces))
             .collect();
-        merged.insert(patch, visit_exposures);
+        merged.push((patch, visit_exposures));
     }
 
-    // Step 3A: coadd each patch across visits.
-    let coadds: BTreeMap<PatchId, Coadd> = merged
-        .into_iter()
-        .map(|(patch, exposures)| (patch, coadd_sigma_clip_par(&exposures, coadd, par)))
-        .collect();
-
-    // Step 4A: detect sources per coadd.
-    let catalogs = coadds
-        .iter()
-        .map(|(patch, c)| (*patch, detect_sources_par(c, detect, par)))
-        .collect();
-
-    AstroOutput { coadds, catalogs }
+    // Steps 3A + 4A: coadd each patch across visits, then detect sources
+    // on the coadd, one patch per slab on the serial kernels.
+    let per_patch = par_map_slabs(&merged, par, |_, (patch, exposures)| {
+        let c = coadd_sigma_clip(exposures, coadd);
+        let sources = detect_sources(&c, detect);
+        (*patch, c, sources)
+    });
+    let mut out = AstroOutput {
+        coadds: BTreeMap::new(),
+        catalogs: BTreeMap::new(),
+    };
+    for (patch, c, sources) in per_patch {
+        out.coadds.insert(patch, c);
+        out.catalogs.insert(patch, sources);
+    }
+    out
 }
 
 #[cfg(test)]

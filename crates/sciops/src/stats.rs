@@ -2,16 +2,28 @@
 
 /// Median of a slice (average of middle two for even lengths).
 /// Returns `NaN` for an empty slice.
+///
+/// Selects the middle element in `f64::total_cmp` order instead of
+/// sorting; for an even length the lower middle is the `total_cmp`
+/// maximum of the part below it. `total_cmp` is a total order in which
+/// equal values are equal bit for bit, so the result is exactly that of a
+/// full sort. The slice is left permuted, not sorted.
 pub fn median(values: &mut [f64]) -> f64 {
-    if values.is_empty() {
+    let n = values.len();
+    if n == 0 {
         return f64::NAN;
     }
-    let mid = values.len() / 2;
-    values.sort_unstable_by(f64::total_cmp);
-    if values.len() % 2 == 1 {
-        values[mid]
+    let (lower, upper, _) = values.select_nth_unstable_by(n / 2, f64::total_cmp);
+    if n % 2 == 1 {
+        *upper
     } else {
-        0.5 * (values[mid - 1] + values[mid])
+        // `lower` holds n / 2 >= 1 values, so the fallback never applies.
+        let below = lower
+            .iter()
+            .copied()
+            .max_by(f64::total_cmp)
+            .unwrap_or(*upper);
+        0.5 * (below + *upper)
     }
 }
 
@@ -26,6 +38,30 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
+/// Iterative sigma clipping in place: `iterations` times, drop every
+/// sample more than `kappa` standard deviations from the current mean.
+/// Stops early when nothing or everything would go. Survivors keep their
+/// input order, so [`mean_std`] sums them in the order a filtered copy
+/// would.
+fn sigma_clip(kept: &mut Vec<f64>, kappa: f64, iterations: usize) {
+    for _ in 0..iterations {
+        if kept.len() <= 1 {
+            break;
+        }
+        let (mean, std) = mean_std(kept);
+        // scilint: allow(N001, exact-zero std is mean_std's all-equal-samples sentinel so clipping can never remove anything)
+        if std == 0.0 {
+            break;
+        }
+        let inside = |v: &f64| (v - mean).abs() <= kappa * std;
+        let survivors = kept.iter().filter(|v| inside(v)).count();
+        if survivors == 0 || survivors == kept.len() {
+            break;
+        }
+        kept.retain(inside);
+    }
+}
+
 /// Iteratively sigma-clipped mean: repeatedly discard samples more than
 /// `kappa` standard deviations from the current mean, `iterations` times.
 ///
@@ -33,52 +69,16 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
 /// "computing the mean flux value for each pixel and setting any pixel that
 /// is three standard deviations away from the mean to null", two iterations.
 pub fn sigma_clipped_mean(values: &[f64], kappa: f64, iterations: usize) -> f64 {
-    let mut kept: Vec<f64> = values.to_vec();
-    for _ in 0..iterations {
-        if kept.len() <= 1 {
-            break;
-        }
-        let (mean, std) = mean_std(&kept);
-        // scilint: allow(N001, exact-zero std is mean_std's all-equal-samples sentinel so clipping can never remove anything)
-        if std == 0.0 {
-            break;
-        }
-        let next: Vec<f64> = kept
-            .iter()
-            .copied()
-            .filter(|v| (v - mean).abs() <= kappa * std)
-            .collect();
-        if next.is_empty() || next.len() == kept.len() {
-            break;
-        }
-        kept = next;
-    }
+    let mut kept = values.to_vec();
+    sigma_clip(&mut kept, kappa, iterations);
     mean_std(&kept).0
 }
 
 /// Sigma-clipped median: like [`sigma_clipped_mean`] but returns the median
 /// of the surviving samples (used by background mesh estimation).
 pub fn sigma_clipped_median(values: &[f64], kappa: f64, iterations: usize) -> f64 {
-    let mut kept: Vec<f64> = values.to_vec();
-    for _ in 0..iterations {
-        if kept.len() <= 1 {
-            break;
-        }
-        let (mean, std) = mean_std(&kept);
-        // scilint: allow(N001, exact-zero std is mean_std's all-equal-samples sentinel so clipping can never remove anything)
-        if std == 0.0 {
-            break;
-        }
-        let next: Vec<f64> = kept
-            .iter()
-            .copied()
-            .filter(|v| (v - mean).abs() <= kappa * std)
-            .collect();
-        if next.is_empty() || next.len() == kept.len() {
-            break;
-        }
-        kept = next;
-    }
+    let mut kept = values.to_vec();
+    sigma_clip(&mut kept, kappa, iterations);
     median(&mut kept)
 }
 
