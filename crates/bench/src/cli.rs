@@ -17,9 +17,9 @@
 //! source-skewed astro field under morsel claiming and under static
 //! splits and emits `BENCH_skew.json` with per-worker imbalance and steal
 //! counts;
-//! `scibench bench compress` measures per-plane compression ratios at
-//! the engine ingest boundary (mask and variance must pack at least 2x)
-//! and emits `BENCH_compress.json`; `scibench bench serve` replays a seeded
+//! `scibench bench compress` measures the codec ratio of each plane kind
+//! (mask and variance must pack at least 2x) and emits
+//! `BENCH_compress.json`; `scibench bench serve` replays a seeded
 //! hot/cold query schedule against the resident service ([`sciserve`]) —
 //! serial, concurrent, cache-off, and under a halved cache budget that
 //! forces LRU eviction, all fingerprint-identical — and emits
@@ -93,32 +93,9 @@ struct Lint {
     verbose: bool,
     checked: usize,
     failures: Vec<String>,
-    /// Measured static-split worker imbalance from a committed
-    /// `BENCH_skew.json`, when one is present in the working directory:
-    /// raises every engine's P004 skew threshold to what static splits
-    /// actually produced on the measured workload (§5.3.3).
-    measured_imbalance: Option<f64>,
 }
 
 impl Lint {
-    fn new(verbose: bool) -> Self {
-        let measured_imbalance = std::fs::read_to_string("BENCH_skew.json")
-            .ok()
-            .as_deref()
-            .and_then(plancheck::measured_imbalance_from_bench)
-            .filter(|&m| m > 1.0);
-        if let Some(m) = measured_imbalance {
-            println!("lint: P004 skew threshold informed by BENCH_skew.json (measured static imbalance {m:.2}x)");
-        }
-        Lint {
-            setup: Setup::default(),
-            verbose,
-            checked: 0,
-            failures: Vec::new(),
-            measured_imbalance,
-        }
-    }
-
     /// Check one lowered graph. `memory_expected` encodes whether this
     /// configuration is *supposed* to overrun memory; a mismatch in either
     /// direction is a failure.
@@ -130,11 +107,7 @@ impl Lint {
         cluster: &simcluster::ClusterSpec,
         memory_expected: bool,
     ) -> Report {
-        let mut profile = self.setup.profiles.invariants(engine);
-        if let Some(m) = self.measured_imbalance {
-            profile = profile.with_measured_imbalance(m);
-        }
-        let report = check(graph, cluster, &profile);
+        let report = check(graph, cluster, &self.setup.profiles.invariants(engine));
         self.checked += 1;
         let hard: Vec<&plancheck::Diagnostic> =
             report.errors().filter(|d| !d.code.is_memory()).collect();
@@ -169,7 +142,12 @@ impl Lint {
 }
 
 fn lint(verbose: bool) -> i32 {
-    let mut l = Lint::new(verbose);
+    let mut l = Lint {
+        setup: Setup::default(),
+        verbose,
+        checked: 0,
+        failures: Vec::new(),
+    };
 
     // The shipped-configuration catalog: one enumeration shared with the
     // `--memo` cacheability sweep, so the two gates check the same plans.
@@ -491,7 +469,7 @@ fn bench_compress(args: &[String]) -> i32 {
 
     let host = hostinfo::available_parallelism();
     eprintln!(
-        "compress bench: codec ratios at the engine boundary{}...",
+        "compress bench: codec ratios per plane kind{}...",
         if quick { " (quick)" } else { "" }
     );
     let run = compress::run_compress(quick);
@@ -824,9 +802,8 @@ fn usage() -> i32 {
     eprintln!("              imbalance and steal counts");
     eprintln!("              options: [--quick] [--out PATH]");
     eprintln!("  bench compress");
-    eprintln!("              measure per-plane compression ratios at the engine");
-    eprintln!("              boundary (mask and variance >= 2x) and emit");
-    eprintln!("              BENCH_compress.json");
+    eprintln!("              measure the codec ratio of each plane kind (mask and");
+    eprintln!("              variance >= 2x) and emit BENCH_compress.json");
     eprintln!("              options: [--quick] [--out PATH]");
     eprintln!("  bench serve replay a seeded hot/cold query schedule against the");
     eprintln!("              resident service (sciserve): serial, concurrent, cache-off,");

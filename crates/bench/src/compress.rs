@@ -1,15 +1,13 @@
-//! Compression benchmark: per-plane codec ratios at the engine boundary.
+//! Compression benchmark: codec ratios per plane kind.
 //!
-//! One science exposure on a gradient-free sky crosses the boundary plane
-//! by plane through the cost-model heuristic
-//! ([`scibench_core::costmodel::choose_repr`]): the mask and the variance
-//! plane (the read-noise floor plus islands under the sources) pack, and
-//! the flux plane, noise in every pixel, stays dense. The codec ledger over
-//! those crossings rides along. Results serialize as `BENCH_compress.json`
+//! Each plane of one science exposure on a gradient-free sky goes through
+//! [`NdArray::compressed`]: the mask and the variance plane (the
+//! read-noise floor plus islands under the sources) pack, and the flux
+//! plane, noise in every pixel, stays dense. The codec ledger over those
+//! encodes rides along. Results serialize as `BENCH_compress.json`
 //! (schema `scibench-bench-compress/v2`).
 
 use marray::{ChunkRepr, CodecCounter, CodecStats, NdArray};
-use scibench_core::costmodel::{pack_for_boundary, PlaneKind};
 use sciops::synth::sky::{SkySpec, SkySurvey};
 
 /// Science geometry on a gradient-free sky: the variance plane is the
@@ -26,17 +24,17 @@ fn runny_science_spec(quick: bool) -> SkySpec {
     }
 }
 
-/// Compression outcome of one plane crossing an engine boundary.
+/// Compression outcome of one plane.
 #[derive(Debug, Clone)]
 pub struct PlaneRow {
     /// Plane name: `mask`, `variance` or `flux`.
     pub plane: &'static str,
-    /// Representation the cost-model heuristic chose.
+    /// Representation [`NdArray::compressed`] chose.
     pub repr: ChunkRepr,
     /// Dense footprint in bytes.
     pub dense_bytes: u64,
-    /// Stored footprint after the boundary chose (equals `dense_bytes`
-    /// when the heuristic kept the plane dense).
+    /// Stored footprint after compression (equals `dense_bytes` when no
+    /// codec shrinks the plane).
     pub stored_bytes: u64,
     /// `dense_bytes / stored_bytes` — 1.0 for planes that stay dense.
     pub ratio: f64,
@@ -45,24 +43,19 @@ pub struct PlaneRow {
 /// A whole `scibench bench compress` run.
 #[derive(Debug, Clone)]
 pub struct CompressRun {
-    /// Boundary compression per plane kind.
+    /// Compression per plane kind.
     pub planes: Vec<PlaneRow>,
-    /// Codec ledger delta over the plane crossings.
+    /// Codec ledger delta over the planes' encodes.
     pub codec: CodecStats,
 }
 
-fn plane_row<T: marray::Element>(
-    plane: &'static str,
-    arr: &NdArray<T>,
-    kind: PlaneKind,
-) -> PlaneRow {
-    let packed = pack_for_boundary(arr, kind);
-    let chosen = packed.as_ref().unwrap_or(arr);
+fn plane_row<T: marray::Element>(plane: &'static str, arr: &NdArray<T>) -> PlaneRow {
+    let packed = arr.compressed();
     let dense = arr.nbytes() as u64;
-    let stored = chosen.stored_nbytes() as u64;
+    let stored = packed.stored_nbytes() as u64;
     PlaneRow {
         plane,
-        repr: chosen.repr(),
+        repr: packed.repr(),
         dense_bytes: dense,
         stored_bytes: stored,
         ratio: dense as f64 / stored.max(1) as f64,
@@ -77,9 +70,9 @@ pub fn run_compress(quick: bool) -> CompressRun {
     let e = &survey.visits[0][0];
     let codec_before = CodecCounter::snapshot();
     let planes = vec![
-        plane_row("mask", &e.mask, PlaneKind::Mask),
-        plane_row("variance", &e.variance, PlaneKind::Variance),
-        plane_row("flux", &e.flux, PlaneKind::Flux),
+        plane_row("mask", &e.mask),
+        plane_row("variance", &e.variance),
+        plane_row("flux", &e.flux),
     ];
     let codec = CodecCounter::snapshot().since(&codec_before);
     CompressRun { planes, codec }
@@ -138,9 +131,9 @@ mod tests {
     fn plane_rows_hit_the_acceptance_ratios() {
         let survey = SkySurvey::generate(315, &runny_science_spec(true));
         let e = &survey.visits[0][0];
-        let mask = plane_row("mask", &e.mask, PlaneKind::Mask);
-        let var = plane_row("variance", &e.variance, PlaneKind::Variance);
-        let flux = plane_row("flux", &e.flux, PlaneKind::Flux);
+        let mask = plane_row("mask", &e.mask);
+        let var = plane_row("variance", &e.variance);
+        let flux = plane_row("flux", &e.flux);
         assert!(mask.ratio >= 2.0, "mask ratio {}", mask.ratio);
         assert!(var.ratio >= 2.0, "variance ratio {}", var.ratio);
         assert_eq!(flux.repr, ChunkRepr::Dense);

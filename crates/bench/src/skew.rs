@@ -19,7 +19,7 @@
 //!   actual threaded run. Honest but noisy; on a one-core host a single
 //!   worker can drain the whole cursor before the others are scheduled.
 //!
-//! Results serialize as `BENCH_skew.json` (schema `scibench-bench-skew/v1`).
+//! Results serialize as `BENCH_skew.json` (schema `scibench-bench-skew/v2`).
 
 use crate::kernels::Fingerprint;
 use parexec::{imbalance_ratio, simulate_workers, MorselPool, Parallelism, PoolStats, Schedule};
@@ -286,12 +286,12 @@ fn cell_json(c: &SkewCell) -> String {
 }
 
 /// Render a skew run as the `BENCH_skew.json` document
-/// (schema `scibench-bench-skew/v1`). Hand-rolled like the other bench
+/// (schema `scibench-bench-skew/v2`). Hand-rolled like the other bench
 /// emitters: no JSON dependency in the workspace.
 pub fn results_to_json(run: &SkewRun, host_parallelism: usize, quick: bool) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"scibench-bench-skew/v1\",\n");
+    out.push_str("  \"schema\": \"scibench-bench-skew/v2\",\n");
     out.push_str(&crate::hostinfo::host_block(host_parallelism));
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"patches\": {},\n", run.patches));
@@ -309,22 +309,6 @@ pub fn results_to_json(run: &SkewRun, host_parallelism: usize, quick: bool) -> S
         ));
     }
     out.push_str("  ],\n");
-    // The summary block is what plancheck's skew-awareness pass reads:
-    // the static imbalance at the widest sweep point is the skew a
-    // non-morsel engine would see on this workload.
-    if let Some(last) = run.results.last() {
-        out.push_str("  \"summary\": {\n");
-        out.push_str(&format!("    \"workers\": {},\n", last.workers));
-        out.push_str(&format!(
-            "    \"model_imbalance_morsel\": {:.4},\n",
-            last.morsel.model_imbalance
-        ));
-        out.push_str(&format!(
-            "    \"model_imbalance_static\": {:.4}\n",
-            last.static_split.model_imbalance
-        ));
-        out.push_str("  },\n");
-    }
     out.push_str("  \"predicted_scaling\": [\n");
     for (i, (t, s)) in run.predicted_scaling.iter().enumerate() {
         out.push_str(&format!(
@@ -451,10 +435,11 @@ mod tests {
             predicted_scaling: vec![(1, 1.0), (4, 3.2)],
         };
         let json = results_to_json(&run, 1, true);
-        assert!(json.contains("\"schema\": \"scibench-bench-skew/v1\""));
+        assert!(json.contains("\"schema\": \"scibench-bench-skew/v2\""));
         assert!(json.contains("\"single_core_host\": true"));
         assert!(json.contains("\"model_imbalance\": 1.0500"));
-        assert!(json.contains("\"model_imbalance_static\": 2.4000"));
+        assert!(json.contains("\"model_imbalance\": 2.4000"));
+        assert!(!json.contains("\"summary\""));
         assert!(json.contains("\"per_worker_morsels\": [3, 2, 2, 2]"));
         assert!(json.contains("\"predicted_scaling\""));
         assert!(json.contains("[4, 3.2000]"));

@@ -144,61 +144,6 @@ impl CostModel {
     }
 }
 
-/// What a plane holds, as known at an engine boundary — the prior the
-/// chunk-representation heuristic combines with a measured run length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlaneKind {
-    /// Mask bits (0 = good): overwhelmingly constant, often a single run.
-    Mask,
-    /// Per-pixel variance: a constant read-noise floor except under
-    /// sources — long runs on calibrated detectors.
-    Variance,
-    /// Flux / image payload: noise in every pixel, effectively
-    /// incompressible; only strongly runny planes (zero-padded patch
-    /// borders) are worth an encode pass.
-    Flux,
-    /// Anything else (labels, model outputs, staging buffers).
-    Other,
-}
-
-/// Should a chunk of `kind` attempt compression before crossing the next
-/// engine boundary, given the mean bit-pattern run length measured on a
-/// sample of it ([`marray::codec::mean_run_len`])?
-///
-/// The thresholds mirror the codecs' break-even points: an RLE run of
-/// f64s stores 12 bytes (4-byte count + 8-byte value) against 8 bytes per
-/// dense element, so RLE shrinks once runs average >1.5 elements. Masks
-/// always try — they are tiny and usually a single Const run. Flux pays a
-/// full encode scan that almost never shrinks, so it needs clear run
-/// structure before the pass is worth scheduling.
-pub fn choose_repr(kind: PlaneKind, mean_run_len: f64) -> bool {
-    match kind {
-        PlaneKind::Mask => true,
-        PlaneKind::Variance | PlaneKind::Other => mean_run_len >= 1.5,
-        PlaneKind::Flux => mean_run_len >= 3.0,
-    }
-}
-
-/// Apply [`choose_repr`] at an engine boundary: measure the run length on
-/// a bounded prefix sample and re-encode when the heuristic says the
-/// crossing wins. Returns `None` (keep the caller's handle) when the
-/// array is already non-dense, the heuristic declines, or no codec
-/// actually shrinks it.
-pub fn pack_for_boundary<T: marray::Element>(
-    arr: &marray::NdArray<T>,
-    kind: PlaneKind,
-) -> Option<marray::NdArray<T>> {
-    if arr.len() < 2 || arr.repr() != marray::ChunkRepr::Dense {
-        return None;
-    }
-    let sample = &arr.data()[..arr.len().min(4096)];
-    if !choose_repr(kind, marray::codec::mean_run_len(sample)) {
-        return None;
-    }
-    let packed = arr.compressed();
-    (packed.repr() != marray::ChunkRepr::Dense).then_some(packed)
-}
-
 /// Headroom factor of the budget-derived granularity formula: each
 /// worker's share of the budget must cover its pinned input chunk, the
 /// output it is building, and the governor's transient double-residency
@@ -255,34 +200,13 @@ pub fn choose_chunk_shape(
     shape
 }
 
-/// Morsel sizing under a memory budget: a [`parexec::CostHint`] whose
-/// `max_items` bounds one morsel's working set (`item_bytes` per item) to
-/// the per-worker budget share, layered over the kernel's granularity
-/// floor (`min_items`, which still wins a conflict — see
-/// [`parexec::CostHint::max_items`]).
-pub fn budget_cost_hint(
-    min_items: usize,
-    item_bytes: usize,
-    workers: usize,
-    budget: Option<u64>,
-) -> parexec::CostHint {
-    let hint = parexec::CostHint::min_items(min_items);
-    match budget {
-        None => hint,
-        Some(b) => {
-            let share = b / (workers.max(1) as u64 * CHUNK_BUDGET_SLACK);
-            hint.with_max_items((share / item_bytes.max(1) as u64).max(1) as usize)
-        }
-    }
-}
-
 /// Apply the memory governor at an engine ingest boundary: when a
 /// process-wide budget is active ([`marray::mem_budget`]), a governed
 /// handle whose bytes the governor may spill under pressure; `None`
-/// (keep the caller's handle, like [`pack_for_boundary`]) otherwise, so
-/// the unbounded path is byte-for-byte the historical one. This is the
-/// single choke point the engine analogs share, so "every engine really
-/// executes a larger-than-budget dataset" is one code path, not five.
+/// (keep the caller's handle) otherwise, so the unbounded path is
+/// byte-for-byte the historical one. This is the single choke point the
+/// engine analogs share, so "every engine really executes a
+/// larger-than-budget dataset" is one code path, not five.
 pub fn govern_for_boundary<T: marray::Element>(
     arr: &marray::NdArray<T>,
 ) -> Option<marray::NdArray<T>> {
@@ -506,48 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn boundary_packing_follows_plane_kind() {
-        // Mask planes always attempt and a zero mask lands on Const.
-        let mask: marray::NdArray<u8> = marray::NdArray::zeros(&[32, 32]);
-        let packed = pack_for_boundary(&mask, PlaneKind::Mask).expect("mask should pack");
-        assert_eq!(packed.repr(), marray::ChunkRepr::Const);
-        assert_eq!(packed.data(), mask.data());
-
-        // A flat-field variance plane (the read-noise floor everywhere)
-        // lands on Const.
-        let flat = marray::NdArray::full(&[24, 24], 64.0);
-        let packed = pack_for_boundary(&flat, PlaneKind::Variance).expect("flat plane packs");
-        assert_eq!(packed.repr(), marray::ChunkRepr::Const);
-        assert_eq!(packed.data(), flat.data());
-
-        // Noise in every pixel: the flux prior declines without scanning.
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let noisy = marray::NdArray::<f64>::from_fn(&[24, 24], |_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        });
-        assert!(pack_for_boundary(&noisy, PlaneKind::Flux).is_none());
-
-        // A mostly-constant variance plane (read-noise floor + a few
-        // source pixels) clears the RLE break-even and packs.
-        let mut var = marray::NdArray::full(&[24, 24], 64.0);
-        for p in [5usize, 100, 101, 300] {
-            var.data_mut()[p] = 90.5;
-        }
-        let packed = pack_for_boundary(&var, PlaneKind::Variance).expect("variance should pack");
-        assert_eq!(packed.repr(), marray::ChunkRepr::Rle);
-        assert!(packed.stored_nbytes() < var.nbytes() / 2);
-        assert_eq!(packed.data(), var.data());
-
-        // Already-encoded and degenerate arrays keep the caller's handle.
-        assert!(pack_for_boundary(&packed, PlaneKind::Variance).is_none());
-        let single: marray::NdArray<f64> = marray::NdArray::zeros(&[1]);
-        assert!(pack_for_boundary(&single, PlaneKind::Mask).is_none());
-    }
-
-    #[test]
     fn budget_derives_chunk_granularity() {
         // Unbounded: one chunk, whole array.
         assert_eq!(
@@ -570,14 +452,6 @@ mod tests {
         let loose = choose_chunk_elems(1 << 24, 8, 2, Some(256 << 20));
         let tight = choose_chunk_elems(1 << 24, 8, 2, Some(16 << 20));
         assert!(tight < loose);
-        // Morsel hints inherit the same share, floor winning conflicts.
-        let h = budget_cost_hint(16, 8, 4, Some(1 << 20));
-        assert_eq!(h.min_items, 16);
-        assert_eq!(
-            h.max_items as u64,
-            (1u64 << 20) / (4 * CHUNK_BUDGET_SLACK) / 8
-        );
-        assert_eq!(budget_cost_hint(16, 8, 4, None).max_items, 0);
     }
 
     #[test]
@@ -592,16 +466,6 @@ mod tests {
             assert_eq!(governed.residency(), marray::Residency::Resident);
             assert_eq!(governed.data(), arr.data());
         });
-    }
-
-    #[test]
-    fn choose_repr_thresholds() {
-        assert!(choose_repr(PlaneKind::Mask, 1.0));
-        assert!(!choose_repr(PlaneKind::Variance, 1.2));
-        assert!(choose_repr(PlaneKind::Variance, 1.5));
-        assert!(!choose_repr(PlaneKind::Flux, 2.0));
-        assert!(choose_repr(PlaneKind::Flux, 3.5));
-        assert!(choose_repr(PlaneKind::Other, 4.0));
     }
 
     #[test]

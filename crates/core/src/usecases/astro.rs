@@ -6,7 +6,7 @@
 //! implementation froze on the cluster and is therefore not provided
 //! (see [`DASK_ASTRO_STATUS`]); TensorFlow cannot express the use case.
 
-use crate::costmodel::{pack_for_boundary, PlaneKind};
+use crate::costmodel::govern_for_boundary;
 use engine_rdd::SparkContext;
 use engine_rel::{MyriaConnection, Query, Schema, Value, ValueType};
 use marray::NdArray;
@@ -34,30 +34,25 @@ pub struct AstroResult {
     pub catalogs: BTreeMap<PatchId, Vec<Source>>,
 }
 
-/// Choose chunk representations for an exposure's planes at an engine
-/// ingest boundary: the cost-model heuristic
-/// ([`crate::costmodel::choose_repr`]) packs the mask and any
-/// sufficiently runny variance plane, while noisy flux stays dense. The
-/// clone is a refcount bump when the heuristic declines, an encoded
-/// (smaller) buffer when it packs; kernels read every plane dense, so a
-/// packed plane is decoded once, on its first read. Under an active memory
-/// budget ([`marray::mem_budget`]) each plane additionally enters the
-/// governor's spill tier ([`crate::costmodel::govern_for_boundary`]), so
-/// an ingested working set larger than the budget degrades to spill I/O
-/// instead of exhausting memory.
+/// Ready an exposure's planes for an engine ingest boundary: the mask
+/// packs ([`NdArray::compressed`]; a clean sensor's mask is one `Const`
+/// run), while flux and variance cross as handle clones, because no
+/// pipeline workload packed either (DESIGN §3.13). Kernels read every
+/// plane dense, so a packed mask is decoded once, on its first read.
+/// Under an active memory budget ([`marray::mem_budget`]) each plane
+/// additionally enters the governor's spill tier
+/// ([`crate::costmodel::govern_for_boundary`]), so an ingested working
+/// set larger than the budget degrades to spill I/O instead of
+/// exhausting memory.
 fn pack_exposure(e: &Exposure) -> Exposure {
-    let plane = |arr: &NdArray<f64>, kind: PlaneKind| {
-        let packed = pack_for_boundary(arr, kind).unwrap_or_else(|| arr.clone());
-        crate::costmodel::govern_for_boundary(&packed).unwrap_or(packed)
-    };
-    let mask = pack_for_boundary(&e.mask, PlaneKind::Mask).unwrap_or_else(|| e.mask.clone());
+    let mask = e.mask.compressed();
     Exposure {
         visit: e.visit,
         sensor: e.sensor,
         bbox: e.bbox,
-        flux: plane(&e.flux, PlaneKind::Flux),
-        variance: plane(&e.variance, PlaneKind::Variance),
-        mask: crate::costmodel::govern_for_boundary(&mask).unwrap_or(mask),
+        flux: govern_for_boundary(&e.flux).unwrap_or_else(|| e.flux.clone()),
+        variance: govern_for_boundary(&e.variance).unwrap_or_else(|| e.variance.clone()),
+        mask: govern_for_boundary(&mask).unwrap_or(mask),
     }
 }
 
@@ -76,8 +71,7 @@ fn mask_to_blob(mask: &NdArray<u8>) -> Value {
     // The freshly re-typed mask is the runniest plane in the pipeline:
     // pack it so the blob column crosses worker boundaries at its
     // encoded size. `blob_to_mask` reads it back through one decode.
-    let blob = pack_for_boundary(&blob, PlaneKind::Mask).unwrap_or(blob);
-    Value::blob(blob)
+    Value::blob(blob.compressed())
 }
 
 /// Inverse of [`mask_to_blob`] — the matching required copy on the way out.
@@ -94,6 +88,22 @@ fn blob_to_mask(blob: &NdArray<f64>) -> NdArray<u8> {
 fn exposure_to_blobs(e: Exposure) -> (Value, Value, Value) {
     let mask = mask_to_blob(&e.mask);
     (Value::blob(e.flux), Value::blob(e.variance), mask)
+}
+
+/// One `Exposures` tuple: the f64 planes cross the ingest boundary as
+/// handle clones, the mask as its packed blob ([`mask_to_blob`]).
+fn exposure_row(e: &Exposure) -> Vec<Value> {
+    vec![
+        Value::Int(e.visit as i64),
+        Value::Int(e.sensor as i64),
+        Value::Int(e.bbox.x0),
+        Value::Int(e.bbox.y0),
+        Value::Int(e.bbox.width as i64),
+        Value::Int(e.bbox.height as i64),
+        Value::blob(e.flux.clone()),
+        Value::blob(e.variance.clone()),
+        mask_to_blob(&e.mask),
+    ]
 }
 
 /// Rebuild an [`Exposure`] from its three blob columns. The flux/variance
@@ -216,29 +226,7 @@ pub fn myria(survey: &SkySurvey, nodes: usize, workers_per_node: usize) -> Astro
         ("var", ValueType::Blob),
         ("mask", ValueType::Blob),
     ]);
-    let tuples: Vec<Vec<Value>> = survey
-        .visits
-        .iter()
-        .flatten()
-        .map(|e| {
-            vec![
-                Value::Int(e.visit as i64),
-                Value::Int(e.sensor as i64),
-                Value::Int(e.bbox.x0),
-                Value::Int(e.bbox.y0),
-                Value::Int(e.bbox.width as i64),
-                Value::Int(e.bbox.height as i64),
-                Value::blob(
-                    pack_for_boundary(&e.flux, PlaneKind::Flux).unwrap_or_else(|| e.flux.clone()),
-                ),
-                Value::blob(
-                    pack_for_boundary(&e.variance, PlaneKind::Variance)
-                        .unwrap_or_else(|| e.variance.clone()),
-                ),
-                mask_to_blob(&e.mask),
-            ]
-        })
-        .collect();
+    let tuples: Vec<Vec<Value>> = survey.visits.iter().flatten().map(exposure_row).collect();
     conn.ingest("Exposures", schema, tuples, 1);
 
     // UDFs: Calibrate and PatchPieces as table functions (each emits the
@@ -651,19 +639,21 @@ mod tests {
         let s = survey();
         let e = &s.visits[0][0];
         let packed = pack_exposure(e);
-        // The all-good mask is a single Const run; flux is noise in every
-        // pixel and must stay dense.
+        // Only the mask packs: the all-good mask is a single Const run,
+        // while flux and variance cross dense.
         assert_eq!(packed.mask.repr(), marray::ChunkRepr::Const);
         assert_eq!(packed.flux.repr(), marray::ChunkRepr::Dense);
+        assert_eq!(packed.variance.repr(), marray::ChunkRepr::Dense);
         assert!(packed.stored_nbytes() <= e.nbytes());
-        // Whatever representation the heuristic chose, the pixel values
-        // are untouched.
         assert_eq!(packed.flux.data(), e.flux.data());
         assert_eq!(packed.variance.data(), e.variance.data());
         assert_eq!(packed.mask.data(), e.mask.data());
-        // The re-typed mask blob also crosses the boundary encoded.
-        let blob = mask_to_blob(&e.mask);
-        assert_eq!(blob.as_blob().repr(), marray::ChunkRepr::Const);
-        assert!(blob.nbytes() < e.mask.len());
+        // Myria's ingest row follows the same rule: the re-typed mask blob
+        // crosses encoded, the flux and variance blobs dense.
+        let row = exposure_row(e);
+        assert_eq!(row[6].as_blob().repr(), marray::ChunkRepr::Dense);
+        assert_eq!(row[7].as_blob().repr(), marray::ChunkRepr::Dense);
+        assert_eq!(row[8].as_blob().repr(), marray::ChunkRepr::Const);
+        assert!(row[8].nbytes() < e.mask.len());
     }
 }

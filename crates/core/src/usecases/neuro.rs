@@ -38,19 +38,14 @@ impl Subject {
     }
 }
 
-/// Choose a chunk representation for a volume crossing an engine ingest
-/// boundary. dMRI volumes carry noise in every voxel, so the cost-model
-/// heuristic ([`crate::costmodel::choose_repr`]) usually keeps them dense
-/// after a cheap run-length probe — the boundary *chooses*, it does not
-/// blindly encode. Zero-padded or masked-out volumes do pack. Under an
-/// active memory budget ([`marray::mem_budget`]) the volume additionally
-/// enters the governor's spill tier
+/// Ready a volume for an engine ingest boundary. dMRI volumes carry noise
+/// in every voxel and no pipeline workload packed one, so they cross as
+/// the caller's handle (DESIGN §3.13). Under an active memory budget
+/// ([`marray::mem_budget`]) the volume enters the governor's spill tier
 /// ([`crate::costmodel::govern_for_boundary`]), so a working set larger
 /// than the budget degrades to spill I/O instead of exhausting memory.
-fn pack_volume(vol: NdArray<f64>) -> NdArray<f64> {
-    let v = crate::costmodel::pack_for_boundary(&vol, crate::costmodel::PlaneKind::Other)
-        .unwrap_or(vol);
-    crate::costmodel::govern_for_boundary(&v).unwrap_or(v)
+fn boundary_volume(vol: NdArray<f64>) -> NdArray<f64> {
+    crate::costmodel::govern_for_boundary(&vol).unwrap_or(vol)
 }
 
 /// The NLM parameters every implementation shares (matching the reference).
@@ -98,7 +93,8 @@ pub fn spark(subjects: &[Subject], partitions: usize) -> BTreeMap<u32, NdArray<f
     let records: Vec<ImgRecord> = subjects
         .iter()
         .flat_map(|s| {
-            (0..s.gtab.len()).map(move |v| ((s.id, v as u32), Arc::new(pack_volume(s.volume(v)))))
+            (0..s.gtab.len())
+                .map(move |v| ((s.id, v as u32), Arc::new(boundary_volume(s.volume(v)))))
         })
         .collect();
     let img_rdd = sc.parallelize(records, partitions).cache();
@@ -240,7 +236,7 @@ pub fn myria(
                 vec![
                     Value::Int(s.id as i64),
                     Value::Int(v as i64),
-                    Value::blob(pack_volume(s.volume(v))),
+                    Value::blob(boundary_volume(s.volume(v))),
                 ]
             })
         })
@@ -362,11 +358,10 @@ pub fn dask(subjects: &[Subject], workers: usize) -> BTreeMap<u32, NdArray<f64>>
     // Build the whole graph first (delayed), then one barrier per subject.
     let mut targets: Vec<(u32, Delayed<NdArray<f64>>)> = Vec::new();
     for s in subjects {
-        // Boundary probe at graph-load time: the loaded subject carries
-        // whatever representation the cost model chose.
+        // The ingest boundary sits at graph-load time.
         let subj = Subject {
             id: s.id,
-            data: Arc::new(pack_volume(s.data.as_ref().clone())),
+            data: Arc::new(boundary_volume(s.data.as_ref().clone())),
             gtab: Arc::clone(&s.gtab),
         };
         let loaded = client.delayed(move || subj);
@@ -452,7 +447,7 @@ pub fn tensorflow(subjects: &[Subject]) -> TfNeuroOutput {
         let out = session
             .run(
                 &g1,
-                &[(p, pack_volume(s.data.as_ref().clone()))]
+                &[(p, boundary_volume(s.data.as_ref().clone()))]
                     .into_iter()
                     .collect(),
                 &[mean],
@@ -526,11 +521,9 @@ pub fn scidb(subjects: &[Subject]) -> ScidbNeuroOutput {
 
     for s in subjects {
         let dims = s.data.dims().to_vec();
-        // Chunk one volume per chunk along the volume axis. The boundary
-        // probe picks the ingest representation; `from_array` keeps it
-        // chunk-by-chunk.
+        // Chunk one volume per chunk along the volume axis.
         let chunk_dims = vec![dims[0], dims[1], dims[2], 1];
-        let ingest = pack_volume(s.data.as_ref().clone());
+        let ingest = boundary_volume(s.data.as_ref().clone());
         let stored = db.from_array(&ingest, &chunk_dims).expect("ingest");
 
         // Figure 5: compress(b0s_mask, axis=3) then mean(index=3).
@@ -588,6 +581,10 @@ mod tests {
         for s in &subs {
             assert_close(&out[&s.id], &reference_fa(s), 1e-9, "spark FA");
         }
+        // A volume crosses the ingest boundary dense: dMRI volumes never
+        // pack.
+        let crossed = boundary_volume(subs[0].volume(0));
+        assert_eq!(crossed.repr(), marray::ChunkRepr::Dense);
     }
 
     #[test]

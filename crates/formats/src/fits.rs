@@ -91,39 +91,13 @@ impl ImageData {
     }
 }
 
-/// One Header-Data Unit: parsed header cards plus a 2-D float32 image.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Hdu {
-    /// All header cards (END excluded).
-    pub cards: Vec<Card>,
-    /// The image payload (rank 2).
-    pub data: NdArray<f32>,
-}
-
-/// One HDU with a typed payload (the general form; [`Hdu`] is the
-/// float-only convenience the pipelines mostly use).
+/// One Header-Data Unit: parsed header cards plus a typed 2-D image.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TypedHdu {
     /// All header cards (END excluded).
     pub cards: Vec<Card>,
     /// The image payload (rank 2).
     pub data: ImageData,
-}
-
-impl Hdu {
-    /// Look up a card's value text by keyword.
-    pub fn value(&self, key: &str) -> Option<&str> {
-        self.cards
-            .iter()
-            .find(|c| c.key == key)
-            .map(|c| c.value.as_str())
-    }
-
-    /// Look up a card and parse it as f64.
-    pub fn value_f64(&self, key: &str) -> Option<f64> {
-        self.value(key)
-            .and_then(|v| v.trim_matches('\'').trim().parse().ok())
-    }
 }
 
 fn pad_to_block(buf: &mut Vec<u8>, fill: u8) {
@@ -205,20 +179,6 @@ fn encode_hdu(cards_in: &[Card], data: &ImageData, primary: bool, out: &mut Vec<
         }
     }
     pad_to_block(out, 0);
-}
-
-/// Encode a sequence of float HDUs (first one is the primary).
-pub fn encode(hdus: &[Hdu]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for (i, hdu) in hdus.iter().enumerate() {
-        encode_hdu(
-            &hdu.cards,
-            &ImageData::F32(hdu.data.clone()),
-            i == 0,
-            &mut out,
-        );
-    }
-    out
 }
 
 /// Encode a sequence of typed HDUs (mixing BITPIX -32 and 8).
@@ -347,18 +307,6 @@ fn decode_hdu(buf: &[u8], pos: &mut usize, primary: bool) -> Result<TypedHdu> {
     })
 }
 
-/// Decode every HDU in a FITS buffer as float images (BITPIX 8 payloads
-/// are widened).
-pub fn decode(buf: &[u8]) -> Result<Vec<Hdu>> {
-    Ok(decode_typed(buf)?
-        .into_iter()
-        .map(|h| Hdu {
-            cards: h.cards,
-            data: h.data.to_f32(),
-        })
-        .collect())
-}
-
 /// Decode every HDU in a FITS buffer, preserving payload types.
 pub fn decode_typed(buf: &[u8]) -> Result<Vec<TypedHdu>> {
     if buf.len() < BLOCK {
@@ -382,17 +330,6 @@ pub fn decode_typed(buf: &[u8]) -> Result<Vec<TypedHdu>> {
     Ok(hdus)
 }
 
-/// Write HDUs to a `.fits` file.
-pub fn write_file(path: &std::path::Path, hdus: &[Hdu]) -> Result<()> {
-    std::fs::write(path, encode(hdus))?;
-    Ok(())
-}
-
-/// Read all HDUs from a `.fits` file.
-pub fn read_file(path: &std::path::Path) -> Result<Vec<Hdu>> {
-    decode(&std::fs::read(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,9 +338,10 @@ mod tests {
         NdArray::from_fn(dims, |ix| tag + (ix[0] * dims[1] + ix[1]) as f32)
     }
 
-    fn exposure() -> Vec<Hdu> {
+    /// The use case's layout: f32 flux and variance planes, a u8 mask.
+    fn exposure() -> Vec<TypedHdu> {
         vec![
-            Hdu {
+            TypedHdu {
                 cards: vec![
                     Card {
                         key: "VISIT".into(),
@@ -414,15 +352,15 @@ mod tests {
                         value: "12".into(),
                     },
                 ],
-                data: plane(0.0, &[8, 10]),
+                data: ImageData::F32(plane(0.0, &[8, 10])),
             },
-            Hdu {
+            TypedHdu {
                 cards: vec![],
-                data: plane(10_000.0, &[8, 10]),
+                data: ImageData::F32(plane(10_000.0, &[8, 10])),
             },
-            Hdu {
+            TypedHdu {
                 cards: vec![],
-                data: plane(20_000.0, &[8, 10]),
+                data: ImageData::U8(NdArray::from_fn(&[8, 10], |ix| ((ix[0] + ix[1]) % 3) as u8)),
             },
         ]
     }
@@ -430,20 +368,16 @@ mod tests {
     #[test]
     fn roundtrip_three_hdus() {
         let hdus = exposure();
-        let buf = encode(&hdus);
+        let buf = encode_typed(&hdus);
         assert_eq!(buf.len() % BLOCK, 0);
-        let back = decode(&buf).unwrap();
-        assert_eq!(back.len(), 3);
-        for (a, b) in hdus.iter().zip(&back) {
-            assert_eq!(a.data, b.data);
-        }
-        assert_eq!(back[0].value("VISIT"), Some("7"));
-        assert_eq!(back[0].value_f64("SENSOR"), Some(12.0));
+        // Cards, payload types and pixels all come back exactly: the mask
+        // stays a byte plane.
+        assert_eq!(decode_typed(&buf).unwrap(), hdus);
     }
 
     #[test]
     fn header_block_is_ascii_cards() {
-        let buf = encode(&exposure());
+        let buf = encode_typed(&exposure());
         assert_eq!(&buf[..6], b"SIMPLE");
         // Every header byte in the first block is printable ASCII.
         assert!(buf[..BLOCK].iter().all(|&b| (0x20..0x7f).contains(&b)));
@@ -451,69 +385,29 @@ mod tests {
 
     #[test]
     fn big_endian_payload() {
-        let hdu = Hdu {
+        let hdu = TypedHdu {
             cards: vec![],
-            data: NdArray::from_vec(&[1, 1], vec![1.0f32]).unwrap(),
+            data: ImageData::F32(NdArray::from_vec(&[1, 1], vec![1.0f32]).unwrap()),
         };
-        let buf = encode(std::slice::from_ref(&hdu));
+        let buf = encode_typed(std::slice::from_ref(&hdu));
         // 1.0f32 big-endian = 3F 80 00 00, at the start of the data block.
         assert_eq!(&buf[BLOCK..BLOCK + 4], &[0x3f, 0x80, 0x00, 0x00]);
     }
 
     #[test]
     fn rejects_truncation() {
-        let mut buf = encode(&exposure());
+        let mut buf = encode_typed(&exposure());
         buf.truncate(buf.len() - BLOCK);
-        assert!(decode(&buf).is_err());
+        assert!(decode_typed(&buf).is_err());
     }
 
     #[test]
     fn rejects_bad_first_card() {
-        let mut buf = encode(&exposure());
+        let mut buf = encode_typed(&exposure());
         buf[0] = b'X';
-        assert!(matches!(decode(&buf), Err(FormatError::BadMagic { .. })));
-    }
-
-    #[test]
-    fn typed_roundtrip_with_u8_mask_plane() {
-        // The use case's real layout: f32 flux + f32 variance + u8 mask.
-        let mask = NdArray::from_fn(&[6, 9], |ix| ((ix[0] + ix[1]) % 3) as u8);
-        let hdus = vec![
-            TypedHdu {
-                cards: vec![],
-                data: ImageData::F32(plane(0.0, &[6, 9])),
-            },
-            TypedHdu {
-                cards: vec![],
-                data: ImageData::F32(plane(500.0, &[6, 9])),
-            },
-            TypedHdu {
-                cards: vec![],
-                data: ImageData::U8(mask.clone()),
-            },
-        ];
-        let buf = encode_typed(&hdus);
-        let back = decode_typed(&buf).unwrap();
-        assert_eq!(back.len(), 3);
-        assert!(matches!(back[0].data, ImageData::F32(_)));
-        assert_eq!(back[2].data.to_u8(), mask);
-        // The u8 plane is byte-exact and 4× smaller than a float plane.
-        assert_eq!(back[2].data, ImageData::U8(mask));
-        // The float decode path widens the mask losslessly for small ints.
-        let widened = decode(&buf).unwrap();
-        assert_eq!(widened[2].data.cast::<u8>(), hdus[2].data.to_u8());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("scibench_fits_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("exp.fits");
-        let hdus = exposure();
-        write_file(&path, &hdus).unwrap();
-        let back = read_file(&path).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back[1].data, hdus[1].data);
-        std::fs::remove_file(&path).ok();
+        assert!(matches!(
+            decode_typed(&buf),
+            Err(FormatError::BadMagic { .. })
+        ));
     }
 }

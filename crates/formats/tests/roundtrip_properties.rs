@@ -37,17 +37,13 @@ proptest! {
 
     #[test]
     fn fits_roundtrip_multi_hdu(planes in prop::collection::vec(images(), 1..=3)) {
-        let hdus: Vec<fits::Hdu> = planes
-            .iter()
-            .map(|p| fits::Hdu { cards: vec![], data: p.clone() })
+        let hdus: Vec<fits::TypedHdu> = planes
+            .into_iter()
+            .map(|p| fits::TypedHdu { cards: vec![], data: fits::ImageData::F32(p) })
             .collect();
-        let buf = fits::encode(&hdus);
+        let buf = fits::encode_typed(&hdus);
         prop_assert_eq!(buf.len() % fits::BLOCK, 0);
-        let back = fits::decode(&buf).unwrap();
-        prop_assert_eq!(back.len(), hdus.len());
-        for (a, b) in planes.iter().zip(&back) {
-            prop_assert_eq!(a, &b.data);
-        }
+        prop_assert_eq!(fits::decode_typed(&buf).unwrap(), hdus);
     }
 
     #[test]

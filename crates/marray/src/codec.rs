@@ -193,21 +193,23 @@ impl<T: Element> Encoded<T> {
         self.len() * T::BYTES
     }
 
-    /// Choose and build the smallest representation that actually shrinks
-    /// `data`, or `None` when every codec would be at least as large as
-    /// the dense buffer (noisy flux planes). Pure: no ledger traffic.
+    /// Encode `data` as `Const` when it is one run, else as `Rle`, keeping
+    /// either only if it is strictly smaller than the dense buffer; `None`
+    /// otherwise (noisy flux planes, and buffers too short for a codec's
+    /// header to pay off). Pure: no ledger traffic.
     pub fn encode(data: &[T]) -> Option<Encoded<T>> {
         if data.is_empty() {
             return None;
         }
         let runs = run_count(data);
-        if runs == 1 {
+        let dense = data.len() * T::BYTES;
+        if runs == 1 && 8 + T::BYTES < dense {
             return Some(Encoded::Const {
                 value: data[0],
                 len: data.len(),
             });
         }
-        if runs * (4 + T::BYTES) >= data.len() * T::BYTES {
+        if runs * (4 + T::BYTES) >= dense {
             return None;
         }
         let mut out: Vec<(u32, T)> = Vec::with_capacity(runs);
@@ -266,17 +268,6 @@ impl<T: Element> Encoded<T> {
         CopyCounter::record("codec.decode", self.dense_bytes());
         self.decode()
     }
-}
-
-/// Mean bit-pattern run length of `sample` (`len / runs`); 1.0 for fully
-/// incompressible data, `len` for a constant buffer, 0.0 when empty. The
-/// cost model's representation heuristic samples this instead of paying for
-/// a full trial encode on planes that are unlikely to compress.
-pub fn mean_run_len<T: Element>(sample: &[T]) -> f64 {
-    if sample.is_empty() {
-        return 0.0;
-    }
-    sample.len() as f64 / run_count(sample) as f64
 }
 
 /// Number of bit-pattern runs in the non-empty `data`.
@@ -347,7 +338,7 @@ mod tests {
             assert_bits_eq(&enc.decode(), &data);
         }
         // The run detector must see two distinct bit patterns.
-        assert!(mean_run_len(&data) < 1.5);
+        assert_eq!(run_count(&data), 4);
     }
 
     #[test]
@@ -367,11 +358,22 @@ mod tests {
     }
 
     #[test]
-    fn mean_run_len_measures_runs() {
-        assert_eq!(mean_run_len::<f64>(&[]), 0.0);
-        assert_eq!(mean_run_len(&[5.0f64; 8]), 8.0);
-        let alternating: Vec<f64> = (0..8).map(|i| (i % 2) as f64).collect();
-        assert_eq!(mean_run_len(&alternating), 1.0);
+    fn short_constant_buffers_pack_only_when_smaller() {
+        // A `Const` stores a length word beside its value, so one or two
+        // f64s (or up to nine bytes) are no larger dense.
+        for n in 1..=4 {
+            if let Some(enc) = Encoded::encode(&vec![3.5f64; n]) {
+                assert!(enc.encoded_bytes() < enc.dense_bytes(), "{n} f64s");
+            }
+        }
+        for n in 1..=12 {
+            if let Some(enc) = Encoded::encode(&vec![0u8; n]) {
+                assert!(enc.encoded_bytes() < enc.dense_bytes(), "{n} bytes");
+            }
+        }
+        assert_eq!(Encoded::encode(&[3.5f64]), None);
+        let three = Encoded::encode(&[3.5f64; 3]).expect("three f64s pack");
+        assert_eq!(three.repr(), ChunkRepr::Const);
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod profile;
 pub use diag::{Code, Diagnostic, Report, Severity};
 pub use fingerprint::{combine_fingerprints, graph_fingerprint, node_fingerprints};
 pub use memo::{OpBinding, OpClass};
-pub use profile::{measured_imbalance_from_bench, BarrierDiscipline, InvariantProfile};
+pub use profile::{BarrierDiscipline, InvariantProfile};
 
 use analysis::Analysis;
 use simcluster::{ClusterSpec, TaskGraph};
@@ -447,43 +447,6 @@ mod tests {
 
         let r = check(&g, &cluster(), &permissive());
         assert!(!r.has(Code::P004), "skew_ratio 0 disables the check");
-    }
-
-    #[test]
-    fn measured_imbalance_from_skew_bench_raises_p004_threshold() {
-        // Same 8x-skewed graph as above.
-        let mut g = TaskGraph::new();
-        let srcs: Vec<_> = (0..16)
-            .map(|_| g.add(TaskSpec::compute("src", 1.0).s3(GB).output(GB)))
-            .collect();
-        for (i, &s) in srcs.iter().enumerate() {
-            let node = if i < 8 { 0 } else { i };
-            g.add(TaskSpec::compute("shuffle", 1.0).on_node(node).after(&[s]));
-        }
-
-        // A BENCH_skew.json summary block as `scibench bench skew` writes it.
-        let bench = r#"{
-          "summary": { "workers": 8, "model_imbalance_morsel": 1.08, "model_imbalance_static": 9.5 }
-        }"#;
-        let measured = measured_imbalance_from_bench(bench).expect("summary parses");
-        assert!((measured - 9.5).abs() < 1e-12);
-
-        let base = InvariantProfile {
-            skew_ratio: 6.0,
-            ..permissive()
-        };
-        // Static splits measurably produce 9.5x imbalance on this workload,
-        // so an 8x hash skew is within observed behaviour: P004 stays quiet.
-        let informed = base.with_measured_imbalance(measured);
-        assert_eq!(informed.skew_threshold(), 9.5);
-        let r = check(&g, &cluster(), &informed);
-        assert!(!r.has(Code::P004), "{}", r.render_table());
-
-        // A sub-threshold measurement (or none) leaves the configured ratio
-        // in charge and the 8x skew is flagged again.
-        let r = check(&g, &cluster(), &base.with_measured_imbalance(1.0));
-        assert!(r.has(Code::P004), "{}", r.render_table());
-        assert!(measured_imbalance_from_bench("{}").is_none());
     }
 
     // --- pass 5: engine shape ----------------------------------------------

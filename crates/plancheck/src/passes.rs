@@ -573,10 +573,9 @@ pub(crate) fn placement(
 
     // P004: per-node input growth for hash-placed operators. The paper's
     // astronomy workload grows a hot worker's data ~6x (vs 2.5x mean)
-    // because two popular sky patches hash together. The threshold can be
-    // raised by a measured static-split imbalance from the skew bench.
-    let skew_threshold = p.skew_threshold();
-    if skew_threshold > 0.0 {
+    // because two popular sky patches hash together.
+    let skew_ratio = p.skew_ratio;
+    if skew_ratio > 0.0 {
         let input_total: u64 = an.tasks.iter().map(|t| t.s3_bytes).sum();
         if input_total > 0 && cluster.nodes > 1 {
             let share = input_total as f64 / cluster.nodes as f64;
@@ -602,14 +601,14 @@ pub(crate) fn placement(
                 let hottest = received.iter().enumerate().max_by_key(|&(_, &b)| b);
                 if let Some((node, &bytes)) = hottest {
                     let growth = bytes as f64 / share;
-                    if growth >= skew_threshold {
+                    if growth >= skew_ratio {
                         let mean = total as f64 / cluster.nodes as f64 / share;
                         em.push(
                             Code::P004,
                             Severity::Warning,
                             vec![],
                             format!(
-                                "label {label:?}: node {node} receives {growth:.1}x its input share (mean {mean:.1}x, threshold {skew_threshold:.1}x) — hash skew"
+                                "label {label:?}: node {node} receives {growth:.1}x its input share (mean {mean:.1}x, threshold {skew_ratio:.1}x) — hash skew"
                             ),
                         );
                     }

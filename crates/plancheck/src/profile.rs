@@ -56,12 +56,6 @@ pub struct InvariantProfile {
     /// flagged as skewed (P004); `0.0` disables the check for engines
     /// whose lowerings route everything through a master on purpose.
     pub skew_ratio: f64,
-    /// Measured worker imbalance under static splitting, from the skew
-    /// bench (`BENCH_skew.json` summary); `0.0` when no measurement is
-    /// wired in. P004 fires at `max(skew_ratio, measured_imbalance)`, so a
-    /// lowering is only flagged for skew worse than what static splits
-    /// actually produced on the measured workload (§5.3.3).
-    pub measured_imbalance: f64,
     /// Barrier usage discipline.
     pub barriers: BarrierDiscipline,
 }
@@ -80,46 +74,9 @@ impl InvariantProfile {
             format_factor: 4.0,
             mem_requirement_factor: 1.0,
             skew_ratio: 0.0,
-            measured_imbalance: 0.0,
             barriers: BarrierDiscipline::Free,
         }
     }
-
-    /// Raise the skew threshold to a measured static-split imbalance (see
-    /// [`measured_imbalance_from_bench`]). Values `<= 1.0` (no measured
-    /// imbalance) leave the profile unchanged.
-    pub fn with_measured_imbalance(mut self, ratio: f64) -> InvariantProfile {
-        if ratio > 1.0 {
-            self.measured_imbalance = ratio;
-        }
-        self
-    }
-
-    /// The P004 firing threshold: the configured [`Self::skew_ratio`],
-    /// raised to [`Self::measured_imbalance`] when a measurement is wired
-    /// in. `0.0` still disables the check entirely.
-    pub fn skew_threshold(&self) -> f64 {
-        if self.skew_ratio <= 0.0 {
-            0.0
-        } else {
-            self.skew_ratio.max(self.measured_imbalance)
-        }
-    }
-}
-
-/// Extract the measured static-split worker imbalance from a
-/// `BENCH_skew.json` document (`scibench bench skew`), without a JSON
-/// dependency: the summary block's `"model_imbalance_static"` key is
-/// unique to that document, so a text scan is sufficient and stays robust
-/// to field reordering.
-pub fn measured_imbalance_from_bench(text: &str) -> Option<f64> {
-    let key = "\"model_imbalance_static\":";
-    let at = text.find(key)? + key.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse::<f64>().ok().filter(|v| v.is_finite())
 }
 
 #[cfg(test)]

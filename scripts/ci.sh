@@ -98,17 +98,17 @@ artifact_gate "scibench bench e2e --quick (copy accounting on the shared data pl
 # (bit-identity is enforced by the tool: non-zero exit on fingerprint
 # divergence; the morsel<=static model-imbalance regression is enforced
 # on the full run that regenerates the committed artifact) and checks the
-# committed BENCH_skew.json still speaks the schema the tool emits.
+# committed BENCH_skew.json still speaks the schema the tool emits. The
+# artifact is a record only: no tool reads it back.
 artifact_gate "scibench bench skew --quick (morsel vs static worker imbalance)" \
-  scibench-bench-skew/v1 BENCH_skew.json \
+  scibench-bench-skew/v2 BENCH_skew.json \
   "${scibench[@]}" bench skew --quick
 
-# Measures per-plane compression at the engine ingest boundary (the tool
-# exits non-zero when the mask or variance plane packs below 2x). Pipeline
-# bit-identity with packed planes is gated by the e2e artifact test above.
-# Also checks the committed BENCH_compress.json still speaks the schema the
-# tool emits.
-artifact_gate "scibench bench compress --quick (codec ratios at the engine boundary)" \
+# Measures the codec ratio of each plane kind (the tool exits non-zero
+# when the mask or variance plane packs below 2x). Pipeline bit-identity
+# with packed masks is gated by the e2e artifact test above. Also checks
+# the committed BENCH_compress.json still speaks the schema the tool emits.
+artifact_gate "scibench bench compress --quick (codec ratios per plane kind)" \
   scibench-bench-compress/v2 BENCH_compress.json \
   "${scibench[@]}" bench compress --quick
 
