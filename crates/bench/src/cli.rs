@@ -13,10 +13,11 @@
 //! counts and emits the machine-readable `BENCH_kernels.json`;
 //! `scibench bench e2e` runs every engine analog's full pipeline once on
 //! the shared data plane and emits `BENCH_e2e.json` with per-engine output
-//! fingerprints and copy counts; `scibench bench skew` schedules a
-//! source-skewed astro field under morsel claiming and under static
-//! splits and emits `BENCH_skew.json` with per-worker imbalance and steal
-//! counts;
+//! fingerprints and copy counts; `scibench bench skew` runs a
+//! source-skewed astro field on the morsel pool, checks it bit-identical
+//! to the serial run, and emits `BENCH_skew.json` with the worker
+//! imbalance of the pool's claim model against a static block split over
+//! the serially measured per-patch costs;
 //! `scibench bench compress` measures the codec ratio of each plane kind
 //! (mask and variance must pack at least 2x) and emits
 //! `BENCH_compress.json`; `scibench bench serve` replays a seeded
@@ -402,16 +403,9 @@ fn bench_skew(args: &[String]) -> i32 {
     let quick = flags.quick;
 
     let host = hostinfo::available_parallelism();
-    if host == 1 {
-        eprintln!(
-            "note: one-core host — live thread timings below are not a parallel \
-             measurement; the model_imbalance columns (deterministic worker model \
-             over serially measured morsel costs) are the headline numbers."
-        );
-    }
     eprintln!(
-        "skew bench: per-patch coadd+detect on a source-skewed sky, morsel claiming \
-         vs static splits{}...",
+        "skew bench: per-patch coadd+detect on a source-skewed sky, morsel claim \
+         model vs block-split model{}...",
         if quick { " (quick)" } else { "" }
     );
     let run = skew::run_skew(quick);
@@ -425,26 +419,22 @@ fn bench_skew(args: &[String]) -> i32 {
     let mut bad = 0;
     for r in &run.results {
         eprintln!(
-            "  workers={}  model imbalance: morsel {:.3} vs static {:.3}   steals={}  \
-             ({:.1} ms vs {:.1} ms){}",
+            "  workers={}  model imbalance: morsel {:.3} vs block split {:.3}  \
+             (live pool {:.1} ms){}",
             r.workers,
-            r.morsel.model_imbalance,
-            r.static_split.model_imbalance,
-            r.morsel.steals,
-            r.morsel.ms,
-            r.static_split.ms,
+            r.morsel_imbalance,
+            r.block_imbalance,
+            r.ms,
             if r.outputs_identical {
                 ""
             } else {
                 "  FINGERPRINT DIVERGED"
             }
         );
-        // Bit-identity is enforced everywhere; the morsel<=static model
+        // Bit-identity is enforced everywhere; the morsel<=block model
         // regression only on the full run — the quick smoke field is too
         // small for the scheduling gap to clear measurement noise.
-        if !r.outputs_identical
-            || (!quick && r.morsel.model_imbalance > r.static_split.model_imbalance + 1e-9)
-        {
+        if !r.outputs_identical || (!quick && r.morsel_imbalance > r.block_imbalance + 1e-9) {
             bad += 1;
         }
     }
@@ -453,7 +443,7 @@ fn bench_skew(args: &[String]) -> i32 {
         return code;
     }
     if bad > 0 {
-        eprintln!("error: {bad} worker count(s) diverged or scheduled worse than a static split");
+        eprintln!("error: {bad} worker count(s) diverged or modeled worse than a block split");
         return 1;
     }
     0
@@ -797,9 +787,9 @@ fn usage() -> i32 {
     eprintln!("  bench e2e   run every engine analog's full pipeline once and emit");
     eprintln!("              BENCH_e2e.json with per-engine fingerprints and copy counts");
     eprintln!("              options: [--quick] [--out PATH]");
-    eprintln!("  bench skew  schedule a source-skewed astro field under morsel claiming");
-    eprintln!("              and static splits, and emit BENCH_skew.json with worker");
-    eprintln!("              imbalance and steal counts");
+    eprintln!("  bench skew  run a source-skewed astro field on the morsel pool (bit-");
+    eprintln!("              identical to serial) and emit BENCH_skew.json with the");
+    eprintln!("              claim model's worker imbalance against a block split");
     eprintln!("              options: [--quick] [--out PATH]");
     eprintln!("  bench compress");
     eprintln!("              measure the codec ratio of each plane kind (mask and");

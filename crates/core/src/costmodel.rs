@@ -299,7 +299,7 @@ impl KernelScaling {
                 if t <= 1 {
                     continue;
                 }
-                let load = parexec::simulate_workers(costs, t, parexec::Schedule::Morsel);
+                let load = parexec::simulate_workers(costs, t);
                 let makespan = load.iter().cloned().fold(0.0f64, f64::max);
                 if makespan > 0.0 {
                     points.push((t, total / makespan));

@@ -38,19 +38,19 @@ impl Card {
         out
     }
 
+    /// Parse one card. Columns are byte offsets (keyword 1–8, `= ` at
+    /// 9–10), so the split happens on bytes: a non-ASCII byte in a corrupt
+    /// card must not shift a column or land a slice inside a character.
     fn parse(raw: &[u8]) -> Card {
-        let text = String::from_utf8_lossy(raw);
-        let key = text[..8.min(text.len())].trim().to_string();
-        let value = if text.len() > 10 && &text[8..10] == "= " {
-            text[10..]
-                .split('/')
-                .next()
-                .unwrap_or("")
-                .trim()
-                .to_string()
-        } else {
-            String::new()
-        };
+        let (key, rest) = raw.split_at(8.min(raw.len()));
+        let key = String::from_utf8_lossy(key).trim().to_string();
+        let value = rest
+            .strip_prefix(b"= ")
+            .map(|value| {
+                let text = String::from_utf8_lossy(value);
+                text.split('/').next().unwrap_or("").trim().to_string()
+            })
+            .unwrap_or_default();
         Card { key, value }
     }
 }
@@ -263,37 +263,43 @@ fn decode_hdu(buf: &[u8], pos: &mut usize, primary: bool) -> Result<TypedHdu> {
             detail: format!("NAXIS {naxis} unsupported"),
         });
     }
-    let n1 = find("NAXIS1")? as usize;
-    let n2 = find("NAXIS2")? as usize;
-    let cell = if bitpix == -32 { 4 } else { 1 };
-    let nbytes = n1 * n2 * cell;
-    if cursor + nbytes > buf.len() {
-        return Err(FormatError::Truncated {
+    let axis = |key: &str| -> Result<usize> {
+        let n = find(key)?;
+        usize::try_from(n).map_err(|_| FormatError::BadHeader {
             format: "fits",
-            needed: cursor + nbytes,
-            got: buf.len(),
-        });
-    }
-    let data = if bitpix == -32 {
-        let mut v = Vec::with_capacity(n1 * n2);
-        marray::CopyCounter::record("formats.fits-decode", nbytes);
-        for i in 0..n1 * n2 {
-            let o = cursor + 4 * i;
-            v.push(f32::from_be_bytes([
-                buf[o],
-                buf[o + 1],
-                buf[o + 2],
-                buf[o + 3],
-            ]));
-        }
-        ImageData::F32(NdArray::from_vec(&[n2, n1], v)?)
-    } else {
-        ImageData::U8({
-            marray::CopyCounter::record("formats.fits-decode", nbytes);
-            NdArray::from_vec(&[n2, n1], buf[cursor..cursor + nbytes].to_vec())?
+            detail: format!("{key} {n} is negative"),
         })
     };
-    cursor += nbytes;
+    let n1 = axis("NAXIS1")?;
+    let n2 = axis("NAXIS2")?;
+    let cell = if bitpix == -32 { 4 } else { 1 };
+    let nbytes = n1
+        .checked_mul(n2)
+        .and_then(|n| n.checked_mul(cell))
+        .ok_or_else(|| FormatError::BadHeader {
+            format: "fits",
+            detail: format!("NAXIS1 {n1} x NAXIS2 {n2} overflows"),
+        })?;
+    let end = cursor.checked_add(nbytes).filter(|&end| end <= buf.len());
+    let Some(end) = end else {
+        return Err(FormatError::Truncated {
+            format: "fits",
+            needed: cursor.saturating_add(nbytes),
+            got: buf.len(),
+        });
+    };
+    let payload = &buf[cursor..end];
+    marray::CopyCounter::record("formats.fits-decode", nbytes);
+    let data = if bitpix == -32 {
+        let v = payload
+            .chunks_exact(4)
+            .map(|b| f32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
+        ImageData::F32(NdArray::from_vec(&[n2, n1], v)?)
+    } else {
+        ImageData::U8(NdArray::from_vec(&[n2, n1], payload.to_vec())?)
+    };
+    cursor = end;
     // Skip data padding.
     let rem = cursor % BLOCK;
     if rem != 0 {
@@ -399,6 +405,48 @@ mod tests {
         let mut buf = encode_typed(&exposure());
         buf.truncate(buf.len() - BLOCK);
         assert!(decode_typed(&buf).is_err());
+    }
+
+    /// Overwrite the value field (columns 11–30) of header card `idx`.
+    fn set_card_value(buf: &mut [u8], idx: usize, value: &str) {
+        buf[idx * CARD + 10..idx * CARD + 30].copy_from_slice(format!("{value:>20}").as_bytes());
+    }
+
+    #[test]
+    fn malformed_headers_are_errors_not_panics() {
+        // One-pixel byte plane: NAXIS1 is card 3, NAXIS2 card 4.
+        let hdu = TypedHdu {
+            cards: vec![],
+            data: ImageData::U8(NdArray::from_vec(&[1, 1], vec![7u8]).unwrap()),
+        };
+        let buf = encode_typed(std::slice::from_ref(&hdu));
+        let mut negative = buf.clone();
+        set_card_value(&mut negative, 3, "-1");
+        assert!(matches!(
+            decode_typed(&negative),
+            Err(FormatError::BadHeader { .. })
+        ));
+        let mut overflowing = buf.clone();
+        set_card_value(&mut overflowing, 3, &i64::MAX.to_string());
+        set_card_value(&mut overflowing, 4, &i64::MAX.to_string());
+        assert!(matches!(
+            decode_typed(&overflowing),
+            Err(FormatError::BadHeader { .. })
+        ));
+        let mut past_the_end = buf.clone();
+        set_card_value(&mut past_the_end, 3, &(1i64 << 40).to_string());
+        assert!(matches!(
+            decode_typed(&past_the_end),
+            Err(FormatError::Truncated { .. })
+        ));
+        // A non-ASCII byte inside the keyword columns garbles that key
+        // instead of splitting a character.
+        let mut garbled = buf;
+        garbled[7] = 0xff;
+        assert!(matches!(
+            decode_typed(&garbled),
+            Err(FormatError::BadMagic { .. })
+        ));
     }
 
     #[test]

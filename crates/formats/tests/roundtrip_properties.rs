@@ -80,4 +80,26 @@ proptest! {
         buf[idx] = byte;
         let _ = nifti::decode(&buf); // must not panic; error is acceptable
     }
+
+    #[test]
+    fn decode_never_panics_on_mutated_fits(
+        planes in prop::collection::vec(images(), 1..=2),
+        card in 0usize..5,
+        value in prop_oneof![any::<i64>(), -4i64..64],
+        pos in 0usize..4 * fits::BLOCK,
+        byte in any::<u8>(),
+    ) {
+        let hdus: Vec<fits::TypedHdu> = planes
+            .into_iter()
+            .map(|p| fits::TypedHdu { cards: vec![], data: fits::ImageData::F32(p) })
+            .collect();
+        let mut buf = fits::encode_typed(&hdus);
+        // Rewrite one structural card of the primary header (SIMPLE, BITPIX,
+        // NAXIS, NAXIS1 or NAXIS2) to any integer, then overwrite one byte.
+        let field = card * fits::CARD + 10..card * fits::CARD + 30;
+        buf[field].copy_from_slice(format!("{value:>20}").as_bytes());
+        let idx = pos % buf.len();
+        buf[idx] = byte;
+        let _ = fits::decode_typed(&buf); // must not panic; error is acceptable
+    }
 }

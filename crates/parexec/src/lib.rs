@@ -6,19 +6,18 @@
 //! and per-pixel loops (non-local-means denoising, tensor fitting,
 //! sigma-clipped co-addition, background meshes) are embarrassingly parallel
 //! across *slabs* — contiguous row-major runs of the output buffer. This
-//! crate provides the three primitives those kernels need:
+//! crate provides the two primitives those kernels need:
 //!
 //! * [`par_chunks_mut`] — run a function over disjoint mutable chunks of a
 //!   buffer (each chunk is one slab of the output).
 //! * [`par_map_slabs`] — map a function over a slice of items, collecting
 //!   the results in input order.
-//! * [`par_reduce`] — map each item to a partial value, then fold the
-//!   partials **in item order** (an ordered reduction).
 //!
-//! All three are thin wrappers over the [`MorselPool`] scheduler; kernels
-//! with non-uniform work can use the pool directly with a [`CostHint`]
-//! (see [`MorselPool::map_ranges`]), and ingest-bound pipelines can overlap
-//! decode with compute through [`pipeline::two_stage`].
+//! Both are thin wrappers over the [`MorselPool`] scheduler; kernels that
+//! must not split a unit (one plane, one partition) use the pool directly
+//! with a [`CostHint`] (see [`MorselPool::map_ranges`]), and ingest-bound
+//! pipelines can overlap decode with compute through
+//! [`pipeline::two_stage`].
 //!
 //! ## Determinism
 //!
@@ -33,7 +32,6 @@
 //!   every morsel's result is written into its pre-assigned slot: the
 //!   schedule decides *who* computes a morsel, never *what* is computed or
 //!   *where* it lands.
-//! * [`par_reduce`] folds partials in slab order on the calling thread.
 //!
 //! ## Safety
 //!
@@ -50,10 +48,7 @@ use std::num::NonZeroUsize;
 mod morsel;
 pub mod pipeline;
 
-pub use morsel::{
-    imbalance_ratio, morsel_ranges, simulate_workers, CostHint, MorselPool, PoolStats, Schedule,
-    MORSELS_PER_WORKER,
-};
+pub use morsel::{morsel_ranges, simulate_workers, CostHint, MorselPool, MORSELS_PER_WORKER};
 
 /// Environment variable overriding [`Parallelism::auto`]'s worker count
 /// (used by CI to pin thread counts for deterministic perf smoke runs).
@@ -66,9 +61,10 @@ pub const MAX_THREADS: usize = 256;
 
 /// How many workers a parallel primitive may use.
 ///
-/// `Serial` is not merely `Threads(1)`: it runs entirely on the calling
-/// thread with no scope setup at all, so kernels can keep their original
-/// single-threaded execution as a directly assertable baseline.
+/// `Serial` runs entirely on the calling thread with no scope setup, so
+/// kernels keep their original single-threaded execution as a directly
+/// assertable baseline. `Threads(1)` runs the same way: any width-1 pool
+/// stays on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Parallelism {
     /// Run on the calling thread (the reference single-threaded path).
@@ -137,7 +133,7 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    MorselPool::new(par).chunks_mut_with_stats(data, chunk_len, f);
+    MorselPool::new(par).chunks_mut(data, chunk_len, f);
 }
 
 /// Map `f(index, item)` over `items`, returning results in input order.
@@ -153,22 +149,6 @@ where
     F: Fn(usize, &I) -> O + Sync,
 {
     MorselPool::new(par).map(items, f)
-}
-
-/// Map each item to a partial value with `map`, then fold the partials in
-/// **item order** with `reduce`, starting from `init`.
-///
-/// Because the fold happens in a fixed order on the calling thread, the
-/// result is bit-identical at every parallelism level even for
-/// non-associative operations such as floating-point sums.
-pub fn par_reduce<I, A, M, R>(items: &[I], par: Parallelism, map: M, init: A, reduce: R) -> A
-where
-    I: Sync,
-    A: Send,
-    M: Fn(usize, &I) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    MorselPool::new(par).reduce(items, map, init, reduce)
 }
 
 #[cfg(test)]
@@ -273,24 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_mut_matches_serial_under_static_schedule() {
-        // The static-split baseline used by the skew benchmark must be just
-        // as deterministic as the claiming schedule.
-        let reference: Vec<usize> = (0..103).map(|k| (k / 7) * 1000 + k % 7).collect();
-        for workers in [1usize, 2, 4, 8] {
-            let mut d = vec![0usize; 103];
-            MorselPool::new(Parallelism::threads(workers))
-                .with_schedule(Schedule::Static)
-                .chunks_mut_with_stats(&mut d, 7, |i, c| {
-                    for (k, v) in c.iter_mut().enumerate() {
-                        *v = i * 1000 + k;
-                    }
-                });
-            assert_eq!(d, reference, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn panic_in_worker_propagates_payload() {
         let result = std::panic::catch_unwind(|| {
             let mut data = vec![0u8; 16];
@@ -336,20 +298,28 @@ mod tests {
     }
 
     #[test]
-    fn reduce_is_ordered_and_deterministic() {
-        // A deliberately non-associative float sum: ordering matters at the
-        // bit level, so identical results across widths prove ordering.
-        let items: Vec<f64> = (0..1000).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let serial = par_reduce(&items, Parallelism::Serial, |_, &x| x, 0.0, |a, b| a + b);
-        for workers in [1usize, 2, 3, 4, 8] {
-            let par = par_reduce(
-                &items,
-                Parallelism::threads(workers),
-                |_, &x| x,
-                0.0,
-                |a, b| a + b,
-            );
-            assert_eq!(par.to_bits(), serial.to_bits(), "workers={workers}");
+    fn width_one_pools_run_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = || assert_eq!(std::thread::current().id(), caller);
+        for par in [Parallelism::Serial, Parallelism::threads(1)] {
+            let pool = MorselPool::new(par);
+            let items: Vec<u32> = (0..64).collect();
+            let out = pool.map(&items, |_, &x| {
+                on_caller();
+                x
+            });
+            assert_eq!(out, items, "{par:?}");
+            let morsels = pool.map_ranges(64, |_, r| {
+                on_caller();
+                r.len()
+            });
+            assert_eq!(morsels.len(), MORSELS_PER_WORKER, "{par:?}");
+            let mut data = vec![0u8; 64];
+            pool.chunks_mut(&mut data, 4, |_, chunk| {
+                on_caller();
+                chunk.fill(1);
+            });
+            assert!(data.iter().all(|&b| b == 1), "{par:?}");
         }
     }
 }

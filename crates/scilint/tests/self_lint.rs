@@ -53,6 +53,23 @@ fn morsel_pool_is_the_only_spawn_site() {
 }
 
 #[test]
+fn morsel_pool_reads_no_clock() {
+    // The pool's one claim loop keeps no per-morsel timing, so parexec
+    // needs no F002 sanction; one there would vouch for a clock read under
+    // every pool caller's purity verdict.
+    let src = workspace_root().join("crates/parexec/src");
+    for entry in std::fs::read_dir(&src).expect("parexec sources readable") {
+        let path = entry.expect("directory entry").path();
+        let text = std::fs::read_to_string(&path).expect("source readable");
+        assert!(
+            !text.contains("allow(F002"),
+            "{} sanctions a nondeterminism source",
+            path.display()
+        );
+    }
+}
+
+#[test]
 fn reports_are_deterministic_across_runs() {
     // The linter gates CI, so its output must be byte-stable: BTree maps
     // throughout, function ids in (path, token) order, findings tie-broken

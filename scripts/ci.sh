@@ -94,14 +94,16 @@ artifact_gate "scibench bench e2e --quick (copy accounting on the shared data pl
   scibench-bench-e2e/v2 BENCH_e2e.json \
   "${scibench[@]}" bench e2e --quick
 
-# Runs the skewed astro field through both schedules at 2/4/8 workers
-# (bit-identity is enforced by the tool: non-zero exit on fingerprint
-# divergence; the morsel<=static model-imbalance regression is enforced
-# on the full run that regenerates the committed artifact) and checks the
-# committed BENCH_skew.json still speaks the schema the tool emits. The
-# artifact is a record only: no tool reads it back.
-artifact_gate "scibench bench skew --quick (morsel vs static worker imbalance)" \
-  scibench-bench-skew/v2 BENCH_skew.json \
+# Runs the skewed astro field live on the morsel pool at 2/4/8 workers
+# (the tool exits non-zero if any output diverges from the serial run)
+# and replays the serially measured per-patch costs through the pool's
+# claim model and a block-split model; the morsel<=block model-imbalance
+# regression is enforced on the full run that regenerates the committed
+# artifact. Also checks the committed BENCH_skew.json still speaks the
+# schema the tool emits. The artifact is a record only: no tool reads it
+# back.
+artifact_gate "scibench bench skew --quick (live morsel pool vs block-split model)" \
+  scibench-bench-skew/v3 BENCH_skew.json \
   "${scibench[@]}" bench skew --quick
 
 # Measures the codec ratio of each plane kind (the tool exits non-zero
