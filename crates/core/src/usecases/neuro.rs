@@ -214,6 +214,10 @@ pub fn spark(subjects: &[Subject], partitions: usize) -> BTreeMap<u32, NdArray<f
 ///
 /// Mirrors Figure 7: ingest an `Images(subjId, imgId, img)` relation,
 /// compute and broadcast `Mask`, then join + PYUDF(Denoise) + a FitDTM UDA.
+/// `Images` is hash-partitioned on `imgId`, so even one subject's volumes
+/// spread over the workers and every fragment runs its share of the
+/// Denoise calls. `MeanVol` sums in `imgId` order, so the mask and FA are
+/// bit-identical at any worker count.
 // scilint: allow(F001, volume index and shape invariants are upheld by the pipeline driver; TODO(flow): propagate Result through the use-case API)
 // scilint: allow(F003, engine ingest boundary: blobs enter the engine's own tuple store, a materializing copy by contract)
 pub fn myria(
@@ -241,19 +245,12 @@ pub fn myria(
             })
         })
         .collect();
-    conn.ingest("Images", schema, tuples, 0);
+    // On imgId, as the lowering pins volume (s, v) to a worker.
+    conn.ingest("Images", schema, tuples, 1);
 
     // Register UDFs/UDAs over blobs.
     conn.create_aggregate("MeanVol", |tuples| {
-        let first = tuples[0].last().expect("img col").as_blob();
-        let mut acc = NdArray::<f64>::zeros(first.dims());
-        for t in tuples {
-            let img = t.last().expect("img col").as_blob();
-            acc = acc.zip_with(img, |a, b| a + b).expect("same dims");
-        }
-        let n = tuples.len() as f64;
-        acc.map_inplace(|x| x / n);
-        Value::blob(acc)
+        Value::blob(mean_vol(tuples).expect("same dims"))
     });
     conn.create_function("MedianOtsu", |args| {
         let mean = args[0].as_blob();
@@ -339,6 +336,24 @@ pub fn myria(
             )
         })
         .collect()
+}
+
+/// The `MeanVol` UDA's fold over `Images(subjId, imgId, img)` tuples: the
+/// mean of the group's volumes, summed in `imgId` order so the bits do not
+/// depend on which fragments the group's tuples arrived from.
+fn mean_vol(tuples: &[Vec<Value>]) -> Result<NdArray<f64>, marray::ArrayError> {
+    let mut imgs: Vec<(i64, &NdArray<f64>)> = tuples
+        .iter()
+        .map(|t| (t[1].as_int(), t[2].as_blob().as_ref()))
+        .collect();
+    imgs.sort_by_key(|(v, _)| *v);
+    let mut acc = NdArray::<f64>::zeros(imgs[0].1.dims());
+    for (_, img) in &imgs {
+        acc = acc.zip_with(img, |a, b| a + b)?;
+    }
+    let n = imgs.len() as f64;
+    acc.map_inplace(|x| x / n);
+    Ok(acc)
 }
 
 // ---------------------------------------------------------------------------
@@ -511,6 +526,10 @@ pub struct ScidbNeuroOutput {
 }
 
 /// Run the expressible steps on the SciDB analog.
+///
+/// The deployment has four instances, and each subject is stored one
+/// volume per chunk. Step 2N's `stream()` runs each chunk's TSV round
+/// trip and NLM call on a pool worker, up to four chunks at a time.
 // scilint: allow(F001, volume index and shape invariants are upheld by the pipeline driver; TODO(flow): propagate Result through the use-case API)
 // scilint: allow(F003, engine ingest boundary: blobs enter the engine's own tuple store, a materializing copy by contract)
 pub fn scidb(subjects: &[Subject]) -> ScidbNeuroOutput {
@@ -594,6 +613,59 @@ mod tests {
         for s in &subs {
             assert_close(&out[&s.id], &reference_fa(s), 1e-9, "myria FA");
         }
+    }
+
+    fn bits(a: &NdArray<f64>) -> Vec<u64> {
+        a.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn myria_fa_is_bit_identical_at_every_width_and_to_spark() {
+        // Images is partitioned on imgId, so each subject's volumes spread
+        // over every fragment; the FA bits hold at any worker count.
+        let subs = subjects(2);
+        let expect = spark(&subs, 4);
+        for workers in [1, 2, 4] {
+            let out = myria(&subs, 1, workers);
+            for s in &subs {
+                assert_eq!(
+                    bits(&out[&s.id]),
+                    bits(&expect[&s.id]),
+                    "workers={workers}, subject {}",
+                    s.id
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mean_vol_ignores_arrival_order() {
+        // Thirds, so the sums round and their order shows in the bits.
+        let s = &subjects(1)[0];
+        let tuples: Vec<Vec<Value>> = (0..s.gtab.len())
+            .map(|v| {
+                vec![
+                    Value::Int(0),
+                    Value::Int(v as i64),
+                    Value::blob(s.volume(v).map(|x| x / 3.0)),
+                ]
+            })
+            .collect();
+        let expect = bits(&mean_vol(&tuples).unwrap());
+        // Odd imgIds first, then even ones backwards: a fragment layout
+        // no hash partitioning produces in imgId order.
+        let mut shuffled: Vec<Vec<Value>> = tuples.iter().skip(1).step_by(2).cloned().collect();
+        shuffled.extend(tuples.iter().step_by(2).rev().cloned());
+        assert_eq!(bits(&mean_vol(&shuffled).unwrap()), expect);
+        // Summing in arrival order would change the bits, so the sort is
+        // what keeps them.
+        let mut arrival = NdArray::<f64>::zeros(s.volume(0).dims());
+        for t in &shuffled {
+            arrival = arrival.zip_with(t[2].as_blob(), |a, b| a + b).unwrap();
+        }
+        let n = shuffled.len() as f64;
+        arrival.map_inplace(|x| x / n);
+        assert_ne!(bits(&arrival), expect);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   written natively, exactly as the paper found.
 //! * **The `stream()` interface** — [`ScidbArray::stream`] pipes each
 //!   chunk through an external UDF via real TSV serialization both ways
-//!   (the Figure 12c overhead).
+//!   (the Figure 12c overhead). The instances stream side by side: chunks
+//!   run one per morsel on `min(instances, chunks)` `parexec` pool
+//!   workers, with results and statistics in grid order.
 //! * **Two ingest paths** — serial client-side [`ArrayDb::from_array`]
 //!   (SciDB-1 in Figure 11) and parallel CSV [`ArrayDb::aio_input`]
 //!   (SciDB-2, an order of magnitude faster but needing format

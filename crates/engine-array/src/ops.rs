@@ -2,6 +2,7 @@
 
 use crate::db::{ArrayDbError, ScidbArray};
 use marray::{ChunkGrid, Mask, NdArray};
+use parexec::{CostHint, MorselPool, Parallelism};
 use std::sync::atomic::Ordering;
 
 impl ScidbArray {
@@ -300,36 +301,34 @@ impl ScidbArray {
     /// process", transformed, serialized back and re-parsed — the exact
     /// interchange the paper measured as the Figure 12c overhead. The UDF
     /// must preserve the chunk's shape.
+    ///
+    /// The instances stream side by side, as the real engine's `stream()`
+    /// runs one external process per instance: the chunks run one per
+    /// morsel on `min(instances, chunks)` `parexec` pool workers, each with
+    /// its full round trip. Results land in grid order, the
+    /// first failing chunk in grid order is the error returned, and the
+    /// TSV bytes are recorded chunk by chunk in grid order after the walk,
+    /// so output and statistics match a serial walk at any instance count.
+    /// A panicking UDF reaches the caller with its own message.
     pub fn stream(
         &self,
-        udf: impl Fn(&NdArray<f64>) -> NdArray<f64>,
+        udf: impl Fn(&NdArray<f64>) -> NdArray<f64> + Sync,
     ) -> Result<ScidbArray, ArrayDbError> {
         let cells: u64 = self.chunks.iter().map(|(_, c)| c.len() as u64).sum();
         self.record_scan(self.chunks.len() as u64, cells);
+        let instances = Parallelism::threads(self.db.instances.min(self.chunks.len()).max(1));
+        let one_chunk_per_morsel = CostHint::uniform().with_max_items(1);
+        let streamed = MorselPool::with_hint(instances, one_chunk_per_morsel)
+            .map(&self.chunks, |_, (_, chunk)| stream_chunk(chunk, &udf));
         let mut chunks = Vec::with_capacity(self.chunks.len());
-        for (ix, chunk) in &self.chunks {
-            // Engine → external process.
-            let outbound = formats::text::to_tsv(&chunk.cast());
-            let received = formats::text::from_tsv(&outbound)
-                .map_err(|e| ArrayDbError::BadCsv(e.to_string()))?;
-            let transformed = udf(&received.cast());
-            if transformed.dims() != chunk.dims() {
-                return Err(ArrayDbError::Mismatch(format!(
-                    "stream() UDF changed chunk shape {:?} -> {:?}",
-                    chunk.dims(),
-                    transformed.dims()
-                )));
-            }
-            // External process → engine.
-            let inbound = formats::text::to_tsv(&transformed.cast());
-            let back = formats::text::from_tsv(&inbound)
-                .map_err(|e| ArrayDbError::BadCsv(e.to_string()))?;
+        for ((ix, _), result) in self.chunks.iter().zip(streamed) {
+            let (back, tsv_bytes) = result?;
             self.db
                 .stats
                 .stream_tsv_bytes
-                .fetch_add((outbound.len() + inbound.len()) as u64, Ordering::Relaxed);
-            marray::CopyCounter::record("scidb.stream-tsv", outbound.len() + inbound.len());
-            chunks.push((ix.clone(), back.cast()));
+                .fetch_add(tsv_bytes as u64, Ordering::Relaxed);
+            marray::CopyCounter::record("scidb.stream-tsv", tsv_bytes);
+            chunks.push((ix.clone(), back));
         }
         Ok(ScidbArray {
             db: self.db.clone(),
@@ -337,6 +336,31 @@ impl ScidbArray {
             chunks,
         })
     }
+}
+
+/// One chunk's `stream()` round trip: TSV out, parse, UDF, TSV back,
+/// parse. Returns the streamed chunk and the TSV bytes moved both ways.
+fn stream_chunk(
+    chunk: &NdArray<f64>,
+    udf: impl Fn(&NdArray<f64>) -> NdArray<f64>,
+) -> Result<(NdArray<f64>, usize), ArrayDbError> {
+    // Engine → external process.
+    let outbound = formats::text::to_tsv(&chunk.cast());
+    let received =
+        formats::text::from_tsv(&outbound).map_err(|e| ArrayDbError::BadCsv(e.to_string()))?;
+    let transformed = udf(&received.cast());
+    if transformed.dims() != chunk.dims() {
+        return Err(ArrayDbError::Mismatch(format!(
+            "stream() UDF changed chunk shape {:?} -> {:?}",
+            chunk.dims(),
+            transformed.dims()
+        )));
+    }
+    // External process → engine.
+    let inbound = formats::text::to_tsv(&transformed.cast());
+    let back =
+        formats::text::from_tsv(&inbound).map_err(|e| ArrayDbError::BadCsv(e.to_string()))?;
+    Ok((back.cast(), outbound.len() + inbound.len()))
 }
 
 #[cfg(test)]
