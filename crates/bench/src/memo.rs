@@ -20,16 +20,17 @@
 //! * a deliberately-unsafe fixture — a plan whose operator is bound to
 //!   `parexec`'s thread-count probe `auto`, an unsanctioned ambient
 //!   read — must be rejected, with the witness chain naming the sink.
+//!   It is the plan `sciserve` ships for its bypass path
+//!   ([`sciserve::server::fixture_graph`] over its `FIXTURE_OPS`).
 
 use std::io;
 use std::path::Path;
 
 use scibench_core::experiments::Setup;
-use scilint::purity::PurityTable;
 use scimemo::{
     certify, Certification, ConfigReport, FixtureReport, MemoTable, NodeClass, Report, StatsBlock,
 };
-use simcluster::{TaskGraph, TaskSpec};
+use sciserve::server::{fixture_graph, FIXTURE_OPS};
 
 use crate::plans::shipped_configs;
 
@@ -40,25 +41,6 @@ pub struct MemoSweep {
     pub report: Report,
     /// Human-readable acceptance failures (empty on a green sweep).
     pub failures: Vec<String>,
-}
-
-/// The deliberately-unsafe fixture's binding table: `fixture:auto-tile`
-/// claims to run `auto`, the ambient thread-count probe in `parexec` —
-/// a real workspace function whose purity verdict is `ambient_read`.
-const FIXTURE_OPS: &[plancheck::OpBinding] = &{
-    use plancheck::{OpBinding, OpClass};
-    [
-        OpBinding::new("fixture:ingest", OpClass::Source),
-        OpBinding::new("fixture:auto-tile", OpClass::Kernel(&["auto"])),
-    ]
-};
-
-/// Certify the unsafe fixture plan against the workspace purity table.
-fn fixture_certification(purity: &PurityTable) -> Certification {
-    let mut g = TaskGraph::new();
-    let ingest = g.add(TaskSpec::compute("fixture:ingest", 1.0).output(1 << 20));
-    g.add(TaskSpec::compute("fixture:auto-tile", 1.0).after(&[ingest]));
-    certify(&g, &[FIXTURE_OPS], purity)
 }
 
 /// Run the full sweep. `root` is the workspace root (for the purity
@@ -118,7 +100,7 @@ pub fn run_memo(root: &Path) -> io::Result<MemoSweep> {
     }
 
     // The gate must reject what it is built to reject.
-    let fixture = fixture_certification(&purity);
+    let fixture = certify(&fixture_graph(), &[FIXTURE_OPS], &purity);
     let rejected: Vec<_> = fixture.rejections().collect();
     if rejected.is_empty() {
         failures.push("fixture `unsafe-ambient`: the ambient-read plan was NOT rejected".into());
@@ -143,11 +125,11 @@ pub fn run_memo(root: &Path) -> io::Result<MemoSweep> {
     // as hits, first sights as misses, and every uncertified node as a
     // bypass. The table is unbounded here; eviction behavior is covered
     // by the scimemo unit tests and measured by `scibench bench serve`.
-    let mut table: MemoTable<u64> = MemoTable::new();
-    let mut replay = |cert: &Certification| {
+    let table: MemoTable<u64> = MemoTable::new();
+    let replay = |cert: &Certification| {
         for n in &cert.nodes {
             let fp = n.fingerprint;
-            table.get_or_compute_weighed(fp, n.certified, || fp, |_| 8);
+            table.get_or_compute(fp, n.certified, || fp, |_| 8);
         }
     };
     for c in &report.configs {
@@ -206,7 +188,7 @@ mod tests {
     #[test]
     fn fixture_rejection_carries_the_ambient_witness() {
         let purity = scilint::purity::analyze_workspace(workspace_root()).unwrap();
-        let cert = fixture_certification(&purity);
+        let cert = certify(&fixture_graph(), &[FIXTURE_OPS], &purity);
         let rejected: Vec<_> = cert.rejections().collect();
         assert_eq!(rejected.len(), 1);
         assert!(

@@ -8,9 +8,9 @@
 //!    missed, warm = every stage hit) and a per-request `CopyCounter`
 //!    ledger delta: every all-hit request must move **zero** copies and
 //!    zero bytes, the tentpole claim;
-//! 2. **concurrent, cache on** — the same schedule fanned across a
-//!    `MorselPool`; every response must be byte-identical to the serial
-//!    replay;
+//! 2. **concurrent, cache on** — the same schedule fanned out over one
+//!    shared server with `par_map_slabs`; every response must be
+//!    byte-identical to the serial replay;
 //! 3. **serial, cache off** — the baseline the speedup is measured
 //!    against; every response must again be byte-identical, proving the
 //!    cache never changes a payload byte;
@@ -30,7 +30,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use marray::CopyCounter;
-use parexec::Parallelism;
+use parexec::{par_map_slabs, Parallelism};
 use scibench_core::lower::Engine;
 use scimemo::MemoStats;
 use sciserve::{demo_catalog, AstroMode, Pipeline, QueryDesc, ServeOutcome, Server};
@@ -382,9 +382,8 @@ pub fn run_serve(
     // the serial replay.
     let concurrent =
         Server::new(demo_catalog(quick), purity.clone()).with_cache_budget(budget_bytes);
-    let concurrent = concurrent.with_parallelism(par);
     let t1 = Instant::now();
-    let conc_outcomes = concurrent.serve_batch(&sched);
+    let conc_outcomes = par_map_slabs(&sched, par, |_, q| concurrent.serve_one(q));
     let concurrent_s = t1.elapsed().as_secs_f64();
     let concurrent_matches = fingerprints(&outcomes) == fingerprints(&conc_outcomes);
     if !concurrent_matches {

@@ -11,7 +11,8 @@
 //! plus its block-mates on one worker while morsel claiming gives that
 //! worker nothing else.
 //!
-//! Each patch's cost is measured serially, then two models replay those
+//! Each patch's cost is measured serially, as the median of three timed
+//! passes after an untimed warm-up pass, then two models replay those
 //! costs at every ladder width: [`simulate_workers`] (the pool's greedy
 //! claim loop) and a contiguous block split. Both are deterministic given
 //! the costs, so the comparison holds even on a single-core host where
@@ -34,6 +35,9 @@ use std::time::Instant;
 /// Worker counts the skew matrix sweeps (serial is the cost-measurement
 /// anchor, not a row: imbalance is undefined for one worker).
 pub const SKEW_LADDER: [usize; 3] = [2, 4, 8];
+
+/// Timed serial passes over every patch; a patch's cost is their median.
+const TIMED_PASSES: usize = 3;
 
 /// Survey geometry for the skew run. Both variants pack enough sources
 /// into the dense corner patch that its forced-photometry bill dominates:
@@ -228,14 +232,34 @@ pub fn run_skew(quick: bool) -> SkewRun {
     // Serial anchor: the reference output and the per-patch cost profile
     // every model comparison uses. Timed item by item rather than through
     // a width-1 pool — the pool would coarsen a handful of patches into
-    // fewer morsels, and the model wants exactly one cost per patch.
-    let mut reference = Vec::with_capacity(items.len());
-    let mut costs = Vec::with_capacity(items.len());
-    for (patch, stacks) in &items {
-        let t0 = Instant::now();
-        reference.push(patch_work(patch, stacks));
-        costs.push(t0.elapsed().as_secs_f64() * 1e9);
+    // fewer morsels, and the model wants exactly one cost per patch. An
+    // untimed pass yields the reference and warms caches and allocator,
+    // so the hot corner patch, which comes first, is not charged for a
+    // cold start; each patch's cost is the median of its timed passes, so
+    // one stalled pass does not set its share.
+    let reference: Vec<u64> = items
+        .iter()
+        .map(|(patch, stacks)| patch_work(patch, stacks))
+        .collect();
+    let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(TIMED_PASSES); items.len()];
+    for _ in 0..TIMED_PASSES {
+        for (((patch, stacks), expect), t) in items.iter().zip(&reference).zip(&mut times) {
+            let t0 = Instant::now();
+            let out = patch_work(patch, stacks);
+            t.push(t0.elapsed().as_secs_f64() * 1e9);
+            assert_eq!(
+                out, *expect,
+                "timed pass diverged from the reference at {patch:?}"
+            );
+        }
     }
+    let costs: Vec<f64> = times
+        .into_iter()
+        .map(|mut t| {
+            t.sort_by(f64::total_cmp);
+            t[TIMED_PASSES / 2]
+        })
+        .collect();
 
     let mut results = Vec::new();
     for &workers in &SKEW_LADDER {

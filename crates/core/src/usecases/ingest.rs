@@ -1,29 +1,26 @@
-//! Pipelined ingest: overlap format decode with the first compute step.
+//! Ingest entry points: decode encoded buffers on the morsel pool, then
+//! run the first compute step.
 //!
-//! The paper's Figure 11 shows ingest-dominated workloads favour engines
-//! that pipeline I/O into compute (Dask, TensorFlow) over engines with a
-//! hard barrier between the two. These entry points give both use cases
-//! that overlap via [`parexec::pipeline::two_stage`]: a producer thread
-//! decodes the next encoded buffer (FITS for astronomy, npy/NIfTI for
-//! neuroimaging) while the calling thread runs the first compute step on
-//! the previous one — Step 1A calibration for astronomy, the Step 1N b0
-//! mean accumulation for neuroimaging. The consumer observes items in
-//! exactly the sequential order, so output is byte-identical to decoding
-//! everything first and then computing (proven by the tests below).
+//! The paper's Figure 11 credits ingest/compute pipelining to the engines
+//! (Dask, TensorFlow), and their lowerings model it. The native path
+//! keeps no overlap machinery of its own: decode runs on the same
+//! `parexec` pool as every other fan-out. Astronomy decodes each FITS
+//! exposure and calibrates it (Step 1A) in one pool call, then joins the
+//! reference pipeline at Step 2A. Neuroimaging decodes its NIfTI volumes
+//! on a 2-wide pool, then folds the b0 running sum in volume order (the
+//! first half of Step 1N). Each item's result lands in its own slot, so
+//! both are byte-identical to a sequential decode-then-compute (proven by
+//! the tests below).
 
 use formats::fits::{self, Card, ImageData, TypedHdu};
-use formats::{nifti, npy};
+use formats::nifti;
 use marray::NdArray;
+use parexec::par_map_slabs;
 use sciops::astro::{
     calibrate_exposure, reference_pipeline_calibrated_par, AstroOutput, CalibParams, CoaddParams,
     DetectParams, Exposure, PatchGrid, SkyBox,
 };
 use sciops::Parallelism;
-
-/// In-flight decoded items between the decode stage and the compute stage.
-/// One already overlaps a decode with a compute; a second absorbs jitter
-/// between stage costs without holding many exposures in memory.
-const PIPELINE_BOUND: usize = 2;
 
 // ---------------------------------------------------------------------------
 // Astronomy: FITS exposures → calibration (Step 1A)
@@ -104,21 +101,11 @@ pub fn decode_exposure_fits(buf: &[u8]) -> Result<Exposure, String> {
     })
 }
 
-/// Decode ∥ calibrate: FITS decode of exposure `i+1` overlaps with Step 1A
-/// calibration of exposure `i`. Outputs are in buffer order and
-/// byte-identical to sequential decode-then-calibrate.
+/// The full astronomy reference pipeline fed from encoded FITS exposures:
+/// each exposure is decoded and calibrated (Step 1A) in one pool call at
+/// `par`, then Steps 2A–4A run as in [`reference_pipeline_calibrated_par`].
+/// Outputs are bit-identical to calibrating decoded exposures serially.
 // scilint: allow(F001, volume index and shape invariants are upheld by the pipeline driver; TODO(flow): propagate Result through the use-case API)
-pub fn astro_ingest_calibrate_fits(buffers: &[Vec<u8>], calib: &CalibParams) -> Vec<Exposure> {
-    parexec::pipeline::two_stage(
-        buffers.len(),
-        PIPELINE_BOUND,
-        |i| decode_exposure_fits(&buffers[i]).expect("valid exposure buffer"),
-        |_, e| calibrate_exposure(&e, calib),
-    )
-}
-
-/// The full astronomy reference pipeline fed from encoded FITS exposures,
-/// with decode overlapped into calibration; Steps 2A–4A then run as usual.
 pub fn astro_pipeline_from_fits(
     buffers: &[Vec<u8>],
     grid: &PatchGrid,
@@ -127,30 +114,25 @@ pub fn astro_pipeline_from_fits(
     detect: &DetectParams,
     par: Parallelism,
 ) -> AstroOutput {
-    let calibrated = astro_ingest_calibrate_fits(buffers, calib);
+    let calibrated = par_map_slabs(buffers, par, |_, buf| {
+        let e = decode_exposure_fits(buf).expect("valid exposure buffer");
+        calibrate_exposure(&e, calib)
+    });
     reference_pipeline_calibrated_par(calibrated, grid, coadd, detect, par)
 }
 
 // ---------------------------------------------------------------------------
-// Neuroimaging: npy / NIfTI volumes → b0 mean accumulation (Step 1N)
+// Neuroimaging: NIfTI volumes → b0 mean accumulation (Step 1N)
 // ---------------------------------------------------------------------------
 
-/// Result of pipelined neuro ingest: the stacked 4-D (x, y, z, volume)
-/// dataset plus the mean b0 volume whose accumulation ran overlapped with
-/// decode (the first half of Step 1N; `median_otsu` completes segmentation).
+/// Result of neuro ingest: the stacked 4-D (x, y, z, volume) dataset plus
+/// the mean b0 volume (the first half of Step 1N; `median_otsu` completes
+/// segmentation).
 pub struct NeuroIngest {
     /// The stacked 4-D dataset, volume order preserved.
     pub data: NdArray<f64>,
     /// Mean over the b0 (non-diffusion-weighted) volumes.
     pub mean_b0: NdArray<f64>,
-}
-
-/// Encode a subject's volumes as one lossless f64 npy buffer per volume.
-// scilint: allow(F001, volume index and shape invariants are upheld by the pipeline driver; TODO(flow): propagate Result through the use-case API)
-pub fn encode_volumes_npy(data: &NdArray<f64>) -> Vec<Vec<u8>> {
-    (0..data.dims()[3])
-        .map(|v| npy::encode_f64(&data.slice_axis(3, v).expect("volume index in range")))
-        .collect()
 }
 
 /// Encode a subject's volumes as one NIfTI-1 buffer per volume (f32 on
@@ -165,35 +147,35 @@ pub fn encode_volumes_nifti(data: &NdArray<f64>, voxel_mm: f32) -> Vec<Vec<u8>> 
         .collect()
 }
 
+/// Decode NIfTI-1 buffers (f32 payloads cast up to f64) on a 2-wide pool,
+/// then fold the b0 volumes into their mean in volume order: a fixed fold
+/// order, so the mean is bit-identical to a sequential decode and fold.
+/// The width is fixed because the signature takes no [`Parallelism`]:
+/// decode is a small share of a pipeline, and two workers hide most of it.
 // scilint: allow(F001, volume index and shape invariants are upheld by the pipeline driver; TODO(flow): propagate Result through the use-case API)
 // scilint: allow(F003, engine ingest boundary: blobs enter the engine's own tuple store, a materializing copy by contract)
-fn neuro_ingest<D>(n: usize, b0_indices: &[usize], decode: D) -> NeuroIngest
-where
-    D: Fn(usize) -> NdArray<f64> + Send,
-{
-    assert!(n > 0, "at least one volume");
-    let mut volumes: Vec<NdArray<f64>> = Vec::with_capacity(n);
+pub fn neuro_ingest_nifti(volumes: &[Vec<u8>], b0_indices: &[usize]) -> NeuroIngest {
+    assert!(!volumes.is_empty(), "at least one volume");
+    let decoded: Vec<NdArray<f64>> = par_map_slabs(volumes, Parallelism::threads(2), |_, buf| {
+        let (_, vol) = nifti::decode(buf).expect("valid NIfTI volume");
+        vol.cast()
+    });
     let mut b0_sum: Option<NdArray<f64>> = None;
     let mut n_b0 = 0usize;
-    let _: Vec<()> = parexec::pipeline::two_stage(n, PIPELINE_BOUND, decode, |i, vol| {
-        // First compute step, overlapped with the next volume's decode:
-        // accumulate the b0 running sum in volume order (a fixed fold
-        // order, so the mean is bit-identical to the sequential path).
+    for (i, vol) in decoded.iter().enumerate() {
         if b0_indices.contains(&i) {
             n_b0 += 1;
             b0_sum = Some(match b0_sum.take() {
                 None => vol.clone(),
-                Some(acc) => acc.zip_with(&vol, |a, b| a + b).expect("same dims"),
+                Some(acc) => acc.zip_with(vol, |a, b| a + b).expect("same dims"),
             });
         }
-        volumes.push(vol);
-    });
-    let sum = b0_sum.expect("at least one b0 volume");
+    }
+    let mut mean_b0 = b0_sum.expect("at least one b0 volume");
     let inv = 1.0 / n_b0 as f64;
-    let mut mean_b0 = sum;
     mean_b0.map_inplace(|x| x * inv);
-    let dims3 = volumes[0].dims().to_vec();
-    let parts: Vec<NdArray<f64>> = volumes
+    let dims3 = decoded[0].dims().to_vec();
+    let parts: Vec<NdArray<f64>> = decoded
         .into_iter()
         .map(|vol| {
             let mut d = dims3.clone();
@@ -204,24 +186,6 @@ where
     let refs: Vec<&NdArray<f64>> = parts.iter().collect();
     let data = NdArray::concat(&refs, 3).expect("volumes share spatial dims");
     NeuroIngest { data, mean_b0 }
-}
-
-/// Decode ∥ accumulate from f64 npy buffers: npy decode of volume `i+1`
-/// overlaps with folding volume `i` into the b0 sum.
-// scilint: allow(F001, volume index and shape invariants are upheld by the pipeline driver; TODO(flow): propagate Result through the use-case API)
-pub fn neuro_ingest_npy(volumes: &[Vec<u8>], b0_indices: &[usize]) -> NeuroIngest {
-    neuro_ingest(volumes.len(), b0_indices, |i| {
-        npy::decode_f64(&volumes[i]).expect("valid npy volume")
-    })
-}
-
-/// Decode ∥ accumulate from NIfTI-1 buffers (f32 payloads cast up to f64).
-// scilint: allow(F001, volume index and shape invariants are upheld by the pipeline driver; TODO(flow): propagate Result through the use-case API)
-pub fn neuro_ingest_nifti(volumes: &[Vec<u8>], b0_indices: &[usize]) -> NeuroIngest {
-    neuro_ingest(volumes.len(), b0_indices, |i| {
-        let (_, vol) = nifti::decode(&volumes[i]).expect("valid NIfTI volume");
-        vol.cast()
-    })
 }
 
 #[cfg(test)]
@@ -246,30 +210,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn astro_overlap_matches_sequential_decode_then_compute_byte_for_byte() {
-        let survey = SkySurvey::generate(33, &SkySpec::test_scale());
-        let calib = CalibParams::default();
-        let buffers: Vec<Vec<u8>> = survey
-            .visits
-            .iter()
-            .flatten()
-            .map(encode_exposure_fits)
-            .collect();
-        // Sequential baseline: decode everything, then calibrate.
-        let sequential: Vec<Exposure> = buffers
-            .iter()
-            .map(|b| decode_exposure_fits(b).expect("valid"))
-            .map(|e| calibrate_exposure(&e, &calib))
-            .collect();
-        let overlapped = astro_ingest_calibrate_fits(&buffers, &calib);
-        assert_eq!(overlapped.len(), sequential.len());
-        for (o, s) in overlapped.iter().zip(&sequential) {
-            assert_eq!(o.flux, s.flux, "flux byte-for-byte");
-            assert_eq!(o.variance, s.variance);
-            assert_eq!(o.mask, s.mask);
-            assert_eq!(o.bbox, s.bbox);
+    /// Every coadd and catalog value of `out`, as raw bits.
+    fn output_bits(out: &AstroOutput) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for (patch, c) in &out.coadds {
+            bits.extend([patch.0 as u64, patch.1 as u64]);
+            bits.extend(c.flux.data().iter().map(|v| v.to_bits()));
+            bits.extend(c.variance.data().iter().map(|v| v.to_bits()));
+            bits.extend(c.depth.data().iter().map(|&d| u64::from(d)));
         }
+        for (patch, sources) in &out.catalogs {
+            bits.extend([patch.0 as u64, patch.1 as u64, sources.len() as u64]);
+            for s in sources {
+                bits.extend([s.centroid.0, s.centroid.1, s.flux, s.peak].map(f64::to_bits));
+                bits.push(s.npix as u64);
+            }
+        }
+        bits
     }
 
     #[test]
@@ -287,7 +244,7 @@ mod tests {
             .flatten()
             .map(encode_exposure_fits)
             .collect();
-        // Reference: decode all exposures up front, then run the normal
+        // Reference: decode all exposures up front, then run the serial
         // reference pipeline over them.
         let mut visits: Vec<Vec<Exposure>> = vec![Vec::new(); survey.visits.len()];
         for b in &buffers {
@@ -302,70 +259,49 @@ mod tests {
             &detect,
             Parallelism::Serial,
         );
-        let overlapped = astro_pipeline_from_fits(
-            &buffers,
-            &grid,
-            &calib,
-            &coadd,
-            &detect,
-            Parallelism::Serial,
-        );
-        assert_eq!(overlapped.coadds.len(), reference.coadds.len());
-        for (patch, c) in &overlapped.coadds {
-            let r = &reference.coadds[patch];
-            assert_eq!(c.flux, r.flux, "coadd flux byte-for-byte at {patch:?}");
-            assert_eq!(c.variance, r.variance);
+        assert!(reference.total_sources() > 0, "the survey has sources");
+        let expect = output_bits(&reference);
+        let pars = [1usize, 2, 4, 8].map(Parallelism::threads);
+        for par in std::iter::once(Parallelism::Serial).chain(pars) {
+            let got = astro_pipeline_from_fits(&buffers, &grid, &calib, &coadd, &detect, par);
+            assert_eq!(got.coadds.len(), reference.coadds.len(), "{par:?}");
+            assert!(output_bits(&got) == expect, "{par:?}: output bits differ");
         }
-        assert_eq!(overlapped.total_sources(), reference.total_sources());
     }
 
     #[test]
-    fn neuro_overlap_matches_sequential_decode_then_compute_byte_for_byte() {
+    fn neuro_ingest_matches_sequential_decode_then_fold_byte_for_byte() {
         let phantom = DmriPhantom::generate(4242, &DmriSpec::test_scale());
         let data: NdArray<f64> = phantom.data.cast();
         let b0: Vec<usize> = phantom.gtab.b0_indices();
-        for (label, buffers) in [
-            ("npy", encode_volumes_npy(&data)),
-            ("nifti", encode_volumes_nifti(&data, 2.0)),
-        ] {
-            // Sequential baseline with the identical fold order.
-            let decoded: Vec<NdArray<f64>> = (0..buffers.len())
-                .map(|v| match label {
-                    "npy" => npy::decode_f64(&buffers[v]).expect("valid"),
-                    _ => nifti::decode(&buffers[v]).expect("valid").1.cast(),
-                })
-                .collect();
-            let mut sum: Option<NdArray<f64>> = None;
-            for &v in &b0 {
+        assert!(b0.len() > 1, "the fold must add more than one volume");
+        let buffers = encode_volumes_nifti(&data, 2.0);
+        // Sequential baseline: decode every volume in order, then fold the
+        // b0 volumes in volume order.
+        let decoded: Vec<NdArray<f64>> = buffers
+            .iter()
+            .map(|b| nifti::decode(b).expect("valid").1.cast())
+            .collect();
+        let mut sum: Option<NdArray<f64>> = None;
+        for (v, vol) in decoded.iter().enumerate() {
+            if b0.contains(&v) {
                 sum = Some(match sum.take() {
-                    None => decoded[v].clone(),
-                    Some(acc) => acc.zip_with(&decoded[v], |a, b| a + b).expect("same dims"),
+                    None => vol.clone(),
+                    Some(acc) => acc.zip_with(vol, |a, b| a + b).expect("same dims"),
                 });
             }
-            let mut seq_mean = sum.expect("b0 volumes exist");
-            let inv = 1.0 / b0.len() as f64;
-            seq_mean.map_inplace(|x| x * inv);
-
-            let ingest = match label {
-                "npy" => neuro_ingest_npy(&buffers, &b0),
-                _ => neuro_ingest_nifti(&buffers, &b0),
-            };
-            assert_eq!(ingest.mean_b0, seq_mean, "{label}: mean byte-for-byte");
-            for (v, vol) in decoded.iter().enumerate() {
-                let got = ingest.data.slice_axis(3, v).expect("in range");
-                assert_eq!(&got, vol, "{label}: volume {v} byte-for-byte");
-            }
         }
-    }
+        let mut seq_mean = sum.expect("b0 volumes exist");
+        let inv = 1.0 / b0.len() as f64;
+        seq_mean.map_inplace(|x| x * inv);
 
-    #[test]
-    fn npy_ingest_is_lossless_end_to_end() {
-        // f64 npy is lossless, so the stacked data and the mean must equal
-        // what Step 1N computes on the original in-memory array.
-        let phantom = DmriPhantom::generate(77, &DmriSpec::test_scale());
-        let data: NdArray<f64> = phantom.data.cast();
-        let buffers = encode_volumes_npy(&data);
-        let ingest = neuro_ingest_npy(&buffers, &phantom.gtab.b0_indices());
-        assert_eq!(ingest.data, data, "lossless stack");
+        let ingest = neuro_ingest_nifti(&buffers, &b0);
+        let bits = |a: &NdArray<f64>| a.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ingest.mean_b0), bits(&seq_mean), "mean byte-for-byte");
+        assert_eq!(ingest.data.dims()[3], decoded.len());
+        for (v, vol) in decoded.iter().enumerate() {
+            let got = ingest.data.slice_axis(3, v).expect("in range");
+            assert_eq!(&got, vol, "volume {v} byte-for-byte");
+        }
     }
 }

@@ -15,9 +15,9 @@
 //!
 //! Both are thin wrappers over the [`MorselPool`] scheduler; kernels that
 //! must not split a unit (one plane, one partition) use the pool directly
-//! with a [`CostHint`] (see [`MorselPool::map_ranges`]), and ingest-bound
-//! pipelines can overlap decode with compute through
-//! [`pipeline::two_stage`].
+//! with a [`CostHint`] (see [`MorselPool::map_ranges`]). The pool is the
+//! workspace's one concurrency primitive: kernels, engine executors and
+//! ingest decode all run on it.
 //!
 //! ## Determinism
 //!
@@ -38,15 +38,15 @@
 //! No `unsafe` (the workspace lint wall denies it): mutable-buffer sharing
 //! uses `slice::chunks_mut` to obtain disjoint `&mut [T]` borrows parked in
 //! take-once slots, and [`std::thread::scope`] makes borrowing from the
-//! caller's stack sound. All thread spawning in the workspace lives in the
-//! [`MorselPool`] internals (`morsel.rs` — the single sanctioned spawn
-//! site, enforced by scilint rules D004 and F004). A panic in any worker is
-//! re-raised on the calling thread with its original payload.
+//! caller's stack sound. All thread spawning in the workspace is the
+//! [`MorselPool`] claim loop's one `spawn` call (`morsel.rs`, the single
+//! sanctioned spawn site, enforced by scilint rules D004 and F004). A panic
+//! in any worker is re-raised on the calling thread with its original
+//! payload.
 
 use std::num::NonZeroUsize;
 
 mod morsel;
-pub mod pipeline;
 
 pub use morsel::{morsel_ranges, simulate_workers, CostHint, MorselPool, MORSELS_PER_WORKER};
 
@@ -102,11 +102,6 @@ impl Parallelism {
             Parallelism::Threads(n) => n.get(),
         }
     }
-
-    /// True when work stays on the calling thread.
-    pub fn is_serial(self) -> bool {
-        self.workers() == 1
-    }
 }
 
 /// Parse a user-supplied thread count (CLI flag or [`THREADS_ENV`]):
@@ -158,10 +153,7 @@ mod tests {
     #[test]
     fn parallelism_workers() {
         assert_eq!(Parallelism::Serial.workers(), 1);
-        assert!(Parallelism::Serial.is_serial());
         assert_eq!(Parallelism::threads(4).workers(), 4);
-        assert!(Parallelism::threads(1).is_serial());
-        assert!(!Parallelism::threads(2).is_serial());
     }
 
     #[test]

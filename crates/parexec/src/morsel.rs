@@ -10,10 +10,11 @@
 //! the result goes, which is the whole determinism argument: output is
 //! bit-identical to the serial scan at any worker count.
 //!
-//! This module is the workspace's **only** thread-spawn site (scilint rule
-//! D004 enforces that inside parexec, sciflow F004 everywhere else); the
-//! public `par_*` primitives in the crate root, the [`crate::pipeline`]
-//! stage overlap and the engine analogs' executors are layers over it.
+//! This module is the workspace's **only** thread-spawn site, and
+//! `run_threaded` its one `spawn` call (scilint rule D004 enforces that
+//! inside parexec, sciflow F004 everywhere else); the public `par_*`
+//! primitives in the crate root and the engine analogs' executors are
+//! layers over it.
 
 use crate::Parallelism;
 use std::ops::Range;
@@ -249,25 +250,6 @@ where
         .collect()
 }
 
-/// Run `on_thread` on a scoped worker thread while `on_caller` runs on the
-/// calling thread; join and return both results (the worker's as a
-/// `thread::Result` so the caller can re-raise its panic payload).
-///
-/// This is the spawn primitive behind [`crate::pipeline`]; it lives here so
-/// the morsel module stays the crate's single thread-spawn site.
-pub(crate) fn scoped_pair<A, B, FA, FB>(on_thread: FA, on_caller: FB) -> (std::thread::Result<A>, B)
-where
-    A: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B,
-{
-    std::thread::scope(|s| {
-        let handle = s.spawn(on_thread);
-        let b = on_caller();
-        (handle.join(), b)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,12 +374,5 @@ mod tests {
         // worker.
         assert_eq!(simulate_workers(&[2.0, 3.0], 8), vec![2.0, 3.0]);
         assert_eq!(simulate_workers(&[], 4), vec![0.0]);
-    }
-
-    #[test]
-    fn scoped_pair_runs_both_sides() {
-        let (a, b) = scoped_pair(|| 6 * 7, || "caller");
-        assert_eq!(a.expect("worker ok"), 42);
-        assert_eq!(b, "caller");
     }
 }

@@ -53,6 +53,21 @@ fn morsel_pool_is_the_only_spawn_site() {
 }
 
 #[test]
+fn morsel_pool_spawns_in_one_place() {
+    // The pool's claim loop is the workspace's one concurrency primitive,
+    // so its module spawns threads in exactly one place.
+    let path = workspace_root().join("crates/parexec/src/morsel.rs");
+    let text = std::fs::read_to_string(&path).expect("morsel.rs readable");
+    let body = text.split("#[cfg(test)]").next().unwrap_or_default();
+    assert_eq!(
+        body.matches(".spawn(").count(),
+        1,
+        "non-test part of {} must hold exactly one `.spawn(` call",
+        path.display()
+    );
+}
+
+#[test]
 fn morsel_pool_reads_no_clock() {
     // The pool's one claim loop keeps no per-morsel timing, so parexec
     // needs no F002 sanction; one there would vouch for a clock read under

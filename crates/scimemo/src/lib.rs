@@ -18,13 +18,15 @@
 //! [`NodeDecision`] saying whether the node may be served from the cache,
 //! and if not, why — down to the exact impure sink reachable from its
 //! kernels. [`table::MemoTable`] is the runtime half: a fingerprint-keyed
-//! cache over zero-copy chunk shares that refuses uncertified keys.
+//! cache over zero-copy chunk shares that refuses uncertified keys, one
+//! type for the resident service's concurrent requests and the
+//! single-threaded sweeps alike.
 
 pub mod report;
 pub mod table;
 
 pub use report::{ConfigReport, FixtureReport, Report, StatsBlock};
-pub use table::{MemoStats, MemoTable, Probe, SharedMemoTable};
+pub use table::{MemoStats, MemoTable, Probe};
 
 use plancheck::{node_fingerprints, OpBinding, OpClass};
 use scilint::purity::PurityTable;

@@ -25,14 +25,14 @@
 //!   capacity decision, never a soundness one: an evicted key simply
 //!   recomputes (and re-admits) on its next certified probe.
 //!
-//! [`SharedMemoTable`] wraps the table in a poisoning-safe mutex for use
-//! from `&self` contexts — the resident query service serves many
-//! concurrent requests against one process-wide table. The `compute`
-//! closure runs *outside* the lock, so a slow recompute never blocks
-//! other keys; two threads racing the same cold key may both compute, but
-//! the workspace determinism contract makes their values bit-identical,
-//! so whichever admission lands first is indistinguishable from the
-//! other.
+//! The table is probed through `&self` behind a poisoning-safe mutex: the
+//! resident query service serves many concurrent requests against one
+//! process-wide table, and the `lint --memo` replay uses the same type
+//! from one thread. The `compute` closure runs *outside* the lock, so a
+//! slow recompute never blocks other keys; two threads racing the same
+//! cold key may both compute, but the workspace determinism contract
+//! makes their values bit-identical, so whichever admission lands first
+//! is indistinguishable from the other.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -70,9 +70,9 @@ struct Entry<V> {
     last_used: u64,
 }
 
-/// A fingerprint-keyed result cache gated by the static certificate.
-#[derive(Debug, Default)]
-pub struct MemoTable<V> {
+/// The table's state, guarded by [`MemoTable`]'s mutex.
+#[derive(Debug)]
+struct State<V> {
     entries: BTreeMap<u64, Entry<V>>,
     stats: MemoStats,
     /// LRU byte budget; `None` means unbounded.
@@ -82,72 +82,7 @@ pub struct MemoTable<V> {
     tick: u64,
 }
 
-impl<V: Clone> MemoTable<V> {
-    /// An empty, unbounded table.
-    pub fn new() -> MemoTable<V> {
-        MemoTable {
-            entries: BTreeMap::new(),
-            stats: MemoStats::default(),
-            budget: None,
-            resident_bytes: 0,
-            tick: 0,
-        }
-    }
-
-    /// An empty table that evicts least-recently-used entries once the
-    /// total admitted weight exceeds `budget_bytes`. The most recently
-    /// admitted entry is never evicted, even when it alone exceeds the
-    /// budget — a result that was just computed is always servable once.
-    pub fn with_budget(budget_bytes: u64) -> MemoTable<V> {
-        MemoTable {
-            budget: Some(budget_bytes),
-            ..MemoTable::new()
-        }
-    }
-
-    /// Serve `key` from the table, or run `compute` and (when `certified`)
-    /// remember the result.
-    ///
-    /// `certified` is the verdict of [`crate::certify`] for the node that
-    /// produced `key`. Uncertified probes never touch the table in either
-    /// direction: the result is recomputed every time, and nothing is
-    /// stored, so a later *certified* node whose fingerprint happens to
-    /// equal `key` cannot observe an unsound value.
-    ///
-    /// Entries admitted through this method carry zero weight (they never
-    /// count against a byte budget); use [`MemoTable::get_or_compute_weighed`]
-    /// when residency should be bounded.
-    pub fn get_or_compute(&mut self, key: u64, certified: bool, compute: impl FnOnce() -> V) -> V {
-        self.get_or_compute_weighed(key, certified, compute, |_| 0)
-            .0
-    }
-
-    /// [`MemoTable::get_or_compute`] with an explicit per-entry weight
-    /// (charged against the byte budget) and the probe outcome returned.
-    ///
-    /// `weigh` runs only on a miss, after `compute`, and should return the
-    /// payload bytes the resident value pins (for zero-copy payloads: the
-    /// bytes of the shared buffers the entry keeps alive).
-    pub fn get_or_compute_weighed(
-        &mut self,
-        key: u64,
-        certified: bool,
-        compute: impl FnOnce() -> V,
-        weigh: impl FnOnce(&V) -> u64,
-    ) -> (V, Probe) {
-        if !certified {
-            self.stats.bypasses += 1;
-            return (compute(), Probe::Bypass);
-        }
-        if let Some(v) = self.touch(key) {
-            return (v, Probe::Hit);
-        }
-        let v = compute();
-        let weight = weigh(&v);
-        self.admit(key, v.clone(), weight);
-        (v, Probe::Miss)
-    }
-
+impl<V: Clone> State<V> {
     /// Serve a resident `key`, counting a hit and refreshing its LRU slot.
     fn touch(&mut self, key: u64) -> Option<V> {
         self.tick += 1;
@@ -178,125 +113,92 @@ impl<V: Clone> MemoTable<V> {
             },
         );
         self.resident_bytes += weight;
-        if let Some(budget) = self.budget {
-            while self.resident_bytes > budget {
-                let lru = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(&k, _)| k);
-                // The just-admitted entry holds the newest tick; reaching
-                // it means nothing older is left to evict.
-                match lru {
-                    Some(k) if k != key => {
-                        let evicted = self.entries.remove(&k).expect("lru key came from this map");
-                        self.resident_bytes -= evicted.weight;
-                        self.stats.evictions += 1;
-                        self.stats.evicted_bytes += evicted.weight;
-                    }
-                    _ => break,
-                }
-            }
+        let Some(budget) = self.budget else { return };
+        // The just-admitted entry holds the newest tick, so the LRU entry
+        // is some other one while more than one is resident.
+        while self.resident_bytes > budget && self.entries.len() > 1 {
+            self.evict_lru();
         }
     }
 
-    /// Evict least-recently-used entries until at least `bytes` of
-    /// declared weight are released (or the table is empty); returns the
-    /// weight actually released. This is the memory-governor valve entry
-    /// point: under pressure the resident query service drops cache
-    /// entries — cheap to recompute, and their payload `Arc`s may be the
-    /// pins keeping kernel chunks spillable — before any chunk pays for
-    /// spill I/O. Works on unbounded tables too.
-    pub fn evict_bytes(&mut self, bytes: u64) -> u64 {
-        let mut freed = 0u64;
-        while freed < bytes {
-            let lru = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k);
-            let Some(k) = lru else { break };
-            let evicted = self.entries.remove(&k).expect("lru key came from this map");
-            self.resident_bytes -= evicted.weight;
-            self.stats.evictions += 1;
-            self.stats.evicted_bytes += evicted.weight;
-            freed += evicted.weight;
-        }
-        freed
-    }
-
-    /// Whether `key` is resident.
-    pub fn contains(&self, key: u64) -> bool {
-        self.entries.contains_key(&key)
-    }
-
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Traffic counters so far.
-    pub fn stats(&self) -> MemoStats {
-        self.stats
-    }
-
-    /// Total declared weight of the resident entries.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
-    }
-
-    /// The byte budget, when one is set.
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
+    /// Evict the least-recently-used entry; returns its weight (`None`
+    /// when the table is empty).
+    fn evict_lru(&mut self) -> Option<u64> {
+        let (&k, _) = self.entries.iter().min_by_key(|(_, e)| e.last_used)?;
+        let evicted = self.entries.remove(&k).expect("lru key came from this map");
+        self.resident_bytes -= evicted.weight;
+        self.stats.evictions += 1;
+        self.stats.evicted_bytes += evicted.weight;
+        Some(evicted.weight)
     }
 }
 
-/// A [`MemoTable`] behind a poisoning-safe mutex, probed through `&self`.
+/// A fingerprint-keyed result cache gated by the static certificate,
+/// probed through `&self`.
 ///
-/// This is the process-wide result cache of the resident query service:
-/// many concurrent requests share one table. Locking is recovery-first —
-/// a panic while the lock was held poisons the mutex, and every later
-/// probe claims the inner value anyway (`PoisonError::into_inner`): the
-/// table's state is a plain map plus counters, valid after any partial
-/// update, and serving a possibly-stale LRU tick is strictly better than
-/// wedging the whole service.
-#[derive(Debug, Default)]
-pub struct SharedMemoTable<V> {
-    inner: Mutex<MemoTable<V>>,
+/// Locking is recovery-first — a panic while the lock was held poisons
+/// the mutex, and every later probe claims the inner value anyway
+/// (`PoisonError::into_inner`): the table's state is a plain map plus
+/// counters, valid after any partial update, and serving a possibly-stale
+/// LRU tick is strictly better than wedging the whole service.
+#[derive(Debug)]
+pub struct MemoTable<V> {
+    state: Mutex<State<V>>,
 }
 
-impl<V: Clone> SharedMemoTable<V> {
-    /// An empty, unbounded shared table.
-    pub fn new() -> SharedMemoTable<V> {
-        SharedMemoTable {
-            inner: Mutex::new(MemoTable::new()),
+impl<V: Clone> Default for MemoTable<V> {
+    fn default() -> MemoTable<V> {
+        MemoTable::new()
+    }
+}
+
+impl<V: Clone> MemoTable<V> {
+    /// An empty, unbounded table.
+    pub fn new() -> MemoTable<V> {
+        MemoTable {
+            state: Mutex::new(State {
+                entries: BTreeMap::new(),
+                stats: MemoStats::default(),
+                budget: None,
+                resident_bytes: 0,
+                tick: 0,
+            }),
         }
     }
 
-    /// An empty shared table with an LRU byte budget.
-    pub fn with_budget(budget_bytes: u64) -> SharedMemoTable<V> {
-        SharedMemoTable {
-            inner: Mutex::new(MemoTable::with_budget(budget_bytes)),
-        }
+    /// An empty table that evicts least-recently-used entries once the
+    /// total admitted weight exceeds `budget_bytes`. The most recently
+    /// admitted entry is never evicted, even when it alone exceeds the
+    /// budget — a result that was just computed is always servable once.
+    pub fn with_budget(budget_bytes: u64) -> MemoTable<V> {
+        let table = MemoTable::new();
+        table.lock().budget = Some(budget_bytes);
+        table
     }
 
-    fn lock(&self) -> MutexGuard<'_, MemoTable<V>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, State<V>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Serve `key` or compute it, stating certification — the shared-table
-    /// form of [`MemoTable::get_or_compute_weighed`].
+    /// Serve `key` from the table, or run `compute` and (when `certified`)
+    /// remember the result with the weight `weigh` gives it; returns the
+    /// value and how the probe was served.
     ///
-    /// `compute` (and `weigh`) run with the lock **released**, so one
-    /// cold key never serializes the whole service behind its recompute.
-    /// Two threads racing the same cold key may therefore both compute;
-    /// both count as misses, the first admission wins residency, and the
-    /// determinism contract makes the two values bit-identical.
+    /// `certified` is the verdict of [`crate::certify`] for the node that
+    /// produced `key`. Uncertified probes never touch the table in either
+    /// direction: the result is recomputed every time, and nothing is
+    /// stored, so a later *certified* node whose fingerprint happens to
+    /// equal `key` cannot observe an unsound value.
+    ///
+    /// `weigh` runs only on a miss, after `compute`, and should return the
+    /// payload bytes the resident value pins (for zero-copy payloads: the
+    /// bytes of the shared buffers the entry keeps alive); `|_| 0` admits
+    /// an entry that never counts against the budget. `compute` and
+    /// `weigh` run with the lock **released**, so one cold key never
+    /// serializes the whole service behind its recompute. Two threads
+    /// racing the same cold key may therefore both compute; both count as
+    /// misses, the first admission wins residency, and the determinism
+    /// contract makes the two values bit-identical.
     pub fn get_or_compute(
         &self,
         key: u64,
@@ -317,36 +219,49 @@ impl<V: Clone> SharedMemoTable<V> {
         (v, Probe::Miss)
     }
 
-    /// Evict LRU entries until `bytes` of weight are released — the
-    /// shared-table form of [`MemoTable::evict_bytes`], shaped to back a
-    /// [`marray::register_valve`](marray) callback.
+    /// Evict least-recently-used entries until at least `bytes` of
+    /// declared weight are released (or the table is empty); returns the
+    /// weight actually released. This is the memory-governor valve entry
+    /// point, shaped to back a [`marray::register_valve`](marray)
+    /// callback: under pressure the resident query service drops cache
+    /// entries — cheap to recompute, and their payload `Arc`s may be the
+    /// pins keeping kernel chunks spillable — before any chunk pays for
+    /// spill I/O. Works on unbounded tables too.
     pub fn evict_bytes(&self, bytes: u64) -> u64 {
-        self.lock().evict_bytes(bytes)
+        let mut state = self.lock();
+        let mut freed = 0u64;
+        while freed < bytes {
+            let Some(weight) = state.evict_lru() else {
+                break;
+            };
+            freed += weight;
+        }
+        freed
     }
 
     /// Whether `key` is resident right now.
     pub fn contains(&self, key: u64) -> bool {
-        self.lock().contains(key)
+        self.lock().entries.contains_key(&key)
     }
 
     /// Number of resident entries right now.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().entries.len()
     }
 
     /// True when nothing is cached right now.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.lock().entries.is_empty()
     }
 
     /// Traffic counters so far.
     pub fn stats(&self) -> MemoStats {
-        self.lock().stats()
+        self.lock().stats
     }
 
     /// Total declared weight of the resident entries right now.
     pub fn resident_bytes(&self) -> u64 {
-        self.lock().resident_bytes()
+        self.lock().resident_bytes
     }
 }
 
@@ -356,11 +271,12 @@ mod tests {
 
     #[test]
     fn hit_miss_and_bypass_accounting() {
-        let mut t: MemoTable<u64> = MemoTable::new();
-        assert_eq!(t.get_or_compute(7, true, || 42), 42);
-        assert_eq!(t.get_or_compute(7, true, || unreachable!()), 42);
-        assert_eq!(t.get_or_compute(9, false, || 5), 5);
-        assert_eq!(t.get_or_compute(9, false, || 6), 6); // recomputed
+        let t: MemoTable<u64> = MemoTable::new();
+        let w = |_: &u64| 0;
+        assert_eq!(t.get_or_compute(7, true, || 42, w).0, 42);
+        assert_eq!(t.get_or_compute(7, true, || unreachable!(), w).0, 42);
+        assert_eq!(t.get_or_compute(9, false, || 5, w).0, 5);
+        assert_eq!(t.get_or_compute(9, false, || 6, w).0, 6); // recomputed
         assert!(!t.contains(9));
         assert_eq!(
             t.stats(),
@@ -376,24 +292,22 @@ mod tests {
 
     #[test]
     fn uncertified_probe_cannot_poison_a_certified_key() {
-        let mut t: MemoTable<&'static str> = MemoTable::new();
-        assert_eq!(t.get_or_compute(1, false, || "unsound"), "unsound");
+        let t: MemoTable<&'static str> = MemoTable::new();
+        let w = |_: &&str| 0;
+        assert_eq!(t.get_or_compute(1, false, || "unsound", w).0, "unsound");
         // The same fingerprint probed with a certificate sees a cold
         // table, not the unsound value.
-        assert_eq!(t.get_or_compute(1, true, || "sound"), "sound");
-        assert_eq!(t.get_or_compute(1, true, || unreachable!()), "sound");
+        assert_eq!(t.get_or_compute(1, true, || "sound", w).0, "sound");
+        assert_eq!(t.get_or_compute(1, true, || unreachable!(), w).0, "sound");
     }
 
     #[test]
     fn probe_outcomes_are_reported() {
-        let mut t: MemoTable<u32> = MemoTable::new();
+        let t: MemoTable<u32> = MemoTable::new();
         let w = |_: &u32| 4;
-        assert_eq!(t.get_or_compute_weighed(1, true, || 10, w).1, Probe::Miss);
-        assert_eq!(t.get_or_compute_weighed(1, true, || 10, w).1, Probe::Hit);
-        assert_eq!(
-            t.get_or_compute_weighed(2, false, || 20, w).1,
-            Probe::Bypass
-        );
+        assert_eq!(t.get_or_compute(1, true, || 10, w).1, Probe::Miss);
+        assert_eq!(t.get_or_compute(1, true, || 10, w).1, Probe::Hit);
+        assert_eq!(t.get_or_compute(2, false, || 20, w).1, Probe::Bypass);
         assert_eq!(t.resident_bytes(), 4);
     }
 
@@ -402,12 +316,12 @@ mod tests {
         // Budget of 10 bytes, entries of 4: the third admission must evict
         // the least-recently-used entry, which a preceding hit has moved
         // away from the insertion order.
-        let mut t: MemoTable<u64> = MemoTable::with_budget(10);
+        let t: MemoTable<u64> = MemoTable::with_budget(10);
         let w = |_: &u64| 4;
-        t.get_or_compute_weighed(1, true, || 100, w);
-        t.get_or_compute_weighed(2, true, || 200, w);
-        t.get_or_compute_weighed(1, true, || unreachable!(), w); // refresh key 1
-        t.get_or_compute_weighed(3, true, || 300, w);
+        t.get_or_compute(1, true, || 100, w);
+        t.get_or_compute(2, true, || 200, w);
+        t.get_or_compute(1, true, || unreachable!(), w); // refresh key 1
+        t.get_or_compute(3, true, || 300, w);
         assert!(t.contains(1), "recently-touched entry survives");
         assert!(!t.contains(2), "LRU entry is evicted");
         assert!(t.contains(3));
@@ -416,19 +330,16 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 3));
         assert_eq!((s.evictions, s.evicted_bytes), (1, 4));
         // The evicted key recomputes and re-admits: capacity, not soundness.
-        assert_eq!(
-            t.get_or_compute_weighed(2, true, || 201, w),
-            (201, Probe::Miss)
-        );
+        assert_eq!(t.get_or_compute(2, true, || 201, w), (201, Probe::Miss));
     }
 
     #[test]
     fn oversized_entry_is_admitted_then_alone() {
-        let mut t: MemoTable<u8> = MemoTable::with_budget(3);
+        let t: MemoTable<u8> = MemoTable::with_budget(3);
         let w = |_: &u8| 2;
-        t.get_or_compute_weighed(1, true, || 1, w);
+        t.get_or_compute(1, true, || 1, w);
         // 9 bytes > budget: everything else goes, the new entry stays.
-        t.get_or_compute_weighed(2, true, || 2, |_| 9);
+        t.get_or_compute(2, true, || 2, |_| 9);
         assert!(!t.contains(1));
         assert!(t.contains(2));
         assert_eq!(t.resident_bytes(), 9);
@@ -437,9 +348,9 @@ mod tests {
 
     #[test]
     fn zero_weight_entries_never_trip_the_budget() {
-        let mut t: MemoTable<u8> = MemoTable::with_budget(1);
+        let t: MemoTable<u8> = MemoTable::with_budget(1);
         for k in 0..10 {
-            t.get_or_compute(k, true, || k as u8);
+            t.get_or_compute(k, true, || k as u8, |_| 0);
         }
         assert_eq!(t.len(), 10);
         assert_eq!(t.stats().evictions, 0);
@@ -447,7 +358,7 @@ mod tests {
 
     #[test]
     fn shared_table_serves_hits_across_threads() {
-        let t: SharedMemoTable<u64> = SharedMemoTable::new();
+        let t: MemoTable<u64> = MemoTable::new();
         let (v, p) = t.get_or_compute(5, true, || 55, |_| 8);
         assert_eq!((v, p), (55, Probe::Miss));
         std::thread::scope(|s| {
@@ -468,7 +379,7 @@ mod tests {
         // Every thread races the same cold key: each probe either hits or
         // computes the same deterministic value; residency is exactly one
         // entry and hits+misses covers all probes.
-        let t: SharedMemoTable<u64> = SharedMemoTable::new();
+        let t: MemoTable<u64> = MemoTable::new();
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
@@ -485,7 +396,7 @@ mod tests {
 
     #[test]
     fn evict_bytes_drains_lru_first_and_reports_freed_weight() {
-        let t: SharedMemoTable<u64> = SharedMemoTable::new();
+        let t: MemoTable<u64> = MemoTable::new();
         t.get_or_compute(1, true, || 10, |_| 4);
         t.get_or_compute(2, true, || 20, |_| 4);
         t.get_or_compute(1, true, || unreachable!(), |_| 4); // refresh 1
@@ -504,7 +415,7 @@ mod tests {
     fn shared_table_entry_larger_than_budget_is_admitted_alone() {
         // The just-computed entry is always servable once, even when its
         // weight alone exceeds the budget — everything older goes.
-        let t: SharedMemoTable<u64> = SharedMemoTable::with_budget(16);
+        let t: MemoTable<u64> = MemoTable::with_budget(16);
         t.get_or_compute(1, true, || 10, |_| 8);
         t.get_or_compute(2, true, || 20, |_| 8);
         t.get_or_compute(3, true, || 30, |_| 64);
@@ -520,7 +431,7 @@ mod tests {
     fn shared_table_exact_fit_never_evicts() {
         // resident == budget is within budget: eviction triggers strictly
         // past the boundary, so an exact fill keeps every entry.
-        let t: SharedMemoTable<u64> = SharedMemoTable::with_budget(8);
+        let t: MemoTable<u64> = MemoTable::with_budget(8);
         t.get_or_compute(1, true, || 10, |_| 4);
         t.get_or_compute(2, true, || 20, |_| 4);
         assert_eq!(t.resident_bytes(), 8);
@@ -539,7 +450,7 @@ mod tests {
         // Key 1 is admitted first but hit repeatedly; the untouched key 2
         // is the true LRU when key 4 needs room, and eviction follows use
         // order, not insertion order.
-        let t: SharedMemoTable<u64> = SharedMemoTable::with_budget(12);
+        let t: MemoTable<u64> = MemoTable::with_budget(12);
         t.get_or_compute(1, true, || 10, |_| 4);
         t.get_or_compute(2, true, || 20, |_| 4);
         t.get_or_compute(3, true, || 30, |_| 4);
@@ -559,11 +470,11 @@ mod tests {
     fn shared_table_budget_accounting_survives_a_poisoned_lock() {
         // Recovery-first locking must leave the budget machinery working:
         // admissions after a poisoning panic still evict correctly.
-        let t: SharedMemoTable<u64> = SharedMemoTable::with_budget(8);
+        let t: MemoTable<u64> = MemoTable::with_budget(8);
         t.get_or_compute(1, true, || 10, |_| 4);
         let r = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = t.inner.lock().unwrap();
+                let _guard = t.state.lock().unwrap();
                 panic!("poison the table lock");
             })
             .join()
@@ -580,12 +491,12 @@ mod tests {
 
     #[test]
     fn shared_table_survives_a_poisoned_lock() {
-        let t: SharedMemoTable<u64> = SharedMemoTable::new();
+        let t: MemoTable<u64> = MemoTable::new();
         t.get_or_compute(1, true, || 10, |_| 0);
         // Poison the mutex: panic while holding the guard.
         let r = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = t.inner.lock().unwrap();
+                let _guard = t.state.lock().unwrap();
                 panic!("poison the table lock");
             })
             .join()

@@ -42,15 +42,17 @@ fn bit_identical(a: &NdArray<f64>, b: &NdArray<f64>) -> bool {
 #[test]
 fn certified_hit_is_bit_identical_and_zero_copy() {
     let _ledger = ledger();
-    let mut table: MemoTable<NdArray<f64>> = MemoTable::new();
+    let table: MemoTable<NdArray<f64>> = MemoTable::new();
     let key = 0x5eed_0001;
 
-    let first = table.get_or_compute(key, true, || step_1n(7));
+    let first = table.get_or_compute(key, true, || step_1n(7), |_| 0).0;
     assert_eq!(table.stats().misses, 1);
 
     // The hit: no recompute, no payload movement.
     let before = CopyCounter::snapshot();
-    let hit = table.get_or_compute(key, true, || unreachable!("must hit"));
+    let hit = table
+        .get_or_compute(key, true, || unreachable!("must hit"), |_| 0)
+        .0;
     let moved = CopyCounter::snapshot().since(&before);
     assert_eq!(moved.copies, 0, "cache hit deep-copied: {moved:?}");
     assert_eq!(moved.bytes, 0, "cache hit moved payload bytes: {moved:?}");
@@ -72,11 +74,11 @@ fn certified_hit_is_bit_identical_and_zero_copy() {
 #[test]
 fn uncertified_nodes_are_recomputed_and_never_stored() {
     let _ledger = ledger();
-    let mut table: MemoTable<NdArray<f64>> = MemoTable::new();
+    let table: MemoTable<NdArray<f64>> = MemoTable::new();
     let key = 0xbad_0001;
 
-    let a = table.get_or_compute(key, false, || step_1n(9));
-    let b = table.get_or_compute(key, false, || step_1n(9));
+    let a = table.get_or_compute(key, false, || step_1n(9), |_| 0).0;
+    let b = table.get_or_compute(key, false, || step_1n(9), |_| 0).0;
     assert!(table.is_empty(), "uncertified probe populated the table");
     assert_eq!(table.stats().bypasses, 2);
     // Both runs executed the kernel: same bits, distinct buffers.
@@ -87,9 +89,9 @@ fn uncertified_nodes_are_recomputed_and_never_stored() {
 #[test]
 fn different_fingerprints_do_not_collide() {
     let _ledger = ledger();
-    let mut table: MemoTable<NdArray<f64>> = MemoTable::new();
-    let a = table.get_or_compute(1, true, || step_1n(7));
-    let b = table.get_or_compute(2, true, || step_1n(8));
+    let table: MemoTable<NdArray<f64>> = MemoTable::new();
+    let a = table.get_or_compute(1, true, || step_1n(7), |_| 0).0;
+    let b = table.get_or_compute(2, true, || step_1n(8), |_| 0).0;
     assert!(!a.shares_buffer(&b));
     assert!(!bit_identical(&a, &b));
     assert_eq!(table.len(), 2);

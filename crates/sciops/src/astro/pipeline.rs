@@ -123,9 +123,9 @@ pub fn reference_pipeline_calibrated(
 
 /// Steps 2A → 4A over already-calibrated exposures, with Steps 3A + 4A
 /// fanned out per patch as in [`reference_pipeline_par`]. Split out so
-/// ingest paths that overlap decode with calibration (see
-/// `parexec::pipeline`) can join the reference pipeline after Step 1A with
-/// bit-identical results.
+/// ingest paths that decode and calibrate each exposure in one pass (the
+/// FITS entry point in `scibench_core::usecases::ingest`) can join the
+/// reference pipeline after Step 1A with bit-identical results.
 pub fn reference_pipeline_calibrated_par(
     calibrated: Vec<Exposure>,
     grid: &PatchGrid,

@@ -13,9 +13,11 @@
 //! - [`server`] — the request loop: plans are lowered through the
 //!   existing engine analogs, admission-checked by `plancheck` (memory
 //!   errors refuse the plan — the Figure 15 configuration is the
-//!   canonical rejection), certified by `scimemo`, and executed over a
-//!   shared `parexec` pool with a process-wide zero-copy result cache
-//!   keyed by `(plan fingerprint, input fingerprint)`;
+//!   canonical rejection), certified by `scimemo`, and executed against a
+//!   process-wide zero-copy result cache keyed by `(plan fingerprint,
+//!   input fingerprint)`. The server owns no threads: `serve_one` takes
+//!   `&self`, and concurrent callers fan requests out on their own
+//!   `parexec` pool;
 //! - [`fp`] — the FNV-1a content fingerprints both halves of that key
 //!   are built from.
 //!

@@ -3,10 +3,11 @@
 //! A [`Server`] holds the dataset catalog, the workspace purity table
 //! (computed once at startup — the service is resident, so the static
 //! analysis is paid once and amortized over every request), a plan cache,
-//! a shared [`MorselPool`] for concurrent requests, and the process-wide
-//! result cache: a [`SharedMemoTable`] keyed by
+//! and the process-wide result cache: a [`MemoTable`] keyed by
 //! `combine_fingerprints(stage plan fingerprint, input content
-//! fingerprint)`.
+//! fingerprint)`. It keeps no threads of its own: [`Server::serve_one`]
+//! takes `&self`, so concurrent callers fan requests out on their own
+//! `parexec` pool.
 //!
 //! The result cache and the kernels' working set share one memory
 //! governor: the server registers the cache as a governor *valve*
@@ -53,7 +54,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use marray::{Mask, NdArray};
-use parexec::{CostHint, MorselPool, Parallelism};
 use plancheck::{combine_fingerprints, graph_fingerprint, OpBinding, OpClass};
 use scibench_core::experiments::Setup;
 use scibench_core::lower::Engine;
@@ -62,7 +62,7 @@ use scibench_core::usecases::astro as astro_uc;
 use scibench_core::usecases::neuro as neuro_uc;
 use scibench_core::workload::{AstroWorkload, NeuroWorkload};
 use scilint::purity::PurityTable;
-use scimemo::{certify, MemoStats, Probe, SharedMemoTable};
+use scimemo::{certify, MemoStats, MemoTable, Probe};
 use simcluster::{TaskGraph, TaskSpec};
 
 use crate::catalog::{Catalog, Dataset, DatasetPayload};
@@ -263,9 +263,8 @@ pub struct Server {
     setup: Setup,
     catalog: Catalog,
     purity: PurityTable,
-    pool: MorselPool,
     plans: Mutex<BTreeMap<String, Arc<Result<PlanInfo, String>>>>,
-    cache: Arc<SharedMemoTable<Cached>>,
+    cache: Arc<MemoTable<Cached>>,
     /// Keeps the cache registered as a memory-governor valve for the
     /// server's lifetime: under budget pressure the governor drains LRU
     /// cache entries (recomputable) before spilling working-set chunks
@@ -280,12 +279,11 @@ impl Server {
     /// `scilint::purity::analyze_workspace` once at startup and the cost
     /// is amortized over every request.
     pub fn new(catalog: Catalog, purity: PurityTable) -> Server {
-        let cache = Arc::new(SharedMemoTable::new());
+        let cache = Arc::new(MemoTable::new());
         Server {
             setup: Setup::default(),
             catalog,
             purity,
-            pool: MorselPool::with_hint(Parallelism::Serial, CostHint::min_items(1)),
             plans: Mutex::new(BTreeMap::new()),
             _cache_valve: Self::arm_valve(&cache),
             cache,
@@ -296,22 +294,15 @@ impl Server {
     /// Register `cache` as a governor valve. Valves only fire when a
     /// memory budget is both set and under pressure, so unconditional
     /// registration costs nothing in the unbounded case.
-    fn arm_valve(cache: &Arc<SharedMemoTable<Cached>>) -> marray::ValveGuard {
+    fn arm_valve(cache: &Arc<MemoTable<Cached>>) -> marray::ValveGuard {
         let cache = Arc::clone(cache);
         marray::register_valve(Box::new(move |excess| cache.evict_bytes(excess)))
-    }
-
-    /// Serve concurrent batches across `par` workers (each request is one
-    /// morsel item; the pool is shared by every batch).
-    pub fn with_parallelism(mut self, par: Parallelism) -> Server {
-        self.pool = MorselPool::with_hint(par, CostHint::min_items(1));
-        self
     }
 
     /// Bound the result cache to `bytes` (LRU eviction past it). Replaces
     /// the cache, so call before serving.
     pub fn with_cache_budget(mut self, bytes: u64) -> Server {
-        self.cache = Arc::new(SharedMemoTable::with_budget(bytes));
+        self.cache = Arc::new(MemoTable::with_budget(bytes));
         self._cache_valve = Self::arm_valve(&self.cache);
         self
     }
@@ -321,16 +312,6 @@ impl Server {
     pub fn with_caching(mut self, on: bool) -> Server {
         self.caching = on;
         self
-    }
-
-    /// The catalog this server answers queries against.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// Whether the result cache is consulted at all.
-    pub fn caching(&self) -> bool {
-        self.caching
     }
 
     /// Result-cache traffic counters so far.
@@ -352,7 +333,8 @@ impl Server {
         self.plans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Serve one request.
+    /// Serve one request. Concurrent callers share the server through
+    /// `&self`, e.g. `par_map_slabs(&queries, par, |_, q| server.serve_one(q))`.
     pub fn serve_one(&self, q: &QueryDesc) -> ServeOutcome {
         let key = q.key();
         let t0 = Instant::now();
@@ -405,12 +387,6 @@ impl Server {
             micros: t0.elapsed().as_secs_f64() * 1e6,
             stages,
         })
-    }
-
-    /// Serve a batch of requests concurrently on the shared pool,
-    /// results in input order.
-    pub fn serve_batch(&self, queries: &[QueryDesc]) -> Vec<ServeOutcome> {
-        self.pool.map(queries, |_, q| self.serve_one(q))
     }
 
     /// The cached plan (or cached rejection) for `key`, building it on

@@ -5,17 +5,23 @@
 
 use std::path::Path;
 
-use parexec::Parallelism;
+use parexec::{par_map_slabs, Parallelism};
 use scibench_core::lower::Engine;
 use sciserve::{demo_catalog, Pipeline, QueryDesc, ServeOutcome, Server};
 
-fn server(par: Parallelism) -> Server {
+fn server() -> Server {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
         .expect("crates/serve sits two levels below the workspace root");
     let purity = scilint::purity::analyze_workspace(root).expect("workspace readable");
-    Server::new(demo_catalog(true), purity).with_parallelism(par)
+    Server::new(demo_catalog(true), purity)
+}
+
+/// Serve `schedule` with `par` clients sharing `server`, results in
+/// schedule order.
+fn replay(server: &Server, schedule: &[QueryDesc], par: Parallelism) -> Vec<ServeOutcome> {
+    par_map_slabs(schedule, par, |_, q| server.serve_one(q))
 }
 
 /// A small mixed schedule: repeated hot queries, a cold prefix-sharing
@@ -42,11 +48,10 @@ fn fingerprints(outcomes: &[ServeOutcome]) -> Vec<Option<u64>> {
 #[test]
 fn concurrent_replay_matches_serial_byte_for_byte() {
     let schedule = schedule();
-    let serial = server(Parallelism::Serial);
-    let serial_out = serial.serve_batch(&schedule);
+    let serial_out = replay(&server(), &schedule, Parallelism::Serial);
 
-    let concurrent = server(Parallelism::threads(4));
-    let concurrent_out = concurrent.serve_batch(&schedule);
+    let concurrent = server();
+    let concurrent_out = replay(&concurrent, &schedule, Parallelism::threads(4));
 
     assert_eq!(serial_out.len(), concurrent_out.len());
     assert_eq!(
@@ -68,11 +73,12 @@ fn concurrent_replay_matches_serial_byte_for_byte() {
 #[test]
 fn concurrent_cache_off_replay_is_also_deterministic() {
     let schedule = schedule();
-    let on = server(Parallelism::threads(4));
-    let off = server(Parallelism::threads(4)).with_caching(false);
+    let on = server();
+    let off = server().with_caching(false);
+    let par = Parallelism::threads(4);
     assert_eq!(
-        fingerprints(&on.serve_batch(&schedule)),
-        fingerprints(&off.serve_batch(&schedule)),
+        fingerprints(&replay(&on, &schedule, par)),
+        fingerprints(&replay(&off, &schedule, par)),
         "the cache must never change a single payload byte"
     );
     assert_eq!(off.cache_len(), 0);
