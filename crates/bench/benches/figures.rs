@@ -1,119 +1,26 @@
-//! Criterion benches: one per table/figure of the paper's evaluation.
+//! Criterion benches: one per artifact of the paper's evaluation, taken
+//! from the registry `reproduce` prints (`experiments::ARTIFACTS`), plus
+//! the simulator's raw scheduling throughput.
 //!
-//! Each bench regenerates the artifact's data series through the full
-//! lowering + discrete-event simulation stack (the `reproduce` binary
-//! prints the same rows). The benched quantity is the cost of the
-//! reproduction itself; the assertions inside the experiment drivers'
-//! tests guard the values.
+//! Each bench regenerates the artifact's tables through the full
+//! lowering + discrete-event simulation stack. The benched quantity is
+//! the cost of the reproduction itself; `experiments::shape_checks`
+//! guards the values.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use scibench_core::experiments::{self, Setup, Step};
+use scibench_core::experiments::{Setup, ARTIFACTS};
 use std::hint::black_box;
 
-fn bench_table1(c: &mut Criterion) {
-    c.bench_function("table1_complexity", |b| {
-        b.iter(|| black_box(experiments::table1()));
-    });
-}
-
-fn bench_fig10(c: &mut Criterion) {
+fn bench_artifacts(c: &mut Criterion) {
     let setup = Setup::default();
-    let mut g = c.benchmark_group("fig10");
+    let mut g = c.benchmark_group("figures");
     g.sample_size(10);
-    g.bench_function("a_neuro_sizes", |b| {
-        b.iter(|| black_box(experiments::fig10a()));
-    });
-    g.bench_function("b_astro_sizes", |b| {
-        b.iter(|| black_box(experiments::fig10b()));
-    });
-    g.bench_function("c_neuro_e2e_vs_data", |b| {
-        b.iter(|| black_box(experiments::fig10c(&setup)));
-    });
-    g.bench_function("d_astro_e2e_vs_data", |b| {
-        b.iter(|| black_box(experiments::fig10d(&setup)));
-    });
-    g.bench_function("e_neuro_normalized", |b| {
-        b.iter(|| black_box(experiments::fig10e(&setup)));
-    });
-    g.bench_function("f_astro_normalized", |b| {
-        b.iter(|| black_box(experiments::fig10f(&setup)));
-    });
-    g.bench_function("g_neuro_scaling", |b| {
-        b.iter(|| black_box(experiments::fig10g(&setup)));
-    });
-    g.bench_function("h_astro_scaling", |b| {
-        b.iter(|| black_box(experiments::fig10h(&setup)));
-    });
-    g.finish();
-}
-
-fn bench_fig11(c: &mut Criterion) {
-    let setup = Setup::default();
-    let mut g = c.benchmark_group("fig11");
-    g.sample_size(10);
-    g.bench_function("ingest", |b| {
-        b.iter(|| black_box(experiments::fig11(&setup)));
-    });
-    g.finish();
-}
-
-fn bench_fig12(c: &mut Criterion) {
-    let setup = Setup::default();
-    let mut g = c.benchmark_group("fig12");
-    g.sample_size(10);
-    g.bench_function("a_filter", |b| {
-        b.iter(|| black_box(experiments::fig12(&setup, Step::Filter)));
-    });
-    g.bench_function("b_mean", |b| {
-        b.iter(|| black_box(experiments::fig12(&setup, Step::Mean)));
-    });
-    g.bench_function("c_denoise", |b| {
-        b.iter(|| black_box(experiments::fig12(&setup, Step::Denoise)));
-    });
-    g.bench_function("d_coadd", |b| {
-        b.iter(|| black_box(experiments::fig12d(&setup)));
-    });
-    g.finish();
-}
-
-fn bench_tuning(c: &mut Criterion) {
-    let setup = Setup::default();
-    let mut g = c.benchmark_group("tuning");
-    g.sample_size(10);
-    g.bench_function("fig13_myria_workers", |b| {
-        b.iter(|| black_box(experiments::fig13(&setup)));
-    });
-    g.bench_function("fig14_spark_partitions", |b| {
-        b.iter(|| black_box(experiments::fig14(&setup)));
-    });
-    g.bench_function("fig15_memory_management", |b| {
-        b.iter(|| black_box(experiments::fig15(&setup)));
-    });
-    g.bench_function("s531_chunk_sweep", |b| {
-        b.iter(|| black_box(experiments::chunk_sweep(&setup)));
-    });
-    g.bench_function("s531_tf_assignment", |b| {
-        b.iter(|| black_box(experiments::tf_assignment(&setup)));
-    });
-    g.bench_function("s533_caching", |b| {
-        b.iter(|| black_box(experiments::caching(&setup)));
-    });
-    g.finish();
-}
-
-fn bench_extensions(c: &mut Criterion) {
-    let setup = Setup::default();
-    let mut g = c.benchmark_group("extensions");
-    g.sample_size(10);
-    g.bench_function("ablations", |b| {
-        b.iter(|| black_box(experiments::ablations(&setup)));
-    });
-    g.bench_function("autotune", |b| {
-        b.iter(|| black_box(experiments::autotune(&setup)));
-    });
-    g.bench_function("skew_report", |b| {
-        b.iter(|| black_box(experiments::skew_report(&setup)));
-    });
+    // `scaling` times this host's kernels, not the reproduction.
+    for (id, build) in ARTIFACTS.iter().filter(|(id, _)| *id != "scaling") {
+        g.bench_function(id, |b| {
+            b.iter(|| black_box(build(&setup)));
+        });
+    }
     g.finish();
 }
 
@@ -156,14 +63,5 @@ fn bench_simulator(c: &mut Criterion) {
     grp.finish();
 }
 
-criterion_group!(
-    figures,
-    bench_table1,
-    bench_fig10,
-    bench_fig11,
-    bench_fig12,
-    bench_tuning,
-    bench_extensions,
-    bench_simulator
-);
+criterion_group!(figures, bench_artifacts, bench_simulator);
 criterion_main!(figures);

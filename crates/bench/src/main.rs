@@ -15,78 +15,12 @@
 //! ```
 
 use scibench_core::costmodel::CostModel;
-use scibench_core::experiments::{self, Setup, Step};
-use scibench_core::report::Table;
-
-fn artifact(setup: &Setup, id: &str) -> Option<Vec<Table>> {
-    let t = match id {
-        "table1" => {
-            let (a, b) = experiments::table1();
-            return Some(vec![a, b]);
-        }
-        "fig10a" => experiments::fig10a(),
-        "fig10b" => experiments::fig10b(),
-        "fig10c" => experiments::fig10c(setup),
-        "fig10d" => experiments::fig10d(setup),
-        "fig10e" => experiments::fig10e(setup),
-        "fig10f" => experiments::fig10f(setup),
-        "fig10g" => experiments::fig10g(setup),
-        "fig10h" => experiments::fig10h(setup),
-        "fig11" => experiments::fig11(setup),
-        "fig12a" => experiments::fig12(setup, Step::Filter),
-        "fig12b" => experiments::fig12(setup, Step::Mean),
-        "fig12c" => experiments::fig12(setup, Step::Denoise),
-        "fig12d" => experiments::fig12d(setup),
-        "fig13" => experiments::fig13(setup),
-        "fig14" => experiments::fig14(setup),
-        "fig15" => experiments::fig15(setup),
-        "chunks" => experiments::chunk_sweep(setup),
-        "tf_assign" => experiments::tf_assignment(setup),
-        "caching" => experiments::caching(setup),
-        "ablations" => experiments::ablations(setup),
-        "autotune" => experiments::autotune(setup),
-        "skew" => experiments::skew_report(setup),
-        "scaling" => {
-            eprintln!("measuring NLM denoise scaling on this host (1/2/4/8 threads)...");
-            let curve = scibench_core::costmodel::KernelScaling::measure(&[2, 4, 8]);
-            experiments::kernel_scaling(setup, &curve)
-        }
-        _ => return None,
-    };
-    Some(vec![t])
-}
-
-const IDS: &[&str] = &[
-    "table1",
-    "fig10a",
-    "fig10b",
-    "fig10c",
-    "fig10d",
-    "fig10e",
-    "fig10f",
-    "fig10g",
-    "fig10h",
-    "fig11",
-    "fig12a",
-    "fig12b",
-    "fig12c",
-    "fig12d",
-    "fig13",
-    "fig14",
-    "fig15",
-    "chunks",
-    "tf_assign",
-    "caching",
-    "ablations",
-    "autotune",
-    "skew",
-    "scaling",
-];
+use scibench_core::experiments::{self, Setup, ARTIFACTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
-        for id in IDS {
+        for (id, _) in ARTIFACTS {
             println!("{id}");
         }
         return;
@@ -140,7 +74,7 @@ fn main() {
         .map(String::as_str)
         .collect();
     let ids: Vec<&str> = if selected.is_empty() {
-        IDS.to_vec()
+        ARTIFACTS.iter().map(|(id, _)| *id).collect()
     } else {
         selected
     };
@@ -149,23 +83,20 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create CSV dir");
     }
     for id in ids {
-        match artifact(&setup, id) {
-            Some(tables) => {
-                for (i, t) in tables.iter().enumerate() {
-                    println!("{}", t.render());
-                    if let Some(dir) = &csv_dir {
-                        let name = if tables.len() > 1 {
-                            format!("{id}_{i}.csv")
-                        } else {
-                            format!("{id}.csv")
-                        };
-                        std::fs::write(dir.join(name), t.to_csv()).expect("write CSV");
-                    }
-                }
-            }
-            None => {
-                eprintln!("unknown artifact {id:?}; use --list");
-                std::process::exit(2);
+        let Some((_, build)) = ARTIFACTS.iter().find(|(known, _)| *known == id) else {
+            eprintln!("unknown artifact {id:?}; use --list");
+            std::process::exit(2);
+        };
+        let tables = build(&setup);
+        for (i, t) in tables.iter().enumerate() {
+            println!("{}", t.render());
+            if let Some(dir) = &csv_dir {
+                let name = if tables.len() > 1 {
+                    format!("{id}_{i}.csv")
+                } else {
+                    format!("{id}.csv")
+                };
+                std::fs::write(dir.join(name), t.to_csv()).expect("write CSV");
             }
         }
     }

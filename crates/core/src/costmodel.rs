@@ -10,7 +10,7 @@
 //! voxel/pixel count, so the relative weights of the pipeline steps track
 //! the real implementations on the host machine.
 
-use crate::workload::{AstroWorkload, NeuroWorkload};
+use crate::workload::NeuroWorkload;
 use std::time::Instant;
 
 /// Single-core kernel and conversion costs at paper-scale geometry.
@@ -87,11 +87,6 @@ impl CostModel {
     /// Single-core seconds to denoise everything for `w`.
     pub fn neuro_total_denoise(&self, w: &NeuroWorkload) -> f64 {
         w.subjects as f64 * NeuroWorkload::VOLUMES as f64 * self.neuro_denoise_per_volume
-    }
-
-    /// Single-core seconds of Step 1A for `w`.
-    pub fn astro_total_preprocess(&self, w: &AstroWorkload) -> f64 {
-        (w.visits * AstroWorkload::SENSORS) as f64 * self.astro_preprocess_per_sensor
     }
 
     /// Calibrate the neuroscience kernel constants by running the real

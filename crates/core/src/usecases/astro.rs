@@ -617,7 +617,7 @@ mod tests {
         // a count.
         let expected: BTreeMap<String, ReasonStats> = [
             ("codec.decode", 198, 1_807_104),
-            ("codec.encode", 198, 34_956),
+            ("codec.encode", 198, 36_108),
             ("cow", 33, 522_368),
             ("myria.pack-blob", 198, 1_807_104),
             ("myria.unpack-blob", 198, 225_888),
@@ -626,7 +626,7 @@ mod tests {
         .map(|(tag, copies, bytes)| (tag.to_string(), ReasonStats { copies, bytes }))
         .collect();
         assert_eq!(copies.by_reason, expected);
-        assert_eq!((copies.copies, copies.bytes), (825, 4_397_420));
+        assert_eq!((copies.copies, copies.bytes), (825, 4_398_572));
     }
 
     #[test]

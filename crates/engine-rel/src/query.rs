@@ -207,11 +207,6 @@ impl Query {
         self
     }
 
-    /// Number of plan operators (the Table 1 complexity proxy).
-    pub fn num_ops(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Execute the plan on `conn`, returning the result relation.
     // scilint: allow(F001, operator invariants (schema before scan, non-empty plan) abort the simulated query like a coordinator fault)
     pub fn execute(&self, conn: &MyriaConnection) -> Result<Relation, QueryError> {

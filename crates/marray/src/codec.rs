@@ -180,11 +180,13 @@ impl<T: Element> Encoded<T> {
         self.len() == 0
     }
 
-    /// Encoded payload size in bytes (the compressed footprint).
+    /// Encoded payload size in bytes (the compressed footprint): a length
+    /// word, then the value (`Const`) or a count and a value per run
+    /// (`Rle`).
     pub fn encoded_bytes(&self) -> usize {
         match self {
             Encoded::Const { .. } => 8 + T::BYTES,
-            Encoded::Rle { runs, .. } => runs.len() * (4 + T::BYTES),
+            Encoded::Rle { runs, .. } => 8 + runs.len() * (4 + T::BYTES),
         }
     }
 
@@ -209,7 +211,7 @@ impl<T: Element> Encoded<T> {
                 len: data.len(),
             });
         }
-        if runs * (4 + T::BYTES) >= dense {
+        if 8 + runs * (4 + T::BYTES) >= dense {
             return None;
         }
         let mut out: Vec<(u32, T)> = Vec::with_capacity(runs);
@@ -359,8 +361,8 @@ mod tests {
 
     #[test]
     fn short_constant_buffers_pack_only_when_smaller() {
-        // A `Const` stores a length word beside its value, so one or two
-        // f64s (or up to nine bytes) are no larger dense.
+        // Both codecs store a length word, so one or two f64s (or up to
+        // nine bytes) are no larger dense, as `Const` or as a one-run `Rle`.
         for n in 1..=4 {
             if let Some(enc) = Encoded::encode(&vec![3.5f64; n]) {
                 assert!(enc.encoded_bytes() < enc.dense_bytes(), "{n} f64s");
@@ -372,8 +374,12 @@ mod tests {
             }
         }
         assert_eq!(Encoded::encode(&[3.5f64]), None);
+        assert_eq!(Encoded::encode(&[3.5f64; 2]), None);
         let three = Encoded::encode(&[3.5f64; 3]).expect("three f64s pack");
         assert_eq!(three.repr(), ChunkRepr::Const);
+        assert_eq!(Encoded::encode(&[0u8; 9]), None);
+        let ten = Encoded::encode(&[0u8; 10]).expect("ten bytes pack");
+        assert_eq!(ten.repr(), ChunkRepr::Const);
     }
 
     #[test]

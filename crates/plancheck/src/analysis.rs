@@ -20,37 +20,17 @@ impl<'g> Analysis<'g> {
     /// errors (cycles, dangling deps) — the structural pass reports those
     /// and the semantic passes are skipped.
     pub fn new(graph: &'g TaskGraph) -> Option<Analysis<'g>> {
-        if graph.validate().is_err() {
-            return None;
-        }
+        let topo = graph.validate().ok()?;
         let tasks = graph.tasks();
         let n = tasks.len();
         let words = n.div_ceil(64);
 
         let mut consumers: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut indegree: Vec<usize> = tasks.iter().map(|t| t.deps.len()).collect();
         for (id, t) in tasks.iter().enumerate() {
             for &d in &t.deps {
                 consumers[d].push(id);
             }
         }
-        let mut ready: Vec<TaskId> = indegree
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(i, _)| i)
-            .collect();
-        let mut topo = Vec::with_capacity(n);
-        while let Some(u) = ready.pop() {
-            topo.push(u);
-            for &c in &consumers[u] {
-                indegree[c] -= 1;
-                if indegree[c] == 0 {
-                    ready.push(c);
-                }
-            }
-        }
-        debug_assert_eq!(topo.len(), n, "validate() guaranteed acyclicity");
 
         let mut anc = vec![vec![0u64; words]; n];
         for &t in &topo {

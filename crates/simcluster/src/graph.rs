@@ -165,8 +165,8 @@ impl TaskGraph {
     /// Build a graph directly from a task list, bypassing the `add`-time
     /// ordering assertions. The result may be arbitrarily broken — forward
     /// dependencies, cycles, data-bearing barriers; [`TaskGraph::validate`]
-    /// (or `simulate_checked`) is the gate. Exists so analysis tooling and
-    /// tests can construct deliberately malformed graphs.
+    /// is the gate. Exists so analysis tooling and tests can construct
+    /// deliberately malformed graphs.
     pub fn from_tasks_unchecked(tasks: Vec<TaskSpec>) -> TaskGraph {
         TaskGraph { tasks }
     }
@@ -185,8 +185,9 @@ impl TaskGraph {
     /// first three by construction; graphs from
     /// [`TaskGraph::from_tasks_unchecked`] may not. Semantic checking
     /// (byte conservation, memory budgets, placement) lives in the
-    /// `plancheck` crate.
-    pub fn validate(&self) -> Result<(), GraphViolation> {
+    /// `plancheck` crate. A valid graph's result is a topological order of
+    /// its task ids.
+    pub fn validate(&self) -> Result<Vec<TaskId>, GraphViolation> {
         let n = self.tasks.len();
         for (id, t) in self.tasks.iter().enumerate() {
             for &d in &t.deps {
@@ -230,9 +231,9 @@ impl TaskGraph {
             .filter(|&(_, &d)| d == 0)
             .map(|(i, _)| i)
             .collect();
-        let mut processed = 0usize;
+        let mut order = Vec::with_capacity(n);
         while let Some(u) = ready.pop() {
-            processed += 1;
+            order.push(u);
             for &c in &consumers[u] {
                 indegree[c] -= 1;
                 if indegree[c] == 0 {
@@ -240,7 +241,7 @@ impl TaskGraph {
                 }
             }
         }
-        if processed < n {
+        if order.len() < n {
             let on_cycle = indegree
                 .iter()
                 .enumerate()
@@ -252,7 +253,7 @@ impl TaskGraph {
                 reason: "sits on a dependency cycle (no topological order exists)".into(),
             });
         }
-        Ok(())
+        Ok(order)
     }
 
     /// Add a zero-cost synchronization task depending on all of `deps` —
@@ -327,8 +328,8 @@ mod tests {
         let mut g = TaskGraph::new();
         let a = g.add(TaskSpec::compute("a", 1.0));
         let b = g.add(TaskSpec::compute("b", 1.0).after(&[a]));
-        g.barrier("sync", &[a, b]);
-        assert_eq!(g.validate(), Ok(()));
+        let sync = g.barrier("sync", &[a, b]);
+        assert_eq!(g.validate(), Ok(vec![a, b, sync]));
     }
 
     #[test]

@@ -47,5 +47,5 @@ mod spec;
 pub use graph::{GraphViolation, Placement, TaskGraph, TaskId, TaskSpec};
 pub use report::{SimError, SimReport, TaskTiming};
 pub use sched::SchedPolicy;
-pub use sim::{simulate, simulate_checked};
+pub use sim::simulate;
 pub use spec::{ClusterSpec, NodeSpec};

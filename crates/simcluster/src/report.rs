@@ -28,14 +28,6 @@ pub enum SimError {
         /// The node's capacity.
         capacity_bytes: u64,
     },
-    /// The graph failed structural validation
-    /// ([`crate::TaskGraph::validate`]) before simulation started.
-    InvalidGraph {
-        /// The offending task.
-        task: usize,
-        /// The violation, in words.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -45,9 +37,6 @@ impl std::fmt::Display for SimError {
                 f,
                 "out of memory on node {node} at t={time:.1}s: {demand_bytes} bytes demanded, {capacity_bytes} available"
             ),
-            SimError::InvalidGraph { task, reason } => {
-                write!(f, "invalid task graph: task {task}: {reason}")
-            }
         }
     }
 }

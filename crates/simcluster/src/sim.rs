@@ -43,24 +43,6 @@ impl Ord for ReadyKey {
     }
 }
 
-/// [`simulate`], preceded by [`TaskGraph::validate`]: a structurally
-/// invalid graph (cycle, dangling dependency, data-bearing barrier) is
-/// reported as [`SimError::InvalidGraph`] instead of debug-panicking.
-/// This is the entry point for graphs built from untrusted input, e.g.
-/// via [`TaskGraph::from_tasks_unchecked`].
-pub fn simulate_checked(
-    graph: &TaskGraph,
-    cluster: &ClusterSpec,
-    policy: SchedPolicy,
-    fail_if_over_memory: bool,
-) -> Result<SimReport, SimError> {
-    graph.validate().map_err(|v| SimError::InvalidGraph {
-        task: v.task,
-        reason: v.reason,
-    })?;
-    simulate(graph, cluster, policy, fail_if_over_memory)
-}
-
 /// Execute `graph` on `cluster` under `policy`.
 ///
 /// With `fail_if_over_memory`, the run aborts with

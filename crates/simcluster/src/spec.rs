@@ -68,11 +68,6 @@ impl NodeSpec {
         aggregate / busy
     }
 
-    /// Memory available to each worker slot.
-    pub fn mem_per_slot(&self) -> u64 {
-        self.mem_bytes / self.worker_slots.max(1) as u64
-    }
-
     /// Aggregate throughput at `busy_slots` from a measured curve:
     /// piecewise-linear between points, flat beyond the ends.
     fn interp_aggregate(curve: &[(usize, f64)], busy_slots: usize) -> f64 {

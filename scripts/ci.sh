@@ -71,9 +71,11 @@ cargo test --offline -q --manifest-path scibench-suite/Cargo.toml
 echo "== scibench lint (static verification of lowered task graphs)"
 "${scibench[@]}" lint
 
-# The behavioral gate: the paper's headline relationships (who wins, by
+# The behavioral gate: the paper's 16 headline relationships (who wins, by
 # what factor, where crossovers fall) recomputed from the simulator; the
-# tool exits non-zero if any shape claim fails.
+# tool exits non-zero if any shape claim fails. `cargo test` above runs
+# the same list (tests/integration_simulation.rs); this step keeps the
+# binary's exit code gated.
 echo "== reproduce --check (headline shape claims)"
 cargo run --release -q -p scibench-bench --bin reproduce -- --check
 
