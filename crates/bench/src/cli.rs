@@ -28,15 +28,11 @@
 //! larger than the memory budget through the governor's spill tier at
 //! three budgets (25 %, 50 %, unbounded), runs every engine analog
 //! out-of-core, gates bit-identical fingerprints and budget-respecting
-//! peak residency, and emits `BENCH_ooc.json`; `scibench perf-smoke`
-//! asserts the serial and multi-threaded paths produce bit-identical
-//! outputs (the CI determinism gate). `bench`, `bench serve` and
-//! `perf-smoke` honor `--threads N`; `bench` and `perf-smoke` also read
-//! the `SCIBENCH_THREADS` environment variable; `bench serve` honors
-//! `--budget-bytes N` for the result-cache budget; and the
-//! `SCIBENCH_MEM_BUDGET` environment variable (a byte count with an
-//! optional `k`/`m`/`g` suffix) activates the process-wide memory
-//! governor for any subcommand.
+//! peak residency, and emits `BENCH_ooc.json`. `bench` and `bench serve`
+//! honor `--threads N`; `bench serve` honors `--budget-bytes N` for the
+//! result-cache budget; and the `SCIBENCH_MEM_BUDGET` environment
+//! variable (a byte count with an optional `k`/`m`/`g` suffix) activates
+//! the process-wide memory governor for any subcommand.
 
 use parexec::{parse_threads, Parallelism};
 use plancheck::{check, Report};
@@ -75,7 +71,7 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
 }
 
 /// Apply `SCIBENCH_MEM_BUDGET` when set; an invalid value warns and is
-/// ignored (matching how `SCIBENCH_THREADS` is handled).
+/// ignored.
 fn apply_mem_budget_env() {
     if let Ok(v) = std::env::var(MEM_BUDGET_ENV) {
         match parse_bytes(&v) {
@@ -706,74 +702,8 @@ fn bench(args: &[String]) -> i32 {
     0
 }
 
-fn perf_smoke(args: &[String]) -> i32 {
-    const USAGE: &str = "usage: scibench perf-smoke [--threads N]";
-    let mut par: Option<Parallelism> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                match threads_arg(args.get(i + 1), USAGE) {
-                    Ok(p) => par = Some(p),
-                    Err(code) => return code,
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("error: unknown argument `{other}`");
-                eprintln!("{USAGE}");
-                return 2;
-            }
-        }
-    }
-    // Flag beats SCIBENCH_THREADS beats the 2-thread default.
-    let par = par.unwrap_or_else(|| match std::env::var(parexec::THREADS_ENV) {
-        Ok(v) => match parse_threads(&v) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!(
-                    "warning: ignoring invalid {}={v}: {e}",
-                    parexec::THREADS_ENV
-                );
-                Parallelism::threads(2)
-            }
-        },
-        Err(_) => Parallelism::threads(2),
-    });
-
-    eprintln!(
-        "perf smoke: serial vs {} worker(s), asserting bit-identical outputs",
-        par.workers()
-    );
-    let mut failed = 0;
-    for case in kernels::suite() {
-        let serial = case.run(Parallelism::Serial);
-        let parallel = case.run(par);
-        let ok = serial == parallel;
-        println!(
-            "{} {:<20} {:<12} serial={serial:016x} threads={parallel:016x}",
-            if ok { "ok  " } else { "FAIL" },
-            case.name,
-            case.shape
-        );
-        if !ok {
-            failed += 1;
-        }
-    }
-    if failed == 0 {
-        println!(
-            "perf smoke: 5 kernels bit-identical at {} worker(s)",
-            par.workers()
-        );
-        0
-    } else {
-        println!("perf smoke: {failed} kernel(s) diverged");
-        1
-    }
-}
-
 fn usage() -> i32 {
-    eprintln!("usage: scibench <lint|bench|perf-smoke> [options]");
+    eprintln!("usage: scibench <lint|bench> [options]");
     eprintln!();
     eprintln!("  lint        statically verify every shipped lowering with plancheck");
     eprintln!("              options: [--verbose]");
@@ -805,9 +735,6 @@ fn usage() -> i32 {
     eprintln!("              analog out-of-core, gate bit-identical fingerprints and");
     eprintln!("              peak residency <= budget, and emit BENCH_ooc.json");
     eprintln!("              options: [--quick] [--out PATH]");
-    eprintln!("  perf-smoke  assert serial and multi-threaded kernel outputs are");
-    eprintln!("              bit-identical (CI gate)");
-    eprintln!("              options: [--threads N]");
     eprintln!();
     eprintln!("  SCIBENCH_MEM_BUDGET=N[k|m|g] activates the process-wide memory");
     eprintln!("  governor for any subcommand (chunks spill to disk past the budget).");
@@ -859,7 +786,6 @@ fn main() {
             }
         }
         Some("bench") => bench(&args[1..]),
-        Some("perf-smoke") => perf_smoke(&args[1..]),
         _ => usage(),
     };
     std::process::exit(code);

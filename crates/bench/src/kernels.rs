@@ -1,10 +1,10 @@
-//! Runnable kernel cases shared by `scibench bench` and
-//! `scibench perf-smoke`: the five hottest sciops kernels, each wrapped as
-//! a closure over pre-built synthetic inputs that runs at a given
-//! [`Parallelism`] and returns a fingerprint of its full output.
+//! Runnable kernel cases for `scibench bench`: the five hottest sciops
+//! kernels, each wrapped as a closure over pre-built synthetic inputs that
+//! runs at a given [`Parallelism`] and returns a fingerprint of its full
+//! output.
 //!
-//! The fingerprint (FNV-1a over every output bit pattern) is how the CLI
-//! asserts the determinism contract end to end: serial and N-thread runs
+//! The fingerprint (FNV-1a over every output bit pattern) is how the tests
+//! assert the determinism contract end to end: serial and N-thread runs
 //! of the same case must produce the same fingerprint because the kernels
 //! guarantee bit-identical outputs at every worker count.
 
@@ -346,8 +346,14 @@ mod tests {
     fn fingerprints_stable_across_parallelism() {
         for case in suite() {
             let serial = case.run(Parallelism::Serial);
-            let par = case.run(Parallelism::threads(4));
-            assert_eq!(serial, par, "{} fingerprint diverged", case.name);
+            for workers in [2, 4] {
+                let par = case.run(Parallelism::threads(workers));
+                assert_eq!(
+                    serial, par,
+                    "{} fingerprint diverged at {workers} workers",
+                    case.name
+                );
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Library side of the bench crate. The substance lives in the binaries —
-//! `reproduce` (regenerate every table/figure), `probe` (calibration) and
-//! `scibench` (the `lint` static-verification sweep plus the `bench` /
-//! `perf-smoke` kernel harness) — and in `scibench-core`; this library
+//! `reproduce` (regenerate every table/figure; `--calibrated` calibrates
+//! the kernel costs first) and `scibench` (the `lint` static-verification
+//! sweep plus the `bench` harnesses) — and in `scibench-core`; this library
 //! holds the shared kernel-benchmark cases ([`kernels`]), the end-to-end
 //! copy-accounting harness ([`e2e`]), the scheduler-skew harness
 //! ([`skew`]), the chunk-compression harness ([`compress`]), the

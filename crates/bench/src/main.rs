@@ -12,6 +12,8 @@
 //!                          # scaling curve measured on this machine
 //! reproduce --list         # list artifact ids
 //! reproduce --check        # verify the paper's headline shape claims
+//! reproduce --calibrated --check
+//!                          # the same claims under calibrated kernel costs
 //! ```
 
 use scibench_core::costmodel::CostModel;
@@ -30,9 +32,18 @@ fn main() {
         .position(|a| a == "--csv")
         .and_then(|i| args.get(i + 1))
         .map(std::path::PathBuf::from);
-    let calibrated = args.iter().any(|a| a == "--calibrated");
+    let mut setup = Setup::default();
+    if args.iter().any(|a| a == "--calibrated") {
+        eprintln!("calibrating kernel costs against the local sciops kernels...");
+        setup.cm = CostModel::calibrated();
+        eprintln!(
+            "calibrated: denoise/volume = {:.1}s, mask/subject = {:.1}s, mean/subject = {:.2}s",
+            setup.cm.neuro_denoise_per_volume,
+            setup.cm.neuro_mask_per_subject,
+            setup.cm.neuro_mean_per_subject
+        );
+    }
     if args.iter().any(|a| a == "--check") {
-        let setup = Setup::default();
         let checks = experiments::shape_checks(&setup);
         let mut failed = 0;
         for c in &checks {
@@ -52,18 +63,6 @@ fn main() {
             checks.len()
         );
         std::process::exit(if failed == 0 { 0 } else { 1 });
-    }
-
-    let mut setup = Setup::default();
-    if calibrated {
-        eprintln!("calibrating kernel costs against the local sciops kernels...");
-        setup.cm = CostModel::calibrated();
-        eprintln!(
-            "calibrated: denoise/volume = {:.1}s, mask/subject = {:.1}s, mean/subject = {:.2}s",
-            setup.cm.neuro_denoise_per_volume,
-            setup.cm.neuro_mask_per_subject,
-            setup.cm.neuro_mean_per_subject
-        );
     }
 
     let selected: Vec<&str> = args

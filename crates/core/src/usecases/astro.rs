@@ -39,11 +39,12 @@ pub struct AstroResult {
 /// run), while flux and variance cross as handle clones, because no
 /// pipeline workload packed either (DESIGN §3.13). Kernels read every
 /// plane dense, so a packed mask is decoded once, on its first read.
-/// Under an active memory budget ([`marray::mem_budget`]) each plane
-/// additionally enters the governor's spill tier
+/// Under an active memory budget ([`marray::mem_budget`]) each dense
+/// plane additionally enters the governor's spill tier
 /// ([`crate::costmodel::govern_for_boundary`]), so an ingested working
 /// set larger than the budget degrades to spill I/O instead of
-/// exhausting memory.
+/// exhausting memory; a packed mask stays out of it, as it is smaller
+/// than any spill record.
 fn pack_exposure(e: &Exposure) -> Exposure {
     let mask = e.mask.compressed();
     Exposure {

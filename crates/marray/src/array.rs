@@ -158,10 +158,11 @@ impl<T: Element> NdArray<T> {
         }
     }
 
-    /// Place this array's buffer under [`crate::MemoryGovernor`]
+    /// Place this array's dense buffer under [`crate::MemoryGovernor`]
     /// management (see [`ChunkBuf::govern`]): the governor may spill the
     /// bytes to disk under budget pressure, and the next read reloads
-    /// them bit-exactly. No copy; the returned array starts unpinned.
+    /// them bit-exactly. No copy; the returned array starts unpinned. A
+    /// packed array comes back as a handle clone.
     pub fn govern(&self) -> NdArray<T> {
         NdArray {
             shape: self.shape.clone(),

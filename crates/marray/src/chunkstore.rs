@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::codec::{ChunkRepr, Encoded};
 use crate::element::Element;
-use crate::spill::{govern_stored, GovernedCell, Stored};
+use crate::spill::{govern_dense, GovernedCell};
 
 /// Total deep copies recorded since process start.
 static COPIES: AtomicU64 = AtomicU64::new(0);
@@ -114,7 +114,7 @@ impl CopyStats {
 }
 
 /// The storage behind a [`ChunkBuf`]: dense bytes, a compressed cell, or
-/// a budget-governed cell that may be spilled to disk.
+/// a budget-governed cell of dense bytes that may be spilled to disk.
 #[derive(Debug, Clone)]
 enum Payload<T: Element> {
     /// Uncompressed shared vector.
@@ -255,23 +255,22 @@ impl<T: Element> ChunkBuf<T> {
     }
 
     /// Bytes the stored representation occupies: the dense footprint for
-    /// [`ChunkRepr::Dense`], the encoded footprint otherwise. This is the
-    /// volume that actually crosses an engine boundary carrying this
-    /// handle, which is what the bytes-moved ledgers charge.
+    /// [`ChunkRepr::Dense`] (governed buffers included), the encoded
+    /// footprint otherwise. This is the volume that actually crosses an
+    /// engine boundary carrying this handle, which is what the
+    /// bytes-moved ledgers charge.
     pub fn stored_nbytes(&self) -> usize {
         match &self.payload {
-            Payload::Dense(v) => v.len() * T::BYTES,
+            Payload::Dense(_) | Payload::Governed(..) => self.nbytes(),
             Payload::Encoded(cell) => cell.enc.encoded_bytes(),
-            Payload::Governed(cell, _) => cell.stored_nbytes(),
         }
     }
 
     /// The stored representation.
     pub fn repr(&self) -> ChunkRepr {
         match &self.payload {
-            Payload::Dense(_) => ChunkRepr::Dense,
+            Payload::Dense(_) | Payload::Governed(..) => ChunkRepr::Dense,
             Payload::Encoded(cell) => cell.enc.repr(),
-            Payload::Governed(cell, _) => cell.repr(),
         }
     }
 
@@ -307,26 +306,21 @@ impl<T: Element> ChunkBuf<T> {
         }
     }
 
-    /// A handle to this buffer's bytes under [`crate::MemoryGovernor`]
-    /// management: the governor accounts the stored bytes as resident and
-    /// may spill them to the process spill file under budget pressure;
-    /// the next read reloads them bit-exactly. No copy: dense storage
-    /// shares the existing allocation, encoded storage shares the runs.
+    /// A handle to this buffer's dense bytes under
+    /// [`crate::MemoryGovernor`] management: the governor accounts them as
+    /// resident and may spill them to the process spill file under budget
+    /// pressure; the next read reloads them bit-exactly. No copy: the
+    /// governed cell shares the existing allocation.
     ///
-    /// Governing an already-governed buffer is a handle clone. The
+    /// Governing a packed or an already-governed buffer is a handle clone:
+    /// a packed cell is smaller than any record that could spill it. The
     /// returned handle starts unpinned even if `self` was pinned.
     pub fn govern(&self) -> ChunkBuf<T> {
-        let cell = match &self.payload {
-            Payload::Governed(..) => return self.clone(),
-            Payload::Dense(v) => govern_stored(Stored::Dense(v.clone()), v.len(), ChunkRepr::Dense),
-            Payload::Encoded(cell) => govern_stored(
-                Stored::Encoded(cell.enc.clone()),
-                cell.enc.len(),
-                cell.enc.repr(),
-            ),
-        };
-        ChunkBuf {
-            payload: Payload::Governed(cell, HandlePin::new()),
+        match &self.payload {
+            Payload::Dense(v) => ChunkBuf {
+                payload: Payload::Governed(govern_dense(v.clone()), HandlePin::new()),
+            },
+            Payload::Encoded(_) | Payload::Governed(..) => self.clone(),
         }
     }
 
@@ -745,22 +739,31 @@ mod tests {
     }
 
     #[test]
-    fn governed_encoded_chunk_spills_in_encoded_form() {
+    fn governing_a_packed_buffer_is_a_handle_clone() {
         crate::with_mem_budget(Some(64), || {
-            let g = ChunkBuf::from_vec(vec![7.0f64; 4096]).compressed().govern();
+            let packed = ChunkBuf::from_vec(vec![-0.0f64; 4096]).compressed();
+            let g = packed.govern();
+            assert!(g.ptr_eq(&packed), "a packed cell stays out of the governor");
             assert_eq!(g.repr(), ChunkRepr::Const);
             let before = crate::MemoryGovernor::snapshot();
-            // Force it out and back in: the spilled record is the tiny
-            // encoded form, not 32 KiB of dense bytes.
-            let small: Vec<ChunkBuf<f64>> = (0..4)
-                .map(|_| ChunkBuf::from_vec(vec![0.0f64; 4]).govern())
+            // Four 32 B dense neighbours against a 64 B budget: they
+            // spill, each as a record of exactly its elements.
+            let dense: Vec<ChunkBuf<f64>> = (0..4)
+                .map(|i| ChunkBuf::from_vec(vec![i as f64; 4]).govern())
                 .collect();
-            let _ = g.as_slice();
+            crate::MemoryGovernor::enforce();
             let delta = crate::MemoryGovernor::snapshot().since(&before);
-            assert!(delta.spilled_bytes < 256, "encoded spill I/O stays tiny");
-            assert_eq!(g.len(), 4096);
-            assert_eq!(g.stored_nbytes(), before.resident_bytes as usize);
-            drop(small);
+            assert!(dense.iter().any(|d| d.residency() == Residency::Spilled));
+            assert!(delta.spills > 0);
+            assert_eq!(delta.spilled_bytes, 32 * delta.spills);
+            assert_eq!(g.residency(), Residency::Resident);
+            assert!(g
+                .as_slice()
+                .iter()
+                .all(|v| v.to_bits() == (-0.0f64).to_bits()));
+            for (i, d) in dense.iter().enumerate() {
+                assert_eq!(d.as_slice(), &[i as f64; 4]);
+            }
         });
     }
 

@@ -13,10 +13,13 @@
 //!   budget ([`set_mem_budget`] / [`with_mem_budget`], `0`/`None` =
 //!   unbounded), a ledger of spill traffic ([`GovStats`]), and an LRU
 //!   registry of every governed cell.
-//! * Governed cells ([`crate::ChunkBuf::govern`]) — chunk buffers whose
-//!   payload may be **Resident** (in memory) or **Spilled** (on disk in
-//!   the process spill file). Access is transparent: the next
-//!   [`crate::ChunkBuf::as_slice`] reloads the bytes bit-exactly.
+//! * Governed cells ([`crate::ChunkBuf::govern`]) — dense chunk buffers
+//!   whose elements may be **Resident** (in memory) or **Spilled** (on
+//!   disk in the process spill file). Access is transparent: the next
+//!   [`crate::ChunkBuf::as_slice`] reloads the bytes bit-exactly. Packed
+//!   (`Const`/`Rle`) buffers never enter the governor: a packed cell is
+//!   smaller than any record that could spill it, so governing one is a
+//!   handle clone.
 //! * Pressure valves ([`register_valve`]) — callbacks (e.g. the serve
 //!   layer's memo-cache eviction) that run *before* kernel chunks spill,
 //!   so cheap-to-recompute cache entries are dropped first.
@@ -25,21 +28,13 @@
 //!
 //! One append-only temp file per process (unlinked at creation, so the
 //! space is reclaimed on exit even on abnormal termination). Each spilled
-//! cell is one record, serialized by [`spill_encode`]:
-//!
-//! ```text
-//! tag: u8      0 = dense, 1 = const, 2 = rle
-//! len: u64 LE  element count
-//! dense: len × T::BYTES bytes (ordered-u64 keys, LE-truncated)
-//! const: one T::BYTES key
-//! rle:   run count u64 LE, then (count u32 LE, value key) pairs
-//! ```
-//!
-//! Values travel as [`crate::Element::to_ordered_u64`] keys truncated to
-//! `T::BYTES` little-endian bytes — the same order-preserving bijection
-//! the codecs use — so every bit pattern (NaN payloads, `-0.0`,
-//! subnormals) reloads exactly and compressed chunks spill in their
-//! *encoded* form, riding the codec savings through the I/O tier.
+//! cell is one record, serialized by [`spill_encode`]: the cell's
+//! elements in order, each as its [`crate::Element::to_ordered_u64`] key
+//! truncated to `T::BYTES` little-endian bytes, so a record is
+//! `len × T::BYTES` bytes long. There is no tag and no length word: the
+//! record's ticket holds its byte count. The key mapping is the same
+//! order-preserving bijection the codecs use, so every bit pattern (NaN
+//! payloads, `-0.0`, subnormals) reloads exactly.
 //!
 //! ## Residency state machine
 //!
@@ -62,9 +57,8 @@
 //! record and a later re-spill frees memory without rewriting the bytes.
 //!
 //! Accounting: [`GovStats::resident_bytes`] / `peak_resident` track the
-//! *stored* representation of governed cells. Transient dense
-//! materializations of encoded cells are charged to the
-//! [`CopyCounter`] ledger (`"codec.decode"`), like the in-memory plane.
+//! dense bytes of resident governed cells, and `spilled_bytes` /
+//! `reloaded_bytes` the same bytes as they cross the spill file.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -73,7 +67,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, TryLockError, Weak};
 
 use crate::chunkstore::CopyCounter;
-use crate::codec::{ChunkRepr, Encoded};
 use crate::element::Element;
 
 /// The byte budget; 0 = unbounded.
@@ -87,7 +80,7 @@ static RELOADS: AtomicU64 = AtomicU64::new(0);
 static SPILLED_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Bytes read back from the spill file.
 static RELOADED_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Stored bytes of governed cells currently resident (gauge).
+/// Dense bytes of governed cells currently resident (gauge).
 static RESIDENT: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of [`RESIDENT`] since start / last reset (gauge).
 static PEAK: AtomicU64 = AtomicU64::new(0);
@@ -184,7 +177,7 @@ pub struct GovStats {
     pub spilled_bytes: u64,
     /// Bytes read back from the spill file.
     pub reloaded_bytes: u64,
-    /// Stored bytes of governed cells currently resident (gauge — not
+    /// Dense bytes of governed cells currently resident (gauge — not
     /// differenced by [`GovStats::since`]).
     pub resident_bytes: u64,
     /// High-water mark of `resident_bytes` since process start or the
@@ -346,25 +339,6 @@ fn touch(id: u64) {
     }
 }
 
-/// The stored representation of a governed cell while resident.
-#[derive(Debug)]
-pub(crate) enum Stored<T: Element> {
-    /// Dense shared vector — the arc handles pin against spilling.
-    Dense(Arc<Vec<T>>),
-    /// Encoded form; dense reads decode per acquire (counted).
-    Encoded(Encoded<T>),
-}
-
-impl<T: Element> Stored<T> {
-    /// Bytes this representation occupies while resident.
-    fn nbytes(&self) -> usize {
-        match self {
-            Stored::Dense(v) => v.len() * T::BYTES,
-            Stored::Encoded(e) => e.encoded_bytes(),
-        }
-    }
-}
-
 /// Where a governed cell's record lives in the spill file.
 #[derive(Debug, Clone, Copy)]
 struct Ticket {
@@ -372,32 +346,24 @@ struct Ticket {
     nbytes: u64,
 }
 
-/// Residency of a governed cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CellState {
-    Resident,
-    Spilled,
-}
-
 /// The mutable half of a governed cell.
 #[derive(Debug)]
 struct CellInner<T: Element> {
-    /// `Some` while resident, `None` while spilled.
-    stored: Option<Stored<T>>,
+    /// The elements while resident, `None` while spilled. The governor
+    /// holds one handle; every further handle pins the cell.
+    stored: Option<Arc<Vec<T>>>,
     /// The cell's spill-file record, once written. Cells are immutable,
     /// so a re-spill after reload reuses the record without rewriting.
     ticket: Option<Ticket>,
 }
 
-/// A budget-governed chunk cell: the storage behind
+/// A budget-governed dense chunk cell: the storage behind
 /// `Payload::Governed`. Immutable once created (mutation leaves the
 /// governed domain via COW), resident or spilled at any moment.
 #[derive(Debug)]
 pub(crate) struct GovernedCell<T: Element> {
     id: u64,
     len: usize,
-    repr: ChunkRepr,
-    stored_nbytes: usize,
     inner: Mutex<CellInner<T>>,
 }
 
@@ -407,58 +373,41 @@ impl<T: Element> GovernedCell<T> {
         self.len
     }
 
-    /// The stored representation (stable across spill/reload).
-    pub(crate) fn repr(&self) -> ChunkRepr {
-        self.repr
-    }
-
-    /// Bytes the stored representation occupies (resident or not).
-    pub(crate) fn stored_nbytes(&self) -> usize {
-        self.stored_nbytes
+    /// The dense bytes the cell holds while resident.
+    fn nbytes(&self) -> u64 {
+        (self.len * T::BYTES) as u64
     }
 
     /// True when the cell's bytes are currently on disk.
     pub(crate) fn is_spilled(&self) -> bool {
-        self.state() == CellState::Spilled
-    }
-
-    fn state(&self) -> CellState {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.stored.is_some() {
-            CellState::Resident
-        } else {
-            CellState::Spilled
-        }
+        inner.stored.is_none()
     }
 
     /// The dense elements, reloading from the spill file first when
-    /// spilled. The returned arc pins the cell resident (for dense
-    /// storage) until the caller drops it.
+    /// spilled. The returned arc pins the cell resident until the caller
+    /// drops it.
     // scilint: allow(F001, spill-file records are written by this process; a short read is an I/O fault, not a data error)
     pub(crate) fn acquire(&self) -> Arc<Vec<T>> {
         let arc = {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if inner.stored.is_none() {
-                let ticket = inner
-                    .ticket
-                    .expect("spilled governed cell must hold a spill ticket");
-                // Room for the reload is made before residency grows;
-                // self is currently Spilled, so try_spill skips it.
-                make_room(self.stored_nbytes as u64);
-                let stored = spill_file().read_record::<T>(ticket);
-                RELOADS.fetch_add(1, Ordering::Relaxed);
-                RELOADED_BYTES.fetch_add(ticket.nbytes, Ordering::Relaxed);
-                CopyCounter::record("governor.reload", ticket.nbytes as usize);
-                add_resident(self.stored_nbytes as u64);
-                inner.stored = Some(stored);
-            }
-            match inner
-                .stored
-                .as_ref()
-                .expect("reload leaves the cell resident")
-            {
-                Stored::Dense(v) => v.clone(),
-                Stored::Encoded(e) => Arc::new(e.decode_counted()),
+            match &inner.stored {
+                Some(v) => Arc::clone(v),
+                None => {
+                    let ticket = inner
+                        .ticket
+                        .expect("spilled governed cell must hold a spill ticket");
+                    // Room for the reload is made before residency grows;
+                    // self is currently Spilled, so try_spill skips it.
+                    make_room(self.nbytes());
+                    let v = Arc::new(spill_file().read_record::<T>(ticket));
+                    RELOADS.fetch_add(1, Ordering::Relaxed);
+                    RELOADED_BYTES.fetch_add(ticket.nbytes, Ordering::Relaxed);
+                    CopyCounter::record("governor.reload", ticket.nbytes as usize);
+                    add_resident(self.nbytes());
+                    inner.stored = Some(Arc::clone(&v));
+                    v
+                }
             }
         };
         touch(self.id);
@@ -466,19 +415,14 @@ impl<T: Element> GovernedCell<T> {
         arc
     }
 
-    /// An owned dense vector, leaving the cell untouched. Cloning out of
-    /// resident dense storage is a counted deep copy under `reason`;
-    /// encoded storage decodes (counted `"codec.decode"`).
+    /// An owned dense vector, leaving the cell untouched: a counted deep
+    /// copy under `reason`, as the cell keeps its own handle while
+    /// resident.
     pub(crate) fn take_dense(&self, reason: &str) -> Vec<T> {
-        let arc = self.acquire();
-        match Arc::try_unwrap(arc) {
-            Ok(v) => v,
-            Err(shared) => {
-                CopyCounter::record(reason, shared.len() * T::BYTES);
-                // scilint: allow(F003, COW exit from the governed domain: the deep copy is metered under the caller's reason tag, exactly like ensure_dense's unsanctioned-share path)
-                shared.as_ref().clone()
-            }
-        }
+        let shared = self.acquire();
+        CopyCounter::record(reason, shared.len() * T::BYTES);
+        // scilint: allow(F003, COW exit from the governed domain: the deep copy is metered under the caller's reason tag, exactly like ensure_dense's unsanctioned-share path)
+        shared.as_ref().clone()
     }
 }
 
@@ -489,18 +433,16 @@ impl<T: Element> SpillableCell for GovernedCell<T> {
             Err(TryLockError::Poisoned(p)) => p.into_inner(),
             Err(TryLockError::WouldBlock) => return 0,
         };
-        let Some(stored) = &inner.stored else {
+        let Some(v) = &inner.stored else {
             return 0; // already spilled
         };
-        if let Stored::Dense(v) = stored {
-            if Arc::strong_count(v) > 1 {
-                return 0; // pinned by a live handle
-            }
+        if Arc::strong_count(v) > 1 {
+            return 0; // pinned by a live handle
         }
         let ticket = match inner.ticket {
             Some(t) => t, // immutable cell: reuse the record
             None => {
-                let t = spill_file().write_record(stored);
+                let t = spill_file().write_record(v.as_slice());
                 SPILLED_BYTES.fetch_add(t.nbytes, Ordering::Relaxed);
                 CopyCounter::record("governor.spill", t.nbytes as usize);
                 t
@@ -509,16 +451,17 @@ impl<T: Element> SpillableCell for GovernedCell<T> {
         inner.ticket = Some(ticket);
         inner.stored = None;
         SPILLS.fetch_add(1, Ordering::Relaxed);
-        RESIDENT.fetch_sub(self.stored_nbytes as u64, Ordering::Relaxed);
-        self.stored_nbytes as u64
+        RESIDENT.fetch_sub(self.nbytes(), Ordering::Relaxed);
+        self.nbytes()
     }
 }
 
 impl<T: Element> Drop for GovernedCell<T> {
     fn drop(&mut self) {
+        let resident = self.nbytes();
         let inner = self.inner.get_mut().unwrap_or_else(|e| e.into_inner());
         if inner.stored.is_some() {
-            RESIDENT.fetch_sub(self.stored_nbytes as u64, Ordering::Relaxed);
+            RESIDENT.fetch_sub(resident, Ordering::Relaxed);
         }
         REGISTRY
             .lock()
@@ -528,27 +471,22 @@ impl<T: Element> Drop for GovernedCell<T> {
     }
 }
 
-/// Place `stored` under governor management: make room, account it
-/// resident, register it in the LRU, and enforce the budget (a working
-/// set larger than the budget spills its coldest cells immediately).
-pub(crate) fn govern_stored<T: Element>(
-    stored: Stored<T>,
-    len: usize,
-    repr: ChunkRepr,
-) -> Arc<GovernedCell<T>> {
-    let stored_nbytes = stored.nbytes();
-    make_room(stored_nbytes as u64);
+/// Place the dense elements `v` under governor management: make room,
+/// account them resident, register the cell in the LRU, and enforce the
+/// budget (a working set larger than the budget spills its coldest cells
+/// immediately).
+pub(crate) fn govern_dense<T: Element>(v: Arc<Vec<T>>) -> Arc<GovernedCell<T>> {
+    let nbytes = (v.len() * T::BYTES) as u64;
+    make_room(nbytes);
     let cell = Arc::new(GovernedCell {
         id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-        len,
-        repr,
-        stored_nbytes,
+        len: v.len(),
         inner: Mutex::new(CellInner {
-            stored: Some(stored),
+            stored: Some(v),
             ticket: None,
         }),
     });
-    add_resident(stored_nbytes as u64);
+    add_resident(nbytes);
     {
         let mut reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
         reg.clock += 1;
@@ -597,98 +535,35 @@ fn spill_file() -> &'static SpillFile {
     })
 }
 
-/// Append `v`'s ordered-u64 key, truncated to `T::BYTES` LE bytes.
-fn push_key<T: Element>(out: &mut Vec<u8>, v: T) {
-    out.extend_from_slice(&v.to_ordered_u64().to_le_bytes()[..T::BYTES]);
-}
-
-/// Read one ordered-u64 key (`T::BYTES` LE bytes) at `*pos`, advancing it.
-fn read_key<T: Element>(bytes: &[u8], pos: &mut usize) -> T {
-    let mut le = [0u8; 8];
-    le[..T::BYTES].copy_from_slice(&bytes[*pos..*pos + T::BYTES]);
-    *pos += T::BYTES;
-    T::from_ordered_u64(u64::from_le_bytes(le))
-}
-
-/// Serialize a stored representation into one spill record (see the
-/// module docs for the byte layout). Named a codec so the copy-lint
-/// grammar recognizes the byte traffic as sanctioned.
-fn spill_encode<T: Element>(stored: &Stored<T>) -> Vec<u8> {
-    let mut out = Vec::new();
-    match stored {
-        Stored::Dense(v) => {
-            out.push(0u8);
-            out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            out.reserve(v.len() * T::BYTES);
-            for &x in v.iter() {
-                push_key(&mut out, x);
-            }
-        }
-        Stored::Encoded(Encoded::Const { value, len }) => {
-            out.push(1u8);
-            out.extend_from_slice(&(*len as u64).to_le_bytes());
-            push_key(&mut out, *value);
-        }
-        Stored::Encoded(Encoded::Rle { runs, len }) => {
-            out.push(2u8);
-            out.extend_from_slice(&(*len as u64).to_le_bytes());
-            out.extend_from_slice(&(runs.len() as u64).to_le_bytes());
-            for &(count, value) in runs {
-                out.extend_from_slice(&count.to_le_bytes());
-                push_key(&mut out, value);
-            }
-        }
+/// Serialize a governed cell's elements into one spill record: each
+/// element's ordered-u64 key, truncated to `T::BYTES` little-endian
+/// bytes. Named a codec so the copy-lint grammar recognizes the byte
+/// traffic as sanctioned.
+fn spill_encode<T: Element>(v: &[T]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(v.len() * T::BYTES);
+    for &x in v {
+        out.extend_from_slice(&x.to_ordered_u64().to_le_bytes()[..T::BYTES]);
     }
     out
 }
 
-/// Exact inverse of [`spill_encode`]: reconstruct the stored
-/// representation from one spill record.
-// scilint: allow(F001, spill records are produced by spill_encode in this process; a malformed record is an I/O fault)
-fn spill_decode<T: Element>(bytes: &[u8]) -> Stored<T> {
-    let tag = bytes[0];
-    let mut pos = 1usize;
-    let read_u64 = |pos: &mut usize| {
-        let mut le = [0u8; 8];
-        le.copy_from_slice(&bytes[*pos..*pos + 8]);
-        *pos += 8;
-        u64::from_le_bytes(le)
-    };
-    let len = read_u64(&mut pos) as usize;
-    match tag {
-        0 => {
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(read_key::<T>(bytes, &mut pos));
-            }
-            Stored::Dense(Arc::new(v))
-        }
-        1 => {
-            let value = read_key::<T>(bytes, &mut pos);
-            Stored::Encoded(Encoded::Const { value, len })
-        }
-        2 => {
-            let n_runs = read_u64(&mut pos) as usize;
-            let mut runs = Vec::with_capacity(n_runs);
-            for _ in 0..n_runs {
-                let mut le = [0u8; 4];
-                le.copy_from_slice(&bytes[pos..pos + 4]);
-                pos += 4;
-                let count = u32::from_le_bytes(le);
-                let value = read_key::<T>(bytes, &mut pos);
-                runs.push((count, value));
-            }
-            Stored::Encoded(Encoded::Rle { runs, len })
-        }
-        other => unreachable!("unknown spill record tag {other}"),
-    }
+/// Exact inverse of [`spill_encode`]: the elements of one spill record.
+fn spill_decode<T: Element>(bytes: &[u8]) -> Vec<T> {
+    bytes
+        .chunks_exact(T::BYTES)
+        .map(|key| {
+            let mut le = [0u8; 8];
+            le[..T::BYTES].copy_from_slice(key);
+            T::from_ordered_u64(u64::from_le_bytes(le))
+        })
+        .collect()
 }
 
 impl SpillFile {
     /// Append one record, returning where it landed.
     // scilint: allow(F001, a failed spill write means the host denies temp storage; out-of-core mode cannot proceed)
-    fn write_record<T: Element>(&self, stored: &Stored<T>) -> Ticket {
-        let bytes = spill_encode(stored);
+    fn write_record<T: Element>(&self, v: &[T]) -> Ticket {
+        let bytes = spill_encode(v);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let offset = inner.end;
         inner
@@ -708,7 +583,7 @@ impl SpillFile {
 
     /// Read the record at `ticket` back, bit-exactly.
     // scilint: allow(F001, spill-file records are written by this process; a short read is an I/O fault, not a data error)
-    fn read_record<T: Element>(&self, ticket: Ticket) -> Stored<T> {
+    fn read_record<T: Element>(&self, ticket: Ticket) -> Vec<T> {
         let mut bytes = vec![0u8; ticket.nbytes as usize];
         {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -732,8 +607,8 @@ mod tests {
     #[test]
     fn spill_records_roundtrip_every_representation() {
         let file = spill_file();
-        // Dense with adversarial bit patterns.
-        let dense = Stored::Dense(Arc::new(vec![
+        // f64 with adversarial bit patterns.
+        let floats = [
             0.0f64,
             -0.0,
             f64::NAN,
@@ -742,42 +617,19 @@ mod tests {
             -5e-324,
             f64::INFINITY,
             f64::NEG_INFINITY,
-        ]));
-        let t = file.write_record(&dense);
+        ];
+        let t = file.write_record(&floats);
+        assert_eq!(t.nbytes, (floats.len() * f64::BYTES) as u64);
         let back = file.read_record::<f64>(t);
-        match (&dense, &back) {
-            (Stored::Dense(a), Stored::Dense(b)) => {
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b.iter()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-            _ => panic!("dense record must reload dense"),
+        assert_eq!(back.len(), floats.len());
+        for (x, y) in floats.iter().zip(&back) {
+            assert_eq!(x.to_bits(), y.to_bits());
         }
-        // Encoded forms reload as the same encoded form.
-        for enc in [
-            Encoded::Const {
-                value: -0.0f64,
-                len: 777,
-            },
-            Encoded::Rle {
-                runs: vec![(3, 1.5f64), (5, f64::NAN), (1, -0.0)],
-                len: 9,
-            },
-        ] {
-            let t = file.write_record(&Stored::Encoded(enc.clone()));
-            match file.read_record::<f64>(t) {
-                Stored::Encoded(back) => {
-                    assert_eq!(back.repr(), enc.repr());
-                    let (a, b) = (enc.decode(), back.decode());
-                    assert_eq!(a.len(), b.len());
-                    for (x, y) in a.iter().zip(&b) {
-                        assert_eq!(x.to_bits(), y.to_bits());
-                    }
-                }
-                Stored::Dense(_) => panic!("encoded record must reload encoded"),
-            }
-        }
+        // u8: one byte per element, every value.
+        let bytes: Vec<u8> = (0..=255).collect();
+        let t = file.write_record(&bytes);
+        assert_eq!(t.nbytes, bytes.len() as u64);
+        assert_eq!(file.read_record::<u8>(t), bytes);
     }
 
     #[test]
@@ -800,22 +652,12 @@ mod tests {
                 0
             }));
             let cells: Vec<_> = (0..4)
-                .map(|i| {
-                    govern_stored(
-                        Stored::Dense(Arc::new(vec![i as f64; 64])), // 512 B each
-                        64,
-                        ChunkRepr::Dense,
-                    )
-                })
+                .map(|i| govern_dense(Arc::new(vec![i as f64; 64]))) // 512 B each
                 .collect();
             assert!(CALLS.load(Ordering::Relaxed) > 0, "valve saw pressure");
             drop(guard);
             let before = CALLS.load(Ordering::Relaxed);
-            let _more = govern_stored(
-                Stored::Dense(Arc::new(vec![9.0f64; 64])),
-                64,
-                ChunkRepr::Dense,
-            );
+            let _more = govern_dense(Arc::new(vec![9.0f64; 64]));
             assert_eq!(
                 CALLS.load(Ordering::Relaxed),
                 before,

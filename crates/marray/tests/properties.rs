@@ -5,8 +5,8 @@
 //! may run beside them.
 
 use marray::{
-    ChunkGrid, ChunkRepr, CodecCounter, CodecStats, CopyCounter, CopyStats, Element, Mask, NdArray,
-    Shape,
+    ChunkGrid, ChunkRepr, CodecCounter, CodecStats, CopyCounter, CopyStats, Element, Mask,
+    MemoryGovernor, NdArray, Shape,
 };
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
@@ -166,7 +166,7 @@ enum Store {
     Dense,
     /// `compressed()`: Const or RLE when a codec shrinks the buffer.
     Encoded,
-    /// `compressed().govern()`: read through the memory governor.
+    /// `govern()`: the dense buffer read through the memory governor.
     Governed,
 }
 
@@ -226,7 +226,7 @@ impl Case {
         match self.store {
             Store::Dense => dense,
             Store::Encoded => dense.compressed(),
-            Store::Governed => dense.compressed().govern(),
+            Store::Governed => dense.govern(),
         }
     }
 
@@ -530,10 +530,16 @@ fn walker_cases_reach_const_and_rle_storage() {
     assert_eq!(konst.repr(), ChunkRepr::Const);
     let runs = case(vec![2, 9], 8, Store::Encoded).source::<f64>(&[4, 4, 4]);
     assert_eq!(runs.repr(), ChunkRepr::Rle);
+    let resident = MemoryGovernor::snapshot().resident_bytes;
     let governed = case(vec![2, 9], 8, Store::Governed).source::<u8>(&[4, 4, 4]);
     assert_eq!(
         governed.repr(),
-        ChunkRepr::Rle,
-        "governed sources keep their runs"
+        ChunkRepr::Dense,
+        "governed sources hold dense bytes"
+    );
+    assert_eq!(
+        MemoryGovernor::snapshot().resident_bytes - resident,
+        64,
+        "the governor accounts a governed source's bytes"
     );
 }

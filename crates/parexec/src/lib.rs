@@ -51,7 +51,7 @@ mod morsel;
 pub use morsel::{morsel_ranges, simulate_workers, CostHint, MorselPool, MORSELS_PER_WORKER};
 
 /// Environment variable overriding [`Parallelism::auto`]'s worker count
-/// (used by CI to pin thread counts for deterministic perf smoke runs).
+/// (the criterion kernel benches size their `_par` runs with it).
 pub const THREADS_ENV: &str = "SCIBENCH_THREADS";
 
 /// Upper bound on the worker count accepted from user input (CLI flags and

@@ -412,7 +412,7 @@ impl Server {
 
     /// Validate, lower, fingerprint, certify and admission-check `q`.
     fn build_plan(&self, q: &QueryDesc, dataset: &Dataset) -> Result<PlanInfo, String> {
-        validate(q, dataset)?;
+        let size = validate(q, dataset)?;
         let cluster = self.setup.cluster_for(q.engine, q.nodes);
         let mut inv = self.setup.profiles.invariants(q.engine);
         // With a process-wide budget active the governor gives every
@@ -445,11 +445,7 @@ impl Server {
         let mut stages = Vec::new();
         match q.pipeline {
             Pipeline::NeuroSegment | Pipeline::NeuroDenoise | Pipeline::NeuroFa => {
-                let n = match &dataset.payload {
-                    DatasetPayload::Neuro(subs) => subs.len(),
-                    _ => unreachable!("validated as a neuro payload"),
-                };
-                let w = NeuroWorkload { subjects: n };
+                let w = NeuroWorkload { subjects: size };
                 let seg = lower_steps::mean_step(
                     q.engine,
                     &w,
@@ -491,11 +487,7 @@ impl Server {
                 }
             }
             Pipeline::AstroFull => {
-                let visits = match &dataset.payload {
-                    DatasetPayload::AstroSurvey(sv) => sv.visits.len(),
-                    _ => unreachable!("validated as a survey payload"),
-                };
-                let w = AstroWorkload { visits };
+                let w = AstroWorkload { visits: size };
                 let graph = match q.engine {
                     Engine::Spark => {
                         lower_astro::spark(&w, &self.setup.cm, &self.setup.profiles, &cluster)
@@ -520,11 +512,7 @@ impl Server {
                 });
             }
             Pipeline::AstroCoadd => {
-                let visits = match &dataset.payload {
-                    DatasetPayload::AstroCube(c) => c.dims()[0],
-                    _ => unreachable!("validated as a cube payload"),
-                };
-                let w = AstroWorkload { visits };
+                let w = AstroWorkload { visits: size };
                 let graph = lower_astro::scidb_coadd(
                     &w,
                     &self.setup.cm,
@@ -559,8 +547,10 @@ impl Server {
 }
 
 /// Which engine/pipeline/payload combinations are expressible, mirroring
-/// the paper's capability matrix.
-fn validate(q: &QueryDesc, dataset: &Dataset) -> Result<(), String> {
+/// the paper's capability matrix. An expressible query gets its dataset's
+/// size back: a neuro dataset's subject count, or a survey's or cube's
+/// visit count.
+fn validate(q: &QueryDesc, dataset: &Dataset) -> Result<usize, String> {
     if q.nodes == 0 {
         return Err("admission: a zero-node cluster cannot run anything".to_string());
     }
@@ -577,28 +567,29 @@ fn validate(q: &QueryDesc, dataset: &Dataset) -> Result<(), String> {
             q.pipeline.name()
         ));
     }
-    let payload_ok = match q.pipeline {
-        Pipeline::NeuroSegment
-        | Pipeline::NeuroDenoise
-        | Pipeline::NeuroFa
-        | Pipeline::FixtureAmbient => {
-            matches!(&dataset.payload, DatasetPayload::Neuro(s) if !s.is_empty())
+    let size = match (q.pipeline, &dataset.payload) {
+        (
+            Pipeline::NeuroSegment
+            | Pipeline::NeuroDenoise
+            | Pipeline::NeuroFa
+            | Pipeline::FixtureAmbient,
+            DatasetPayload::Neuro(s),
+        ) if !s.is_empty() => Some(s.len()),
+        (Pipeline::AstroFull, DatasetPayload::AstroSurvey(sv)) if !sv.visits.is_empty() => {
+            Some(sv.visits.len())
         }
-        Pipeline::AstroFull => {
-            matches!(&dataset.payload, DatasetPayload::AstroSurvey(sv) if !sv.visits.is_empty())
-        }
-        Pipeline::AstroCoadd => matches!(&dataset.payload, DatasetPayload::AstroCube(_)),
+        (Pipeline::AstroCoadd, DatasetPayload::AstroCube(c)) => c.dims().first().copied(),
+        _ => None,
     };
-    if !payload_ok {
-        return Err(format!(
+    size.ok_or_else(|| {
+        format!(
             "pipeline `{}` cannot consume dataset `{}@v{}` (payload kind `{}`)",
             q.pipeline.name(),
             dataset.name,
             dataset.version,
             dataset.payload.kind()
-        ));
-    }
-    Ok(())
+        )
+    })
 }
 
 /// Execute one stage. Always runs the same shared kernels regardless of

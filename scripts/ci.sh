@@ -79,12 +79,6 @@ echo "== scibench lint (static verification of lowered task graphs)"
 echo "== reproduce --check (headline shape claims)"
 cargo run --release -q -p scibench-bench --bin reproduce -- --check
 
-echo "== scibench perf-smoke (serial vs parallel kernels, bit-identical)"
-# Tiny shapes, ~seconds: asserts every parallel kernel port matches the
-# serial reference bit for bit, and that SCIBENCH_THREADS is honored.
-SCIBENCH_THREADS=2 "${scibench[@]}" perf-smoke
-"${scibench[@]}" perf-smoke --threads 4
-
 # Runs every engine pipeline once on the shared data plane and checks the
 # committed BENCH_e2e.json still speaks the schema the tool emits. Under
 # cargo test, tests/integration_zerocopy.rs gates the rest: engines that
