@@ -1,10 +1,11 @@
 //! Static-verification sweep: every shipped lowering in the catalog — the
 //! paper's full data-size sweeps at 16 and 64 nodes — must produce a
-//! `plancheck`-clean task graph (zero error-severity findings), with one
-//! documented exception: Myria's pipelined astronomy configuration at 24
-//! visits on 16 nodes (Figure 15) MUST trip the memory-budget pass, and
-//! its disk-backed fallbacks must not. This pins the paper's OOM story to
-//! the static checker, not just to the simulator.
+//! `plancheck`-clean task graph (zero error-severity findings and no
+//! repeated dependency), with one documented exception: Myria's pipelined
+//! astronomy configuration at 24 visits on 16 nodes (Figure 15) MUST trip
+//! the memory-budget pass, and its disk-backed fallbacks must not. This
+//! pins the paper's OOM story to the static checker, not just to the
+//! simulator.
 //!
 //! The catalog marks that configuration `memory_expected` only when its
 //! lowering runs strict, so a pipelined plan that gained a spill fallback
@@ -20,6 +21,9 @@ fn every_shipped_lowering_is_clean_except_the_figure_15_oom() {
     for c in shipped_configs(&setup) {
         let report = check(&c.graph, &c.cluster, &setup.profiles.invariants(c.engine));
         let name = c.name.as_str();
+        // A repeated dependency double-counts transfer bytes; it is a
+        // warning, so the error checks below would not see it.
+        assert!(!report.has(Code::W004), "{name} repeats a dependency");
         if c.memory_expected {
             // Two ~31 GB coadd stacks land on one node.
             assert!(

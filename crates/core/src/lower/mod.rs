@@ -197,8 +197,9 @@ pub const SHARED_OP_BINDINGS: &[plancheck::OpBinding] = &{
 };
 
 /// Debug-build guard run at the end of every lowering function: the graph
-/// must be free of structural, byte-conservation, placement and
-/// engine-shape *errors* before it is handed to anything else.
+/// must be free of byte-conservation, placement and engine-shape *errors*
+/// before it is handed to anything else (`TaskGraph::add` has already
+/// refused malformed structure).
 ///
 /// Memory findings (`M...`) are deliberately NOT fatal here — memory
 /// overruns are legitimate outcomes this repo models (Figure 15's

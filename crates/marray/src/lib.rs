@@ -47,8 +47,5 @@ pub use element::Element;
 pub use error::{ArrayError, Result};
 pub use mask::Mask;
 pub use shape::Shape;
-pub use spill::{
-    mem_budget, register_valve, set_mem_budget, with_mem_budget, GovStats, MemoryGovernor,
-    ValveGuard,
-};
+pub use spill::{mem_budget, set_mem_budget, with_mem_budget, GovStats, MemoryGovernor};
 pub use window::{window_bounds, WindowIter};

@@ -20,9 +20,10 @@
 //!   (`Const`/`Rle`) buffers never enter the governor: a packed cell is
 //!   smaller than any record that could spill it, so governing one is a
 //!   handle clone.
-//! * Pressure valves ([`register_valve`]) — callbacks (e.g. the serve
-//!   layer's memo-cache eviction) that run *before* kernel chunks spill,
-//!   so cheap-to-recompute cache entries are dropped first.
+//!
+//! The governor frees memory only by spilling the cells it governs; no
+//! other layer answers to its budget (sciserve's result cache holds
+//! kernel outputs, which are never governed).
 //!
 //! ## Spill-file format
 //!
@@ -86,8 +87,6 @@ static RESIDENT: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 /// Cell id allocator.
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-/// Valve id allocator.
-static NEXT_VALVE: AtomicU64 = AtomicU64::new(0);
 
 /// The LRU registry: cell id → (last-touch tick, cell).
 struct Registry {
@@ -100,10 +99,6 @@ static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
     cells: BTreeMap::new(),
 });
 
-/// Registered pressure valves, run before LRU spilling.
-type Valve = Box<dyn Fn(u64) -> u64 + Send + Sync>;
-static VALVES: Mutex<BTreeMap<u64, Valve>> = Mutex::new(BTreeMap::new());
-
 /// The process-wide memory budget for governed chunk storage, if bounded.
 pub fn mem_budget() -> Option<u64> {
     match BUDGET.load(Ordering::SeqCst) {
@@ -113,7 +108,7 @@ pub fn mem_budget() -> Option<u64> {
 }
 
 /// Set the process-wide budget (`None` = unbounded) and immediately
-/// enforce it (valves first, then LRU spill of clean cells).
+/// enforce it (LRU spill of clean cells).
 pub fn set_mem_budget(budget: Option<u64>) {
     BUDGET.store(budget.unwrap_or(0), Ordering::SeqCst);
     enforce();
@@ -227,7 +222,7 @@ impl MemoryGovernor {
         PEAK.store(RESIDENT.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
-    /// Enforce the budget now (valves, then LRU spill of clean cells).
+    /// Enforce the budget now (LRU spill of clean cells).
     ///
     /// Spilling normally rides governor events (ingest, reload, budget
     /// changes), so residency can sit over budget between events when the
@@ -237,34 +232,6 @@ impl MemoryGovernor {
     /// the gauges.
     pub fn enforce() {
         enforce();
-    }
-}
-
-/// Register a pressure valve: a callback invoked with the byte excess
-/// when the governor goes over budget, *before* any kernel chunk spills;
-/// it returns the bytes it released (e.g. by evicting cache entries).
-/// Returns a handle that unregisters the valve when dropped.
-pub fn register_valve(valve: Valve) -> ValveGuard {
-    let id = NEXT_VALVE.fetch_add(1, Ordering::Relaxed);
-    VALVES
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(id, valve);
-    ValveGuard { id }
-}
-
-/// Unregisters its pressure valve on drop (see [`register_valve`]).
-#[derive(Debug)]
-pub struct ValveGuard {
-    id: u64,
-}
-
-impl Drop for ValveGuard {
-    fn drop(&mut self) {
-        VALVES
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&self.id);
     }
 }
 
@@ -281,31 +248,19 @@ fn add_resident(bytes: u64) {
     PEAK.fetch_max(now, Ordering::Relaxed);
 }
 
-/// Make room for `incoming` bytes: run valves, then spill LRU-clean
-/// cells, until `resident + incoming` fits the budget (or nothing more
-/// can be released). Called *before* residency grows so the peak gauge
-/// never overshoots the budget by a chunk the spiller could have freed.
+/// Make room for `incoming` bytes: spill LRU-clean cells until
+/// `resident + incoming` fits the budget (or nothing more can be
+/// released). Called *before* residency grows so the peak gauge never
+/// overshoots the budget by a chunk the spiller could have freed.
 fn make_room(incoming: u64) {
     let Some(budget) = mem_budget() else { return };
     let headroom = budget.saturating_sub(incoming);
     if RESIDENT.load(Ordering::Relaxed) <= headroom {
         return;
     }
-    // Valves first: cache entries are cheaper to drop than kernel chunks
-    // are to spill and reload.
-    {
-        let valves = VALVES.lock().unwrap_or_else(|e| e.into_inner());
-        for valve in valves.values() {
-            let resident = RESIDENT.load(Ordering::Relaxed);
-            if resident <= headroom {
-                return;
-            }
-            valve(resident - headroom);
-        }
-    }
-    // Then LRU spill. Victims are snapshotted under the registry lock but
-    // spilled outside it (cell → file lock order, never registry → cell
-    // while a cell holds the registry).
+    // Victims are snapshotted under the registry lock but spilled outside
+    // it (cell → file lock order, never registry → cell while a cell
+    // holds the registry).
     let victims: Vec<Arc<dyn SpillableCell>> = {
         let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
         let mut with_ticks: Vec<(u64, u64, Arc<dyn SpillableCell>)> = reg
@@ -638,32 +593,6 @@ mod tests {
             assert_eq!(mem_budget(), Some(1 << 20));
             with_mem_budget(None, || assert_eq!(mem_budget(), None));
             assert_eq!(mem_budget(), Some(1 << 20));
-        });
-    }
-
-    #[test]
-    fn valves_run_before_spill_and_unregister_on_drop() {
-        use std::sync::atomic::AtomicU64 as A;
-        static CALLS: A = A::new(0);
-        with_mem_budget(Some(1024), || {
-            let guard = register_valve(Box::new(|excess| {
-                CALLS.fetch_add(1, Ordering::Relaxed);
-                assert!(excess > 0);
-                0
-            }));
-            let cells: Vec<_> = (0..4)
-                .map(|i| govern_dense(Arc::new(vec![i as f64; 64]))) // 512 B each
-                .collect();
-            assert!(CALLS.load(Ordering::Relaxed) > 0, "valve saw pressure");
-            drop(guard);
-            let before = CALLS.load(Ordering::Relaxed);
-            let _more = govern_dense(Arc::new(vec![9.0f64; 64]));
-            assert_eq!(
-                CALLS.load(Ordering::Relaxed),
-                before,
-                "dropped valve must not run"
-            );
-            drop(cells);
         });
     }
 }

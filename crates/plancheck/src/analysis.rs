@@ -1,10 +1,9 @@
-//! Shared graph analysis: topological order, ancestor bitsets, reverse
-//! adjacency. Built once per [`crate::check`] call and reused by every
-//! semantic pass.
+//! Shared graph analysis: ancestor bitsets and reverse adjacency. Built
+//! once per [`crate::check`] call and reused by every pass.
 
 use simcluster::{TaskGraph, TaskId, TaskSpec};
 
-/// Precomputed reachability over a structurally valid graph.
+/// Precomputed reachability over a task graph.
 pub(crate) struct Analysis<'g> {
     /// The tasks, by id.
     pub tasks: &'g [TaskSpec],
@@ -16,47 +15,35 @@ pub(crate) struct Analysis<'g> {
 }
 
 impl<'g> Analysis<'g> {
-    /// Build the analysis. Returns `None` when the graph has structural
-    /// errors (cycles, dangling deps) — the structural pass reports those
-    /// and the semantic passes are skipped.
-    pub fn new(graph: &'g TaskGraph) -> Option<Analysis<'g>> {
-        let topo = graph.validate().ok()?;
+    /// Build the analysis. Task ids are a topological order (a task only
+    /// depends on tasks added before it), so one pass in id order sees
+    /// every dependency's ancestor set complete.
+    pub fn new(graph: &'g TaskGraph) -> Analysis<'g> {
         let tasks = graph.tasks();
         let n = tasks.len();
         let words = n.div_ceil(64);
 
         let mut consumers: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for (id, t) in tasks.iter().enumerate() {
-            for &d in &t.deps {
-                consumers[d].push(id);
-            }
-        }
-
         let mut anc = vec![vec![0u64; words]; n];
-        for &t in &topo {
-            // anc[t] = ∪_d (anc[d] ∪ {d}); split borrows via index order.
-            let deps = tasks[t].deps.clone();
-            for d in deps {
-                let (src, dst) = if d < t {
-                    let (a, b) = anc.split_at_mut(t);
-                    (&a[d], &mut b[0])
-                } else {
-                    let (a, b) = anc.split_at_mut(d);
-                    (&b[0], &mut a[t])
-                };
-                for w in 0..words {
-                    dst[w] |= src[w];
+        for (t, task) in tasks.iter().enumerate() {
+            // anc[t] = ∪_d (anc[d] ∪ {d}), every d < t.
+            let (done, rest) = anc.split_at_mut(t);
+            let dst = &mut rest[0];
+            for &d in &task.deps {
+                consumers[d].push(t);
+                for (w, src) in dst.iter_mut().zip(&done[d]) {
+                    *w |= src;
                 }
                 dst[d / 64] |= 1u64 << (d % 64);
             }
         }
 
-        Some(Analysis {
+        Analysis {
             tasks,
             anc,
             consumers,
             words,
-        })
+        }
     }
 
     /// Is `a` a strict ancestor of `b`?
@@ -99,7 +86,7 @@ mod tests {
         let b = g.add(TaskSpec::compute("b", 1.0).after(&[a]));
         let c = g.add(TaskSpec::compute("c", 1.0).after(&[a]));
         let d = g.add(TaskSpec::compute("d", 1.0).after(&[b, c]));
-        let an = Analysis::new(&g).unwrap();
+        let an = Analysis::new(&g);
         assert!(an.is_ancestor(a, d) && an.is_ancestor(b, d) && an.is_ancestor(c, d));
         assert!(!an.is_ancestor(d, a));
         assert!(!an.comparable(b, c));
@@ -110,15 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_graphs_yield_none() {
-        let g = TaskGraph::from_tasks_unchecked(vec![
-            TaskSpec::compute("a", 1.0).after(&[1]),
-            TaskSpec::compute("b", 1.0).after(&[0]),
-        ]);
-        assert!(Analysis::new(&g).is_none());
-    }
-
-    #[test]
     fn ancestors_work_past_64_tasks() {
         // Force multi-word bitsets: a chain of 200 tasks.
         let mut g = TaskGraph::new();
@@ -126,7 +104,7 @@ mod tests {
         for _ in 0..200 {
             prev = g.add(TaskSpec::compute("t", 0.1).after(&[prev]));
         }
-        let an = Analysis::new(&g).unwrap();
+        let an = Analysis::new(&g);
         assert!(an.is_ancestor(0, 200));
         assert!(an.is_ancestor(64, 130));
         assert!(!an.is_ancestor(130, 64));

@@ -30,25 +30,15 @@ impl std::fmt::Display for Severity {
 
 /// Stable diagnostic codes, grouped by pass.
 ///
-/// * `W…` — DAG well-formedness (structure).
+/// * `W…` — structure `TaskGraph::add` accepts (duplicate dependencies).
 /// * `B…` — byte conservation (every byte read must be explainable).
 /// * `M…` — memory-budget analysis against the cluster spec.
 /// * `P…` — placement feasibility and skew.
 /// * `E…` — engine-shape lints driven by the invariant profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Code {
-    /// Dependency cycle: no topological order exists.
-    W001,
-    /// Dependency on a task id that does not exist.
-    W002,
-    /// Task depends on itself.
-    W003,
     /// Duplicate dependency edge (double-counts transfer bytes).
     W004,
-    /// Barrier task carries data (barriers synchronize, they move no bytes).
-    W005,
-    /// Declared output larger than the task's declared resident memory.
-    B001,
     /// Disk read with no matching disk write anywhere upstream.
     B002,
     /// Output bytes not explainable by visible inputs within the engine's
@@ -77,15 +67,10 @@ pub enum Code {
 }
 
 impl Code {
-    /// The stable code string ("W001", …).
+    /// The stable code string ("W004", …).
     pub fn as_str(self) -> &'static str {
         match self {
-            Code::W001 => "W001",
-            Code::W002 => "W002",
-            Code::W003 => "W003",
             Code::W004 => "W004",
-            Code::W005 => "W005",
-            Code::B001 => "B001",
             Code::B002 => "B002",
             Code::B003 => "B003",
             Code::M001 => "M001",
@@ -104,12 +89,7 @@ impl Code {
     /// Short human title for tables.
     pub fn title(self) -> &'static str {
         match self {
-            Code::W001 => "dependency cycle",
-            Code::W002 => "dangling dependency",
-            Code::W003 => "self-dependency",
             Code::W004 => "duplicate dependency",
-            Code::W005 => "barrier carries data",
-            Code::B001 => "output exceeds memory",
             Code::B002 => "phantom disk read",
             Code::B003 => "unexplained amplification",
             Code::M001 => "pinned memory overrun",
@@ -261,7 +241,7 @@ mod tests {
         let r = Report {
             engine: "Test",
             diagnostics: vec![
-                diag(Code::W001, Severity::Error),
+                diag(Code::B002, Severity::Error),
                 diag(Code::B003, Severity::Warning),
                 diag(Code::M004, Severity::Info),
             ],
@@ -272,7 +252,7 @@ mod tests {
         assert_eq!(r.counts(), (1, 1, 1));
         assert_eq!(r.summary(), "1 error, 1 warning, 1 info");
         let t = r.render_table();
-        assert!(t.contains("W001") && t.contains("dependency cycle"), "{t}");
+        assert!(t.contains("B002") && t.contains("phantom disk read"), "{t}");
     }
 
     #[test]

@@ -49,10 +49,8 @@ fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
 
 /// Per-node fingerprints for `graph`, indexed by task id.
 ///
-/// Inputs are hashed before consumers (task ids are topologically ordered
-/// by construction for `TaskGraph::add` graphs; for unchecked graphs a
-/// forward dependency simply hashes the not-yet-computed placeholder,
-/// which `plancheck`'s structural pass rejects anyway).
+/// Inputs are hashed before consumers: task ids are a topological order
+/// (`TaskGraph::add` refuses forward dependencies).
 pub fn node_fingerprints(graph: &TaskGraph) -> Vec<u64> {
     let mut fps = vec![0u64; graph.len()];
     for (id, t) in graph.tasks().iter().enumerate() {
@@ -64,11 +62,7 @@ pub fn node_fingerprints(graph: &TaskGraph) -> Vec<u64> {
         fields.insert("disk_write", t.disk_write_bytes.to_string());
         fields.insert("out", t.output_bytes.to_string());
         fields.insert("barrier", u8::from(t.is_barrier).to_string());
-        let mut inputs: Vec<u64> = t
-            .deps
-            .iter()
-            .map(|&d| fps.get(d).copied().unwrap_or(0))
-            .collect();
+        let mut inputs: Vec<u64> = t.deps.iter().map(|&d| fps[d]).collect();
         inputs.sort_unstable();
         fields.insert(
             "inputs",

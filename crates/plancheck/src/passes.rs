@@ -1,12 +1,10 @@
-//! The five verification passes. Each takes the shared [`Analysis`] (the
-//! structural pass works on the raw graph, since the analysis only exists
-//! for well-formed graphs) and emits [`Diagnostic`]s through an
-//! [`Emitter`] that caps per-code noise.
+//! The five verification passes. Each takes the shared [`Analysis`] and
+//! emits [`Diagnostic`]s through an [`Emitter`] that caps per-code noise.
 
 use crate::analysis::Analysis;
 use crate::diag::{Code, Diagnostic, Severity};
 use crate::profile::{BarrierDiscipline, InvariantProfile};
-use simcluster::{ClusterSpec, Placement, TaskGraph, TaskId};
+use simcluster::{ClusterSpec, Placement, TaskId};
 use std::collections::BTreeMap;
 
 /// Maximum findings kept per code; the rest collapse into one "…and N
@@ -85,18 +83,14 @@ fn gb(bytes: u64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: DAG well-formedness (W...)
+// Pass 1: structure (W...)
 // ---------------------------------------------------------------------------
 
-/// Structural checks on the raw graph. Returns `true` when a finding
-/// invalidates reachability (cycle, dangling or self dependency), in which
-/// case the semantic passes are skipped.
-pub(crate) fn structural(graph: &TaskGraph, em: &mut Emitter) -> bool {
-    let tasks = graph.tasks();
-    let n = tasks.len();
-    let mut fatal = false;
-
-    for (id, t) in tasks.iter().enumerate() {
+/// W004, the one structural mistake `TaskGraph::add` accepts: a task
+/// listing a dependency more than once. (`add` refuses forward and self
+/// dependencies, so every graph is a DAG.)
+pub(crate) fn structural(an: &Analysis<'_>, em: &mut Emitter) {
+    for (id, t) in an.tasks.iter().enumerate() {
         let mut sorted = t.deps.clone();
         sorted.sort_unstable();
         if sorted.windows(2).any(|w| w[0] == w[1]) {
@@ -107,92 +101,7 @@ pub(crate) fn structural(graph: &TaskGraph, em: &mut Emitter) -> bool {
                 format!("task {id} ({:?}) lists a dependency more than once; transfer bytes would double-count", t.label),
             );
         }
-        for &d in &t.deps {
-            if d >= n {
-                fatal = true;
-                em.push(
-                    Code::W002,
-                    Severity::Error,
-                    vec![id],
-                    format!(
-                        "task {id} ({:?}) depends on task {d}, but the graph has only {n} tasks",
-                        t.label
-                    ),
-                );
-            } else if d == id {
-                fatal = true;
-                em.push(
-                    Code::W003,
-                    Severity::Error,
-                    vec![id],
-                    format!("task {id} ({:?}) depends on itself", t.label),
-                );
-            }
-        }
-        if t.is_barrier
-            && (t.s3_bytes | t.disk_read_bytes | t.disk_write_bytes | t.output_bytes | t.mem_bytes)
-                > 0
-        {
-            em.push(
-                Code::W005,
-                Severity::Error,
-                vec![id],
-                format!(
-                    "barrier {id} ({:?}) carries data; barriers synchronize, they move no bytes",
-                    t.label
-                ),
-            );
-        }
     }
-
-    // Kahn over the in-range, non-self edges: leftovers sit on (or behind)
-    // a cycle and can never become ready.
-    let mut indegree = vec![0usize; n];
-    let mut consumers: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-    for (id, t) in tasks.iter().enumerate() {
-        for &d in &t.deps {
-            if d < n && d != id {
-                indegree[id] += 1;
-                consumers[d].push(id);
-            }
-        }
-    }
-    let mut ready: Vec<TaskId> = indegree
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d == 0)
-        .map(|(i, _)| i)
-        .collect();
-    let mut processed = 0usize;
-    while let Some(u) = ready.pop() {
-        processed += 1;
-        for &c in &consumers[u] {
-            indegree[c] -= 1;
-            if indegree[c] == 0 {
-                ready.push(c);
-            }
-        }
-    }
-    if processed < n {
-        fatal = true;
-        let stuck: Vec<TaskId> = indegree
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d > 0)
-            .map(|(i, _)| i)
-            .collect();
-        em.push(
-            Code::W001,
-            Severity::Error,
-            stuck.clone(),
-            format!(
-                "dependency cycle: {} task{} can never become ready (first stuck ids shown)",
-                stuck.len(),
-                plural(stuck.len())
-            ),
-        );
-    }
-    fatal
 }
 
 // ---------------------------------------------------------------------------
@@ -200,23 +109,6 @@ pub(crate) fn structural(graph: &TaskGraph, em: &mut Emitter) -> bool {
 // ---------------------------------------------------------------------------
 
 pub(crate) fn bytes(an: &Analysis<'_>, p: &InvariantProfile, em: &mut Emitter) {
-    // B001: a task cannot emit more bytes than it ever held.
-    for (id, t) in an.tasks.iter().enumerate() {
-        if !t.is_barrier && t.mem_bytes > 0 && t.output_bytes > t.mem_bytes {
-            em.push(
-                Code::B001,
-                Severity::Error,
-                vec![id],
-                format!(
-                    "task {id} ({:?}) outputs {:.2} GB but declares only {:.2} GB resident memory",
-                    t.label,
-                    gb(t.output_bytes),
-                    gb(t.mem_bytes)
-                ),
-            );
-        }
-    }
-
     // B002: every disk read must be covered by disk writes on the task
     // itself (spill round-trips) or its ancestors. Store-backed engines
     // (Myria's per-node PostgreSQL, SciDB's chunk store) legitimately read

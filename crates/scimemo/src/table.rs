@@ -121,15 +121,15 @@ impl<V: Clone> State<V> {
         }
     }
 
-    /// Evict the least-recently-used entry; returns its weight (`None`
-    /// when the table is empty).
-    fn evict_lru(&mut self) -> Option<u64> {
-        let (&k, _) = self.entries.iter().min_by_key(|(_, e)| e.last_used)?;
+    /// Evict the least-recently-used entry, if any.
+    fn evict_lru(&mut self) {
+        let Some((&k, _)) = self.entries.iter().min_by_key(|(_, e)| e.last_used) else {
+            return;
+        };
         let evicted = self.entries.remove(&k).expect("lru key came from this map");
         self.resident_bytes -= evicted.weight;
         self.stats.evictions += 1;
         self.stats.evicted_bytes += evicted.weight;
-        Some(evicted.weight)
     }
 }
 
@@ -217,26 +217,6 @@ impl<V: Clone> MemoTable<V> {
         let weight = weigh(&v);
         self.lock().admit(key, v.clone(), weight);
         (v, Probe::Miss)
-    }
-
-    /// Evict least-recently-used entries until at least `bytes` of
-    /// declared weight are released (or the table is empty); returns the
-    /// weight actually released. This is the memory-governor valve entry
-    /// point, shaped to back a [`marray::register_valve`](marray)
-    /// callback: under pressure the resident query service drops cache
-    /// entries — cheap to recompute, and their payload `Arc`s may be the
-    /// pins keeping kernel chunks spillable — before any chunk pays for
-    /// spill I/O. Works on unbounded tables too.
-    pub fn evict_bytes(&self, bytes: u64) -> u64 {
-        let mut state = self.lock();
-        let mut freed = 0u64;
-        while freed < bytes {
-            let Some(weight) = state.evict_lru() else {
-                break;
-            };
-            freed += weight;
-        }
-        freed
     }
 
     /// Whether `key` is resident right now.
@@ -392,23 +372,6 @@ mod tests {
         assert_eq!(st.hits + st.misses, 8);
         assert_eq!(t.len(), 1);
         assert_eq!(t.resident_bytes(), 8);
-    }
-
-    #[test]
-    fn evict_bytes_drains_lru_first_and_reports_freed_weight() {
-        let t: MemoTable<u64> = MemoTable::new();
-        t.get_or_compute(1, true, || 10, |_| 4);
-        t.get_or_compute(2, true, || 20, |_| 4);
-        t.get_or_compute(1, true, || unreachable!(), |_| 4); // refresh 1
-        assert_eq!(t.evict_bytes(1), 4, "one LRU entry covers the request");
-        assert!(!t.contains(2), "LRU entry goes first");
-        assert!(t.contains(1));
-        // Asking for more than is resident frees what there is.
-        assert_eq!(t.evict_bytes(1 << 20), 4);
-        assert!(t.is_empty());
-        assert_eq!(t.evict_bytes(1), 0, "empty table frees nothing");
-        let s = t.stats();
-        assert_eq!((s.evictions, s.evicted_bytes), (2, 8));
     }
 
     #[test]

@@ -9,12 +9,10 @@
 //! takes `&self`, so concurrent callers fan requests out on their own
 //! `parexec` pool.
 //!
-//! The result cache and the kernels' working set share one memory
-//! governor: the server registers the cache as a governor *valve*
-//! ([`marray::register_valve`]), so when a process-wide budget
-//! ([`marray::mem_budget`]) comes under pressure, clean cached results —
-//! which are recomputable from their certificates — are evicted before
-//! any working-set chunk pays spill I/O.
+//! The result cache answers only to its own byte budget
+//! ([`Server::with_cache_budget`]). Cached results are kernel outputs,
+//! which the memory governor never governs, so a process-wide budget
+//! ([`marray::mem_budget`]) neither counts nor evicts them.
 //!
 //! # Life of a request
 //!
@@ -264,12 +262,7 @@ pub struct Server {
     catalog: Catalog,
     purity: PurityTable,
     plans: Mutex<BTreeMap<String, Arc<Result<PlanInfo, String>>>>,
-    cache: Arc<MemoTable<Cached>>,
-    /// Keeps the cache registered as a memory-governor valve for the
-    /// server's lifetime: under budget pressure the governor drains LRU
-    /// cache entries (recomputable) before spilling working-set chunks
-    /// (which cost reload I/O). Never read — dropping it unregisters.
-    _cache_valve: marray::ValveGuard,
+    cache: MemoTable<Cached>,
     caching: bool,
 }
 
@@ -279,31 +272,20 @@ impl Server {
     /// `scilint::purity::analyze_workspace` once at startup and the cost
     /// is amortized over every request.
     pub fn new(catalog: Catalog, purity: PurityTable) -> Server {
-        let cache = Arc::new(MemoTable::new());
         Server {
             setup: Setup::default(),
             catalog,
             purity,
             plans: Mutex::new(BTreeMap::new()),
-            _cache_valve: Self::arm_valve(&cache),
-            cache,
+            cache: MemoTable::new(),
             caching: true,
         }
-    }
-
-    /// Register `cache` as a governor valve. Valves only fire when a
-    /// memory budget is both set and under pressure, so unconditional
-    /// registration costs nothing in the unbounded case.
-    fn arm_valve(cache: &Arc<MemoTable<Cached>>) -> marray::ValveGuard {
-        let cache = Arc::clone(cache);
-        marray::register_valve(Box::new(move |excess| cache.evict_bytes(excess)))
     }
 
     /// Bound the result cache to `bytes` (LRU eviction past it). Replaces
     /// the cache, so call before serving.
     pub fn with_cache_budget(mut self, bytes: u64) -> Server {
-        self.cache = Arc::new(MemoTable::with_budget(bytes));
-        self._cache_valve = Self::arm_valve(&self.cache);
+        self.cache = MemoTable::with_budget(bytes);
         self
     }
 
@@ -694,8 +676,8 @@ mod tests {
 
     #[test]
     fn warm_hit_is_zero_copy_and_bit_identical() {
-        // Budget pinned off: a concurrent budget test's governor pressure
-        // would otherwise drain this server's cache through its valve.
+        // A budget section runs alone among sections, so the other
+        // section tests' copies stay out of the delta below.
         marray::with_mem_budget(None, || {
             let srv = server();
             let q = QueryDesc::new(Engine::Spark, Pipeline::NeuroSegment, "dmri", 1);
@@ -801,26 +783,25 @@ mod tests {
     }
 
     #[test]
-    fn governor_pressure_drains_the_result_cache_first() {
+    fn governor_pressure_leaves_the_result_cache_alone() {
         let srv = server();
         let q = QueryDesc::new(Engine::Spark, Pipeline::NeuroSegment, "dmri", 1);
         marray::with_mem_budget(None, || srv.serve_one(&q));
-        assert!(srv.cache_len() > 0, "the served stage must be cached");
-        let before = srv.cache_stats().evictions;
+        let (len, evictions) = (srv.cache_len(), srv.cache_stats().evictions);
+        assert!(len > 0, "the served stage must be cached");
         marray::with_mem_budget(Some(1024), || {
-            // Governing any chunk bigger than the budget puts the
-            // governor under pressure; valves (the result cache) run
-            // before any chunk is spilled.
+            // A governed chunk bigger than the budget puts the governor
+            // under pressure; it spills the chunk, and cached results,
+            // which it does not govern, stay.
             let arr = NdArray::from_fn(&[64, 64], |ix| (ix[0] + ix[1]) as f64);
             let governed = arr.govern();
             marray::MemoryGovernor::enforce();
             drop(governed);
         });
-        assert!(
-            srv.cache_stats().evictions > before,
-            "the valve must evict cached results under pressure"
-        );
-        assert_eq!(srv.cache_len(), 0, "1 KiB of headroom fits no payload");
+        assert_eq!(srv.cache_len(), len);
+        assert_eq!(srv.cache_stats().evictions, evictions);
+        let again = marray::with_mem_budget(None, || srv.serve_one(&q));
+        assert!(again.response().expect("served").all_hits());
     }
 
     #[test]

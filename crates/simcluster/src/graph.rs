@@ -75,32 +75,15 @@ impl TaskSpec {
         self
     }
 
-    /// Set the output size.
-    ///
-    /// An output must fit in the task's resident memory: a spec declaring
-    /// `output_bytes > mem_bytes` (with both set) describes a task that
-    /// emits data it never held, which silently corrupts the memory
-    /// analysis downstream. Debug builds reject it here.
+    /// Set the output size (at most the declared memory; see
+    /// [`TaskGraph::add`]).
     pub fn output(mut self, bytes: u64) -> Self {
-        debug_assert!(
-            self.mem_bytes == 0 || bytes <= self.mem_bytes,
-            "task {:?}: output ({bytes} B) exceeds declared resident memory ({} B)",
-            self.label,
-            self.mem_bytes
-        );
         self.output_bytes = bytes;
         self
     }
 
-    /// Set the resident memory footprint (see [`TaskSpec::output`] for the
-    /// output ≤ memory invariant enforced in debug builds).
+    /// Set the resident memory footprint.
     pub fn mem(mut self, bytes: u64) -> Self {
-        debug_assert!(
-            self.output_bytes == 0 || self.output_bytes <= bytes,
-            "task {:?}: declared resident memory ({bytes} B) below output size ({} B)",
-            self.label,
-            self.output_bytes
-        );
         self.mem_bytes = bytes;
         self
     }
@@ -118,21 +101,6 @@ impl TaskSpec {
     }
 }
 
-/// A structural violation found by [`TaskGraph::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphViolation {
-    /// The offending task.
-    pub task: TaskId,
-    /// What is wrong with it, in words.
-    pub reason: String,
-}
-
-impl std::fmt::Display for GraphViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task {}: {}", self.task, self.reason)
-    }
-}
-
 /// A DAG of [`TaskSpec`]s.
 #[derive(Debug, Clone, Default)]
 pub struct TaskGraph {
@@ -145,115 +113,37 @@ impl TaskGraph {
         TaskGraph::default()
     }
 
-    /// Add a task, returning its id. Dependencies must already exist
-    /// (ids are insertion-ordered, so the graph is acyclic by
-    /// construction).
+    /// Add a task, returning its id. `add` is the only way into a graph,
+    /// and in every build it refuses a dependency on a task not added yet
+    /// (ids are insertion-ordered, so no graph holds a cycle or a self
+    /// dependency), a barrier that carries data, and an output larger than
+    /// the declared resident memory (a memory of 0 declares none). A
+    /// repeated dependency is accepted; `plancheck` reports it (W004).
     pub fn add(&mut self, task: TaskSpec) -> TaskId {
         let id = self.tasks.len();
         for &d in &task.deps {
             assert!(d < id, "dependency {d} of task {id} does not exist yet");
         }
-        debug_assert!(
-            !task.is_barrier || Self::barrier_is_data_free(&task),
+        assert!(
+            !task.is_barrier
+                || (task.s3_bytes
+                    | task.disk_read_bytes
+                    | task.disk_write_bytes
+                    | task.output_bytes
+                    | task.mem_bytes)
+                    == 0,
             "barrier {:?} must not carry data (barriers synchronize; they do not move bytes)",
             task.label
         );
+        assert!(
+            task.mem_bytes == 0 || task.output_bytes <= task.mem_bytes,
+            "task {:?}: output ({} B) exceeds declared resident memory ({} B)",
+            task.label,
+            task.output_bytes,
+            task.mem_bytes
+        );
         self.tasks.push(task);
         id
-    }
-
-    /// Build a graph directly from a task list, bypassing the `add`-time
-    /// ordering assertions. The result may be arbitrarily broken — forward
-    /// dependencies, cycles, data-bearing barriers; [`TaskGraph::validate`]
-    /// is the gate. Exists so analysis tooling and tests can construct
-    /// deliberately malformed graphs.
-    pub fn from_tasks_unchecked(tasks: Vec<TaskSpec>) -> TaskGraph {
-        TaskGraph { tasks }
-    }
-
-    fn barrier_is_data_free(t: &TaskSpec) -> bool {
-        t.s3_bytes == 0
-            && t.disk_read_bytes == 0
-            && t.disk_write_bytes == 0
-            && t.output_bytes == 0
-            && t.mem_bytes == 0
-    }
-
-    /// Cheap structural validation: every dependency exists, no task
-    /// depends on itself, the dependency relation is acyclic, and barriers
-    /// carry no data. Graphs built through [`TaskGraph::add`] satisfy the
-    /// first three by construction; graphs from
-    /// [`TaskGraph::from_tasks_unchecked`] may not. Semantic checking
-    /// (byte conservation, memory budgets, placement) lives in the
-    /// `plancheck` crate. A valid graph's result is a topological order of
-    /// its task ids.
-    pub fn validate(&self) -> Result<Vec<TaskId>, GraphViolation> {
-        let n = self.tasks.len();
-        for (id, t) in self.tasks.iter().enumerate() {
-            for &d in &t.deps {
-                if d >= n {
-                    return Err(GraphViolation {
-                        task: id,
-                        reason: format!(
-                            "depends on task {d}, which does not exist (graph has {n} tasks)"
-                        ),
-                    });
-                }
-                if d == id {
-                    return Err(GraphViolation {
-                        task: id,
-                        reason: "depends on itself".into(),
-                    });
-                }
-            }
-            if t.is_barrier && !Self::barrier_is_data_free(t) {
-                return Err(GraphViolation {
-                    task: id,
-                    reason: format!(
-                        "barrier {:?} carries data; barriers must be byte-free",
-                        t.label
-                    ),
-                });
-            }
-        }
-        // Kahn's algorithm over the (now known-in-range) edges; anything
-        // left unprocessed sits on a cycle.
-        let mut indegree: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
-        let mut consumers: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for (id, t) in self.tasks.iter().enumerate() {
-            for &d in &t.deps {
-                consumers[d].push(id);
-            }
-        }
-        let mut ready: Vec<TaskId> = indegree
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(i, _)| i)
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(u) = ready.pop() {
-            order.push(u);
-            for &c in &consumers[u] {
-                indegree[c] -= 1;
-                if indegree[c] == 0 {
-                    ready.push(c);
-                }
-            }
-        }
-        if order.len() < n {
-            let on_cycle = indegree
-                .iter()
-                .enumerate()
-                .find(|&(_, &d)| d > 0)
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            return Err(GraphViolation {
-                task: on_cycle,
-                reason: "sits on a dependency cycle (no topological order exists)".into(),
-            });
-        }
-        Ok(order)
     }
 
     /// Add a zero-cost synchronization task depending on all of `deps` —
@@ -315,51 +205,17 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "below output size"))]
-    fn output_larger_than_mem_is_rejected_in_debug() {
-        let t = TaskSpec::compute("x", 1.0).output(50).mem(10);
-        // Release builds keep the (inconsistent) spec; debug builds panic
-        // in `mem` above.
-        assert_eq!(t.output_bytes, 50);
+    #[should_panic(expected = "exceeds declared resident memory")]
+    fn output_larger_than_mem_panics() {
+        TaskGraph::new().add(TaskSpec::compute("x", 1.0).output(50).mem(10));
     }
 
     #[test]
-    fn validate_accepts_built_graphs() {
-        let mut g = TaskGraph::new();
-        let a = g.add(TaskSpec::compute("a", 1.0));
-        let b = g.add(TaskSpec::compute("b", 1.0).after(&[a]));
-        let sync = g.barrier("sync", &[a, b]);
-        assert_eq!(g.validate(), Ok(vec![a, b, sync]));
-    }
-
-    #[test]
-    fn validate_finds_cycles_and_missing_deps() {
-        let cyc = TaskGraph::from_tasks_unchecked(vec![
-            TaskSpec::compute("a", 1.0).after(&[1]),
-            TaskSpec::compute("b", 1.0).after(&[0]),
-        ]);
-        let v = cyc.validate().unwrap_err();
-        assert!(v.reason.contains("cycle"), "{v}");
-
-        let dangling =
-            TaskGraph::from_tasks_unchecked(vec![TaskSpec::compute("a", 1.0).after(&[7])]);
-        let v = dangling.validate().unwrap_err();
-        assert!(v.reason.contains("does not exist"), "{v}");
-
-        let selfdep =
-            TaskGraph::from_tasks_unchecked(vec![TaskSpec::compute("a", 1.0).after(&[0])]);
-        let v = selfdep.validate().unwrap_err();
-        assert!(v.reason.contains("itself"), "{v}");
-    }
-
-    #[test]
-    fn validate_rejects_data_bearing_barriers() {
-        let mut bar = TaskSpec::compute("sync", 0.0);
+    #[should_panic(expected = "must not carry data")]
+    fn data_carrying_barrier_panics() {
+        let mut bar = TaskSpec::compute("sync", 0.0).output(10);
         bar.is_barrier = true;
-        bar.output_bytes = 10;
-        let g = TaskGraph::from_tasks_unchecked(vec![bar]);
-        let v = g.validate().unwrap_err();
-        assert!(v.reason.contains("byte-free"), "{v}");
+        TaskGraph::new().add(bar);
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod sched;
 mod sim;
 mod spec;
 
-pub use graph::{GraphViolation, Placement, TaskGraph, TaskId, TaskSpec};
+pub use graph::{Placement, TaskGraph, TaskId, TaskSpec};
 pub use report::{SimError, SimReport, TaskTiming};
 pub use sched::SchedPolicy;
 pub use sim::simulate;

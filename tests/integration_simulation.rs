@@ -6,7 +6,7 @@
 
 use std::sync::OnceLock;
 
-use scibench::core::experiments::{shape_checks, Setup, ShapeCheck};
+use scibench::core::experiments::{shape_checks, Setup, ShapeCheck, ARTIFACTS};
 
 /// The claim list, evaluated once per test binary.
 fn checks() -> &'static [ShapeCheck] {
@@ -93,4 +93,20 @@ fn astro_e2e_spark_close_to_myria() {
 #[test]
 fn spark_partition_default_underutilizes() {
     assert_claims(&["Spark's default partitions"]);
+}
+
+/// Every paper artifact builds, and each of its tables has rows. In a
+/// debug build this runs `TaskGraph::add`'s checks and `debug_verify` on
+/// every lowering the figures use. `scaling` is skipped: it measures this
+/// host's kernels, not the simulation.
+#[test]
+fn every_artifact_builds_non_empty_tables() {
+    let setup = Setup::default();
+    for (id, build) in ARTIFACTS.iter().filter(|(id, _)| *id != "scaling") {
+        let tables = build(&setup);
+        assert!(!tables.is_empty(), "{id} builds no table");
+        for t in &tables {
+            assert!(!t.rows.is_empty(), "{id}: table {:?} has no rows", t.title);
+        }
+    }
 }
