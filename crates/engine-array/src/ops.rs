@@ -165,10 +165,17 @@ impl ScidbArray {
         let bv = b.materialize()?;
         let inner: usize = dims[1..].iter().product();
         // Compute into a fresh buffer: the old clone-then-mutate forced a
-        // full deep copy before the first write.
+        // full deep copy before the first write. Each leading-axis slice of
+        // the stack lines up with the two operand planes element for element.
+        let (av, bv) = (av.data(), bv.data());
         let mut out_data = Vec::with_capacity(full.len());
-        for (i, &v) in full.data().iter().enumerate() {
-            out_data.push(f(v, av.data()[i % inner], bv.data()[i % inner]));
+        for slice in full.data().chunks(inner.max(1)) {
+            out_data.extend(
+                slice
+                    .iter()
+                    .zip(av.iter().zip(bv))
+                    .map(|(&v, (&a, &b))| f(v, a, b)),
+            );
         }
         let out = NdArray::from_vec(full.dims(), out_data)?;
         self.record_rechunk(out.stored_nbytes());

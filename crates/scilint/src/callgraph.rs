@@ -31,9 +31,14 @@
 //!    definition named `name` (covers `use`-imported free functions and
 //!    cross-crate methods; receiver types are unknown at token level).
 //!
-//! Known blind spots (see DESIGN.md §3.12): trait-object dispatch and fn
-//! pointers produce no call token and therefore no edge; closures are
-//! attributed to the defining function.
+//! A same-file function passed by name as an argument (`.map(name)`) is
+//! recorded as a plain call from the enclosing function
+//! ([`crate::symbols`]), so rung 6 lands it on the caller's own file.
+//!
+//! Known blind spots (see DESIGN.md §3.12): trait-object dispatch, and fn
+//! pointers stored or passed across files or through paths, produce no
+//! call token and therefore no edge; closures are attributed to the
+//! defining function.
 
 use std::collections::{BTreeSet, VecDeque};
 

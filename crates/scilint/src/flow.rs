@@ -307,6 +307,22 @@ mod tests {
     }
 
     #[test]
+    fn panic_in_a_fn_passed_by_name_fires_f001() {
+        // `b` is never called as `b(..)`: it reaches the sink only as the
+        // argument of `map`, and the witness still runs `a → b`.
+        let (findings, _) = run(&[(
+            "lib.rs",
+            "engine-rdd",
+            "pub fn a(v: Option<u32>) -> Option<u32> { v.map(b) }\n\
+             fn b(x: u32) -> u32 { None::<u32>.expect(\"boom\") + x }\n",
+        )]);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "F001");
+        let names: Vec<&str> = findings[0].chain.iter().map(|h| h.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+    }
+
+    #[test]
     fn witness_starts_at_the_first_root_in_id_order() {
         // Both roots reach `h` in one hop; the tie goes to the root that
         // comes first in (path, token) order, not in name order.

@@ -9,7 +9,9 @@
 //!   tokens its body owns),
 //! * every call site (`name(...)`, `recv.name(...)`, `qual::name(...)`)
 //!   attributed to the innermost enclosing function, keeping the immediate
-//!   path qualifier as a resolution hint,
+//!   path qualifier as a resolution hint, and every same-file function
+//!   passed by name as an argument (`.map(name)`), which runs wherever its
+//!   callee does,
 //! * every type name a file defines or impls (`struct`/`enum`/`trait`/
 //!   `union`/`impl` targets), so `Type::method(...)` calls can be narrowed
 //!   to the files that actually implement `Type`.
@@ -134,6 +136,13 @@ fn extract_file(fx: usize, file: &SourceFile, tab: &mut SymbolTable) {
             Some(tab.fns.len() as u32 - 1)
         })
         .collect();
+    // Names of the functions this file defines, for by-name references.
+    let local_fns: BTreeSet<&str> = file
+        .fn_defs
+        .iter()
+        .filter(|&&at| !file.is_test_code(at))
+        .filter_map(|&at| ident_at(at + 1))
+        .collect();
 
     for (i, t) in toks.iter().enumerate() {
         if file.is_test_code(i) {
@@ -156,7 +165,10 @@ fn extract_file(fx: usize, file: &SourceFile, tab: &mut SymbolTable) {
                 }
             }
             name if !CALLISH_KEYWORDS.contains(&name) => {
-                if let Some(call) = owner.and_then(|caller| call_at(file, i, caller)) {
+                let call = owner.and_then(|caller| {
+                    call_at(file, i, caller).or_else(|| fn_ref_at(file, i, caller, &local_fns))
+                });
+                if let Some(call) = call {
                     tab.calls.push(call);
                 }
             }
@@ -262,6 +274,37 @@ fn call_at(file: &SourceFile, i: usize, caller: u32) -> Option<CallSite> {
     })
 }
 
+/// Classify token `i`, inside the body of function `caller`, as a function
+/// passed by name: an identifier in argument position (after `(` or `,`,
+/// before `)` or `,`, so neither a path segment nor a method) that names a
+/// function defined in the same file. The callee may run wherever the
+/// argument is called, so this is an edge from `caller`. Only same-file
+/// names count, and [`crate::callgraph`] resolves a plain call to the
+/// caller's file first, so a local variable that shares its name with a
+/// function elsewhere adds no edge.
+fn fn_ref_at(
+    file: &SourceFile,
+    i: usize,
+    caller: u32,
+    local_fns: &BTreeSet<&str>,
+) -> Option<CallSite> {
+    let toks = &file.tokens;
+    let name = toks[i].kind.ident()?;
+    let opens = i
+        .checked_sub(1)
+        .is_some_and(|j| matches!(toks[j].kind, TokenKind::Open('(') | TokenKind::Punct(",")));
+    let closes = toks
+        .get(i + 1)
+        .is_some_and(|t| matches!(t.kind, TokenKind::Close(')') | TokenKind::Punct(",")));
+    (opens && closes && local_fns.contains(name)).then(|| CallSite {
+        caller,
+        name: name.to_string(),
+        qualifier: None,
+        method: false,
+        line: toks[i].line,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,6 +361,41 @@ mod tests {
         let t = tab("trait T { fn decl(&self); }\nfn real() { a(); }\n");
         assert_eq!(t.fns.len(), 1);
         assert_eq!(t.fns[0].name, "real");
+    }
+
+    #[test]
+    fn fn_passed_by_name_is_a_call_from_the_enclosing_fn() {
+        let t = tab(
+            "fn a(v: Vec<u32>) { v.into_iter().map(b).for_each(drop); f(c, 1); }\n\
+             fn b(x: u32) -> u32 { x }\nfn c() {}\n",
+        );
+        let by_name: Vec<(&str, u32)> = t
+            .calls
+            .iter()
+            .filter(|c| !c.method)
+            .map(|c| (c.name.as_str(), c.caller))
+            .collect();
+        assert!(by_name.contains(&("b", 0)), "{by_name:?}");
+        assert!(by_name.contains(&("c", 0)), "{by_name:?}");
+        // `drop` names no fn of this file, `v` is a parameter.
+        assert!(by_name.iter().all(|(n, _)| *n != "drop" && *n != "v"));
+    }
+
+    #[test]
+    fn argument_naming_no_same_file_fn_is_no_call() {
+        // `work` is defined only in another file: the argument is a local
+        // variable here, not a reference to that fn.
+        let files = [
+            SourceFile::parse(
+                "a.rs",
+                "demo",
+                FileKind::Library,
+                "fn a(work: u32) { g(work); }\n",
+            ),
+            SourceFile::parse("b.rs", "demo", FileKind::Library, "fn work() {}\n"),
+        ];
+        let t = extract(&files, &|_| true);
+        assert!(t.calls.iter().all(|c| c.name != "work"));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cell's background is a sigma-clipped median (robust against stars), and
 //! the per-pixel background is bilinear interpolation between cell centers.
 
-use crate::stats::sigma_clipped_median;
+use crate::stats::sigma_clipped_median_in_place;
 use marray::NdArray;
 use parexec::{par_chunks_mut, par_map_slabs, Parallelism};
 
@@ -55,21 +55,26 @@ pub fn estimate_background_par(
     let mesh_rows = rows.div_ceil(cell).max(1);
     let mesh_cols = cols.div_ceil(cell).max(1);
 
-    // Robust per-cell levels, one mesh row per slab.
+    // Robust per-cell levels, one mesh row per slab. Each cell is gathered
+    // row slice by row slice into one reused buffer, then clipped and
+    // selected in place.
+    let data = image.data();
     let mesh_row_ids: Vec<usize> = (0..mesh_rows).collect();
     let mesh: Vec<f64> = par_map_slabs(&mesh_row_ids, par, |_, &mr| {
         let mut mesh_row = vec![0.0f64; mesh_cols];
         let mut cell_values = Vec::with_capacity(cell * cell);
+        let r1 = ((mr + 1) * cell).min(rows);
         for (mc, slot) in mesh_row.iter_mut().enumerate() {
             cell_values.clear();
-            let r1 = ((mr + 1) * cell).min(rows);
-            let c1 = ((mc + 1) * cell).min(cols);
+            let (c0, c1) = (mc * cell, ((mc + 1) * cell).min(cols));
             for r in mr * cell..r1 {
-                for c in mc * cell..c1 {
-                    cell_values.push(image.data()[r * cols + c]);
-                }
+                cell_values.extend_from_slice(&data[r * cols + c0..r * cols + c1]);
             }
-            *slot = sigma_clipped_median(&cell_values, params.kappa, params.clip_iterations);
+            *slot = sigma_clipped_median_in_place(
+                &mut cell_values,
+                params.kappa,
+                params.clip_iterations,
+            );
         }
         mesh_row
     })

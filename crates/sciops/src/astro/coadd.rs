@@ -68,18 +68,25 @@ pub fn coadd_sigma_clip_par(
     let (rows, cols) = first.dims();
     let n = exposures.len();
 
+    // Each exposure's (flux, variance, mask) slices, taken once: a packed
+    // mask decodes here, not inside the pixel loop.
+    let planes: Vec<(&[f64], &[f64], &[u8])> = exposures
+        .iter()
+        .map(|e| (e.flux.data(), e.variance.data(), e.mask.data()))
+        .collect();
     let row_ids: Vec<usize> = (0..rows).collect();
     let stacked = par_map_slabs(&row_ids, par, |_, &r| {
         let mut flux_row = vec![0.0f64; cols];
         let mut var_row = vec![0.0f64; cols];
         let mut depth_row = vec![0u16; cols];
         let mut samples: Vec<(f64, f64)> = Vec::with_capacity(n); // (flux, var)
+        let mut vals: Vec<f64> = Vec::with_capacity(n);
         for c in 0..cols {
             let p = r * cols + c;
             samples.clear();
-            for e in exposures {
-                if e.mask.data()[p] == 0 {
-                    samples.push((e.flux.data()[p], e.variance.data()[p].max(1e-12)));
+            for &(flux, var, mask) in &planes {
+                if mask[p] == 0 {
+                    samples.push((flux[p], var[p].max(1e-12)));
                 }
             }
             if samples.is_empty() {
@@ -90,7 +97,8 @@ pub fn coadd_sigma_clip_par(
                 if samples.len() <= 1 {
                     break;
                 }
-                let vals: Vec<f64> = samples.iter().map(|s| s.0).collect();
+                vals.clear();
+                vals.extend(samples.iter().map(|s| s.0));
                 let (mean, std) = crate::stats::mean_std(&vals);
                 // scilint: allow(N001, exact-zero std is mean_std's all-equal-samples sentinel so clipping can never remove anything)
                 if std == 0.0 {

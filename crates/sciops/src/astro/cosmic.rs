@@ -41,20 +41,24 @@ pub fn detect_cosmic_rays(
 ) -> NdArray<u8> {
     assert_eq!(image.dims(), variance.dims());
     let (rows, cols) = (image.dims()[0], image.dims()[1]);
-    let data = image.data();
+    let (data, var) = (image.data(), variance.data());
     let mut flags = NdArray::<u8>::zeros(&[rows, cols]);
+    let hits = flags.data_mut();
     for r in 0..rows {
+        // 4-neighbor Laplacian with border clamping.
+        let row = &data[r * cols..(r + 1) * cols];
+        let up_row = &data[r.saturating_sub(1) * cols..][..cols];
+        let down_row = &data[(r + 1).min(rows - 1) * cols..][..cols];
+        let var_row = &var[r * cols..(r + 1) * cols];
+        let hit_row = &mut hits[r * cols..(r + 1) * cols];
         for c in 0..cols {
-            // 4-neighbor Laplacian with border clamping.
-            let v = data[r * cols + c];
-            let up = data[r.saturating_sub(1) * cols + c];
-            let down = data[(r + 1).min(rows - 1) * cols + c];
-            let left = data[r * cols + c.saturating_sub(1)];
-            let right = data[r * cols + (c + 1).min(cols - 1)];
-            let lap = 4.0 * v - up - down - left - right;
-            let sigma = variance.data()[r * cols + c].max(1e-12).sqrt();
+            let v = row[c];
+            let left = row[c.saturating_sub(1)];
+            let right = row[(c + 1).min(cols - 1)];
+            let lap = 4.0 * v - up_row[c] - down_row[c] - left - right;
+            let sigma = var_row[c].max(1e-12).sqrt();
             if lap > params.threshold_sigma * sigma * 4.0 {
-                flags.data_mut()[r * cols + c] = 1;
+                hit_row[c] = 1;
             }
         }
     }
@@ -64,42 +68,47 @@ pub fn detect_cosmic_rays(
 /// Repair flagged pixels in place with the median of their unflagged
 /// 8-neighborhood; pixels with no clean neighbor fall back to the local mean
 /// of the whole neighborhood.
+///
+/// Every replacement is computed from the unrepaired image first and then
+/// written, so the image is mutated in place, never copied.
 pub fn repair(image: &mut NdArray<f64>, flags: &NdArray<u8>) {
     assert_eq!(image.dims(), flags.dims());
     let (rows, cols) = (image.dims()[0], image.dims()[1]);
-    let original = image.clone();
-    let mut neigh: Vec<f64> = Vec::with_capacity(8);
-    for r in 0..rows {
-        for c in 0..cols {
-            if flags.data()[r * cols + c] == 0 {
-                continue;
-            }
-            neigh.clear();
-            let mut all = Vec::with_capacity(8);
-            for dr in -1i64..=1 {
-                for dc in -1i64..=1 {
-                    if dr == 0 && dc == 0 {
-                        continue;
-                    }
-                    let nr = r as i64 + dr;
-                    let nc = c as i64 + dc;
-                    if nr < 0 || nc < 0 || nr >= rows as i64 || nc >= cols as i64 {
-                        continue;
-                    }
-                    let off = nr as usize * cols + nc as usize;
-                    all.push(original.data()[off]);
-                    if flags.data()[off] == 0 {
-                        neigh.push(original.data()[off]);
-                    }
+    let (data, flagged) = (image.data(), flags.data());
+    let mut replacements: Vec<(usize, f64)> = Vec::new();
+    for (p, _) in flagged.iter().enumerate().filter(|&(_, &f)| f != 0) {
+        let (r, c) = (p / cols, p % cols);
+        // Clean and all in-bounds neighbors, in row-major order.
+        let (mut clean, mut all) = ([0.0f64; 8], [0.0f64; 8]);
+        let (mut n_clean, mut n_all) = (0, 0);
+        for nr in r.saturating_sub(1)..(r + 2).min(rows) {
+            for nc in c.saturating_sub(1)..(c + 2).min(cols) {
+                if nr == r && nc == c {
+                    continue;
+                }
+                let off = nr * cols + nc;
+                all[n_all] = data[off];
+                n_all += 1;
+                if flagged[off] == 0 {
+                    clean[n_clean] = data[off];
+                    n_clean += 1;
                 }
             }
-            let replacement = if !neigh.is_empty() {
-                crate::stats::median(&mut neigh)
-            } else {
-                all.iter().sum::<f64>() / all.len().max(1) as f64
-            };
-            image.data_mut()[r * cols + c] = replacement;
         }
+        let replacement = if n_clean > 0 {
+            crate::stats::median(&mut clean[..n_clean])
+        } else {
+            all[..n_all].iter().sum::<f64>() / n_all.max(1) as f64
+        };
+        replacements.push((p, replacement));
+    }
+    // A clean image is not touched, so a shared plane is not unshared.
+    if replacements.is_empty() {
+        return;
+    }
+    let out = image.data_mut();
+    for (p, v) in replacements {
+        out[p] = v;
     }
 }
 

@@ -90,14 +90,19 @@ pub fn detect_sources(coadd: &Coadd, params: &DetectParams) -> Vec<Source> {
 pub fn detect_sources_par(coadd: &Coadd, params: &DetectParams, par: Parallelism) -> Vec<Source> {
     let (rows, cols) = (coadd.flux.dims()[0], coadd.flux.dims()[1]);
     let bg = estimate_background_par(&coadd.flux, &params.background, par);
-    let mut sub: NdArray<f64> = coadd.flux.clone();
+    // The residual image, written into a fresh plane: subtracting in place
+    // from a handle clone of the coadd flux would copy it first.
+    let mut residual = NdArray::<f64>::zeros(&[rows, cols]);
+    let (flux, bg) = (coadd.flux.data(), bg.data());
     if cols > 0 {
-        par_chunks_mut(sub.data_mut(), cols, par, |r, row| {
-            for (c, v) in row.iter_mut().enumerate() {
-                *v -= bg.data()[r * cols + c];
+        par_chunks_mut(residual.data_mut(), cols, par, |r, row| {
+            let span = r * cols..(r + 1) * cols;
+            for ((v, &f), &b) in row.iter_mut().zip(&flux[span.clone()]).zip(&bg[span]) {
+                *v = f - b;
             }
         });
     }
+    let (sub, variance) = (residual.data(), coadd.variance.data());
 
     // Per-pixel significance threshold from the coadd variance.
     let row_ids: Vec<usize> = (0..rows).collect();
@@ -105,8 +110,8 @@ pub fn detect_sources_par(coadd: &Coadd, params: &DetectParams, par: Parallelism
         let mut row = vec![false; cols];
         for (c, flag) in row.iter_mut().enumerate() {
             let p = r * cols + c;
-            let sigma = coadd.variance.data()[p].max(1e-12).sqrt();
-            *flag = sub.data()[p] > params.n_sigma * sigma;
+            let sigma = variance[p].max(1e-12).sqrt();
+            *flag = sub[p] > params.n_sigma * sigma;
         }
         row
     })
@@ -181,10 +186,10 @@ pub fn detect_sources_par(coadd: &Coadd, params: &DetectParams, par: Parallelism
                 continue;
             }
             let root = uf.find(labels[p]);
-            let v = sub.data()[p].max(0.0);
+            let v = sub[p].max(0.0);
             let acc = clusters.entry(root).or_default();
             acc.flux += v;
-            acc.peak = acc.peak.max(sub.data()[p]);
+            acc.peak = acc.peak.max(sub[p]);
             acc.wx += v * c as f64;
             acc.wy += v * r as f64;
             acc.npix += 1;

@@ -121,11 +121,14 @@ pub fn reference_pipeline_calibrated(
     reference_pipeline_calibrated_par(calibrated, grid, coadd, detect, Parallelism::Serial)
 }
 
-/// Steps 2A → 4A over already-calibrated exposures, with Steps 3A + 4A
-/// fanned out per patch as in [`reference_pipeline_par`]. Split out so
-/// ingest paths that decode and calibrate each exposure in one pass (the
-/// FITS entry point in `scibench_core::usecases::ingest`) can join the
-/// reference pipeline after Step 1A with bit-identical results.
+/// Steps 2A → 4A over already-calibrated exposures, fanned out per patch
+/// as in [`reference_pipeline_par`]: each slab crops and merges its
+/// patch's pieces (Step 2A), then coadds and detects on the serial
+/// kernels. Only the patch membership lists are built serially, so Step 2A
+/// is off the serial critical path. Split out so ingest paths that decode
+/// and calibrate each exposure in one pass (the FITS entry point in
+/// `scibench_core::usecases::ingest`) can join the reference pipeline
+/// after Step 1A with bit-identical results.
 pub fn reference_pipeline_calibrated_par(
     calibrated: Vec<Exposure>,
     grid: &PatchGrid,
@@ -133,26 +136,35 @@ pub fn reference_pipeline_calibrated_par(
     detect: &DetectParams,
     par: Parallelism,
 ) -> AstroOutput {
-    // Step 2A: flatmap to patches, then merge pieces per (patch, visit).
-    let by_patch = create_patches(&calibrated, grid);
-    let mut merged: Vec<(PatchId, Vec<Exposure>)> = Vec::with_capacity(by_patch.len());
-    for (patch, pieces) in by_patch {
-        let patch_box = grid.patch_box(patch);
+    // Step 2A membership: the exposures each patch receives a piece from,
+    // in exposure order. A patch enters only with a piece, so the patch
+    // set and every piece list are exactly those of `create_patches`.
+    let mut members: BTreeMap<PatchId, Vec<usize>> = BTreeMap::new();
+    for (i, exposure) in calibrated.iter().enumerate() {
+        for patch in grid.overlapping_patches(&exposure.bbox) {
+            if exposure.bbox.intersect(&grid.patch_box(patch)).is_some() {
+                members.entry(patch).or_default().push(i);
+            }
+        }
+    }
+    let patches: Vec<(PatchId, Vec<usize>)> = members.into_iter().collect();
+
+    // Per patch: crop its pieces and merge them per visit (Step 2A), coadd
+    // across visits (Step 3A), then detect sources on the coadd (Step 4A).
+    let per_patch = par_map_slabs(&patches, par, |_, (patch, exposures)| {
+        let patch_box = grid.patch_box(*patch);
         let mut by_visit: BTreeMap<u32, Vec<Exposure>> = BTreeMap::new();
-        for piece in pieces {
+        for piece in exposures
+            .iter()
+            .filter_map(|&i| calibrated[i].crop_to(&patch_box))
+        {
             by_visit.entry(piece.visit).or_default().push(piece);
         }
         let visit_exposures: Vec<Exposure> = by_visit
-            .into_values()
-            .map(|pieces| merge_visit_pieces(&patch_box, &pieces))
+            .values()
+            .map(|pieces| merge_visit_pieces(&patch_box, pieces))
             .collect();
-        merged.push((patch, visit_exposures));
-    }
-
-    // Steps 3A + 4A: coadd each patch across visits, then detect sources
-    // on the coadd, one patch per slab on the serial kernels.
-    let per_patch = par_map_slabs(&merged, par, |_, (patch, exposures)| {
-        let c = coadd_sigma_clip(exposures, coadd);
+        let c = coadd_sigma_clip(&visit_exposures, coadd);
         let sources = detect_sources(&c, detect);
         (*patch, c, sources)
     });

@@ -77,9 +77,19 @@ pub fn sigma_clipped_mean(values: &[f64], kappa: f64, iterations: usize) -> f64 
 /// Sigma-clipped median: like [`sigma_clipped_mean`] but returns the median
 /// of the surviving samples (used by background mesh estimation).
 pub fn sigma_clipped_median(values: &[f64], kappa: f64, iterations: usize) -> f64 {
-    let mut kept = values.to_vec();
-    sigma_clip(&mut kept, kappa, iterations);
-    median(&mut kept)
+    sigma_clipped_median_in_place(&mut values.to_vec(), kappa, iterations)
+}
+
+/// [`sigma_clipped_median`] that clips and selects inside `values`,
+/// leaving it holding the permuted survivors: callers that gather into a
+/// reused buffer pay no copy per call.
+pub(crate) fn sigma_clipped_median_in_place(
+    values: &mut Vec<f64>,
+    kappa: f64,
+    iterations: usize,
+) -> f64 {
+    sigma_clip(values, kappa, iterations);
+    median(values)
 }
 
 /// Fixed-width histogram over `[lo, hi]` with `bins` buckets.
