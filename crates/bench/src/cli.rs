@@ -29,60 +29,13 @@
 //! three budgets (25 %, 50 %, unbounded), runs every engine analog
 //! out-of-core, gates bit-identical fingerprints and budget-respecting
 //! peak residency, and emits `BENCH_ooc.json`. `bench` and `bench serve`
-//! honor `--threads N`; `bench serve` honors `--budget-bytes N` for the
-//! result-cache budget; and the `SCIBENCH_MEM_BUDGET` environment
-//! variable (a byte count with an optional `k`/`m`/`g` suffix) activates
-//! the process-wide memory governor for any subcommand.
+//! honor `--threads N`.
 
 use parexec::{parse_threads, Parallelism};
 use plancheck::{check, Report};
 use scibench_bench::{compress, e2e, hostinfo, kernels, memo, ooc, plans, serve, skew};
 use scibench_core::experiments::Setup;
 use scibench_core::lower::Engine;
-
-/// Process-wide memory budget for the governor's spill tier, in bytes
-/// (optional `k`/`m`/`g` suffix, powers of 1024). Parsed here — the bench
-/// binary is the sanctioned home for ambient reads — and applied via
-/// [`marray::set_mem_budget`] before any subcommand runs, so every bench
-/// and lint can be replayed out-of-core without code changes.
-const MEM_BUDGET_ENV: &str = "SCIBENCH_MEM_BUDGET";
-
-/// Parse a byte count with an optional `k`/`m`/`g` suffix (powers of
-/// 1024). Zero is rejected: the governor treats 0 as "unbounded", so a
-/// literal `0` budget would silently mean the opposite of what it says.
-fn parse_bytes(s: &str) -> Result<u64, String> {
-    let t = s.trim();
-    let (digits, mult) = match t.as_bytes().last() {
-        Some(b'k' | b'K') => (&t[..t.len() - 1], 1u64 << 10),
-        Some(b'm' | b'M') => (&t[..t.len() - 1], 1u64 << 20),
-        Some(b'g' | b'G') => (&t[..t.len() - 1], 1u64 << 30),
-        _ => (t, 1),
-    };
-    let n = digits
-        .trim()
-        .parse::<u64>()
-        .map_err(|e| e.to_string())?
-        .checked_mul(mult)
-        .ok_or_else(|| "byte count overflows u64".to_string())?;
-    if n == 0 {
-        return Err("byte count must be positive".to_string());
-    }
-    Ok(n)
-}
-
-/// Apply `SCIBENCH_MEM_BUDGET` when set; an invalid value warns and is
-/// ignored.
-fn apply_mem_budget_env() {
-    if let Ok(v) = std::env::var(MEM_BUDGET_ENV) {
-        match parse_bytes(&v) {
-            Ok(n) => {
-                eprintln!("note: {MEM_BUDGET_ENV}={v}: memory governor active ({n} bytes)");
-                marray::set_mem_budget(Some(n));
-            }
-            Err(e) => eprintln!("warning: ignoring invalid {MEM_BUDGET_ENV}={v}: {e}"),
-        }
-    }
-}
 
 /// Accumulates lint rows and the failures that decide the exit code.
 struct Lint {
@@ -150,38 +103,6 @@ fn lint(verbose: bool) -> i32 {
     // `--memo` cacheability sweep, so the two gates check the same plans.
     for c in plans::shipped_configs(&Setup::default()) {
         l.row(&c.name, c.engine, &c.graph, &c.cluster, c.memory_expected);
-    }
-
-    // The source gate rides along: `scibench lint` also runs sciflow, the
-    // interprocedural effect analysis, so a panic/nondet/copy/spawn sink
-    // reachable from an engine entry point fails this command the same way
-    // a bad lowering does.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(std::path::Path::parent)
-        .expect("crates/bench sits two levels below the workspace root");
-    match scilint::analyze_workspace(root) {
-        Ok(report) => {
-            print!("{}", report.flow_summary());
-            if !report.is_flow_clean() {
-                if verbose {
-                    print!("{}", report.flow_listing());
-                }
-                for f in &report.flow_findings {
-                    l.failures.push(format!(
-                        "sciflow {}: {}:{} {} reachable from `{}`",
-                        f.rule,
-                        f.path,
-                        f.line,
-                        f.sink,
-                        f.chain.first().map_or("?", |h| h.name.as_str()),
-                    ));
-                }
-            }
-        }
-        Err(e) => l
-            .failures
-            .push(format!("sciflow: workspace unreadable: {e}")),
     }
 
     println!();
@@ -283,20 +204,18 @@ struct BenchFlags {
     quick: bool,
     out_path: Option<std::path::PathBuf>,
     threads: Option<Parallelism>,
-    budget_bytes: Option<u64>,
 }
 
-/// Parse the `[--quick] [--threads N] [--budget-bytes N] [--out PATH]`
-/// tail every bench subcommand shares. Which optional flags a subcommand
-/// accepts is declared at the call site, so e.g. `--quick` on the kernel
-/// ladder is still an error. On a bad argument the usage error has
-/// already been printed and the exit code is returned.
+/// Parse the `[--quick] [--threads N] [--out PATH]` tail every bench
+/// subcommand shares. Which optional flags a subcommand accepts is
+/// declared at the call site, so e.g. `--quick` on the kernel ladder is
+/// still an error. On a bad argument the usage error has already been
+/// printed and the exit code is returned.
 fn bench_flags(
     args: &[String],
     usage: &str,
     quick_ok: bool,
     threads_ok: bool,
-    budget_ok: bool,
 ) -> Result<BenchFlags, i32> {
     let mut f = BenchFlags::default();
     let mut i = 0;
@@ -308,22 +227,6 @@ fn bench_flags(
             }
             "--threads" if threads_ok => {
                 f.threads = Some(threads_arg(args.get(i + 1), usage)?);
-                i += 2;
-            }
-            "--budget-bytes" if budget_ok => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("error: --budget-bytes requires a value");
-                    eprintln!("{usage}");
-                    return Err(2);
-                };
-                match parse_bytes(v) {
-                    Ok(n) => f.budget_bytes = Some(n),
-                    Err(e) => {
-                        eprintln!("error: invalid --budget-bytes value: {e}");
-                        eprintln!("{usage}");
-                        return Err(2);
-                    }
-                }
                 i += 2;
             }
             "--out" => {
@@ -362,7 +265,7 @@ fn emit_json(json: &str, out_path: Option<std::path::PathBuf>) -> Result<(), i32
 
 fn bench_e2e(args: &[String]) -> i32 {
     const USAGE: &str = "usage: scibench bench e2e [--quick] [--out PATH]";
-    let flags = match bench_flags(args, USAGE, true, false, false) {
+    let flags = match bench_flags(args, USAGE, true, false) {
         Ok(f) => f,
         Err(code) => return code,
     };
@@ -392,7 +295,7 @@ fn bench_e2e(args: &[String]) -> i32 {
 
 fn bench_skew(args: &[String]) -> i32 {
     const USAGE: &str = "usage: scibench bench skew [--quick] [--out PATH]";
-    let flags = match bench_flags(args, USAGE, true, false, false) {
+    let flags = match bench_flags(args, USAGE, true, false) {
         Ok(f) => f,
         Err(code) => return code,
     };
@@ -447,7 +350,7 @@ fn bench_skew(args: &[String]) -> i32 {
 
 fn bench_compress(args: &[String]) -> i32 {
     const USAGE: &str = "usage: scibench bench compress [--quick] [--out PATH]";
-    let flags = match bench_flags(args, USAGE, true, false, false) {
+    let flags = match bench_flags(args, USAGE, true, false) {
         Ok(f) => f,
         Err(code) => return code,
     };
@@ -491,15 +394,13 @@ fn bench_compress(args: &[String]) -> i32 {
 }
 
 fn bench_serve(args: &[String]) -> i32 {
-    const USAGE: &str =
-        "usage: scibench bench serve [--quick] [--threads N] [--budget-bytes N] [--out PATH]";
-    let flags = match bench_flags(args, USAGE, true, true, true) {
+    const USAGE: &str = "usage: scibench bench serve [--quick] [--threads N] [--out PATH]";
+    let flags = match bench_flags(args, USAGE, true, true) {
         Ok(f) => f,
         Err(code) => return code,
     };
     let quick = flags.quick;
     let par = flags.threads.unwrap_or_else(|| Parallelism::threads(4));
-    let budget_bytes = flags.budget_bytes.unwrap_or(serve::CACHE_BUDGET);
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(std::path::Path::parent)
@@ -512,7 +413,7 @@ fn bench_serve(args: &[String]) -> i32 {
         par.workers(),
         if quick { " (quick)" } else { "" }
     );
-    let run = match serve::run_serve(root, quick, par, budget_bytes) {
+    let run = match serve::run_serve(root, quick, par) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: workspace unreadable: {e}");
@@ -579,7 +480,7 @@ fn bench_serve(args: &[String]) -> i32 {
 
 fn bench_ooc(args: &[String]) -> i32 {
     const USAGE: &str = "usage: scibench bench ooc [--quick] [--out PATH]";
-    let flags = match bench_flags(args, USAGE, true, false, false) {
+    let flags = match bench_flags(args, USAGE, true, false) {
         Ok(f) => f,
         Err(code) => return code,
     };
@@ -665,7 +566,7 @@ fn bench(args: &[String]) -> i32 {
     if args.first().map(String::as_str) == Some("ooc") {
         return bench_ooc(&args[1..]);
     }
-    let flags = match bench_flags(args, USAGE, false, true, false) {
+    let flags = match bench_flags(args, USAGE, false, true) {
         Ok(f) => f,
         Err(code) => return code,
     };
@@ -729,20 +630,16 @@ fn usage() -> i32 {
     eprintln!("              resident service (sciserve): serial, concurrent, cache-off,");
     eprintln!("              and halved-budget (eviction) replays, all fingerprint-");
     eprintln!("              identical, warm hits zero-copy, and emit BENCH_serve.json");
-    eprintln!("              options: [--quick] [--threads N] [--budget-bytes N] [--out PATH]");
+    eprintln!("              options: [--quick] [--threads N] [--out PATH]");
     eprintln!("  bench ooc   stream a larger-than-budget stack through the memory");
     eprintln!("              governor at 25%/50%/unbounded budgets plus every engine");
     eprintln!("              analog out-of-core, gate bit-identical fingerprints and");
     eprintln!("              peak residency <= budget, and emit BENCH_ooc.json");
     eprintln!("              options: [--quick] [--out PATH]");
-    eprintln!();
-    eprintln!("  SCIBENCH_MEM_BUDGET=N[k|m|g] activates the process-wide memory");
-    eprintln!("  governor for any subcommand (chunks spill to disk past the budget).");
     2
 }
 
 fn main() {
-    apply_mem_budget_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("lint") => {
@@ -789,34 +686,4 @@ fn main() {
         _ => usage(),
     };
     std::process::exit(code);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_bytes;
-
-    #[test]
-    fn byte_suffixes_are_powers_of_1024() {
-        assert_eq!(parse_bytes("4096"), Ok(4096));
-        assert_eq!(parse_bytes("4k"), Ok(4 << 10));
-        assert_eq!(parse_bytes("64M"), Ok(64 << 20));
-        assert_eq!(parse_bytes("2g"), Ok(2 << 30));
-        assert_eq!(parse_bytes(" 8 k "), Ok(8 << 10));
-    }
-
-    #[test]
-    fn zero_junk_and_overflow_are_rejected() {
-        // 0 is the governor's internal "unbounded" sentinel, so a literal
-        // zero budget must be an error, not a silent no-op.
-        assert!(parse_bytes("0").is_err());
-        assert!(parse_bytes("0k").is_err());
-        assert!(parse_bytes("").is_err());
-        assert!(parse_bytes("12q").is_err());
-        assert!(parse_bytes("-4k").is_err());
-        assert!(parse_bytes("99999999999999999999g").is_err());
-        assert!(
-            parse_bytes("18446744073709551615k").is_err(),
-            "checked_mul overflow"
-        );
-    }
 }

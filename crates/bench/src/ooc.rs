@@ -19,10 +19,12 @@
 //! 2. **Engine analogs** — every runnable pipeline/engine combination
 //!    from the e2e suite executes once unbounded and once under a budget
 //!    far below its dataset ([`ENGINE_BUDGET`]), asserting fingerprint
-//!    equality per engine. Peak residency is *not* gated here: kernels
+//!    equality per engine. Peak residency is not bounded here: kernels
 //!    legitimately pin whole working sets (that overshoot is recorded,
-//!    not hidden), but the spill traffic shows every engine analog really
-//!    executing through the governor. Configurations the paper reports
+//!    not hidden), but the spill traffic shows the engine analogs really
+//!    executing through the governor, and every engine row must read a
+//!    non-zero peak: an engine whose data never enters the governor
+//!    would escape the budget unseen. Configurations the paper reports
 //!    as statically refused for memory (Figure 15) are exercised at the
 //!    service layer instead — see the sciserve admission tests.
 //!
@@ -298,9 +300,7 @@ pub fn run_ooc(quick: bool) -> OocRun {
             ms_budget,
         });
     }
-    if engines.iter().all(|e| e.gov.spills == 0) {
-        violations.push("no engine analog spilled under the engine budget".into());
-    }
+    violations.extend(engine_gates(&engines));
 
     OocRun {
         dataset_bytes,
@@ -311,6 +311,23 @@ pub fn run_ooc(quick: bool) -> OocRun {
         engines,
         violations,
     }
+}
+
+/// The budgeted engine rows' gates: some analog spilled, and none kept
+/// its data out of the governor (a budgeted row reading `peak_resident:
+/// 0`).
+fn engine_gates(engines: &[EngineRow]) -> Vec<String> {
+    let mut violations = Vec::new();
+    if engines.iter().all(|e| e.gov.spills == 0) {
+        violations.push("no engine analog spilled under the engine budget".into());
+    }
+    for e in engines.iter().filter(|e| e.gov.peak_resident == 0) {
+        violations.push(format!(
+            "{}/{} governed no byte under the engine budget (peak_resident 0)",
+            e.pipeline, e.engine
+        ));
+    }
+    violations
 }
 
 /// Render `BENCH_ooc.json` (schema `scibench-bench-ooc/v1`). Hand-rolled
@@ -404,6 +421,27 @@ mod tests {
             demand < 16 << 20,
             "a sequential chain never needs the whole stack"
         );
+    }
+
+    #[test]
+    fn engine_rows_must_spill_somewhere_and_each_govern_some_bytes() {
+        let row = |engine, spills, peak_resident| EngineRow {
+            pipeline: "astro",
+            engine,
+            gov: GovStats {
+                spills,
+                peak_resident,
+                ..GovStats::default()
+            },
+            outputs_identical: true,
+            ms_unbounded: 1.0,
+            ms_budget: 1.0,
+        };
+        assert!(engine_gates(&[row("spark", 2, 10), row("scidb", 0, 5)]).is_empty());
+        let ungoverned = engine_gates(&[row("spark", 2, 10), row("myria", 0, 0)]);
+        assert_eq!(ungoverned.len(), 1);
+        assert!(ungoverned[0].starts_with("astro/myria governed no byte"));
+        assert_eq!(engine_gates(&[row("spark", 0, 10)]).len(), 1);
     }
 
     #[test]

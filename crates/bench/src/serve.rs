@@ -35,11 +35,11 @@ use scibench_core::lower::Engine;
 use scimemo::MemoStats;
 use sciserve::{demo_catalog, AstroMode, Pipeline, QueryDesc, ServeOutcome, Server};
 
-/// Default result-cache byte budget for the replay servers (overridable
-/// with `--budget-bytes`): generous enough that the demo catalog's
-/// working set stays fully resident. Eviction under pressure is measured
-/// live by the small-budget replay, which re-runs the schedule with the
-/// budget squeezed below the measured resident footprint.
+/// Result-cache byte budget for the cache-on replay servers: generous
+/// enough that the demo catalog's working set stays fully resident.
+/// Eviction under pressure is measured live by the small-budget replay,
+/// which re-runs the schedule with the budget squeezed below the measured
+/// resident footprint.
 pub const CACHE_BUDGET: u64 = 256 << 20;
 
 /// How one request was satisfied.
@@ -269,15 +269,11 @@ fn probe_name(p: scimemo::Probe) -> &'static str {
 }
 
 /// Run the full serve bench. `root` is the workspace root (for the purity
-/// analysis backing certification); `par` sizes the concurrent replay;
-/// `budget_bytes` bounds the result cache of the cache-on replays (the
-/// small-budget replay derives its own, tighter budget).
-pub fn run_serve(
-    root: &Path,
-    quick: bool,
-    par: Parallelism,
-    budget_bytes: u64,
-) -> io::Result<ServeRun> {
+/// analysis backing certification); `par` sizes the concurrent replay.
+/// The cache-on replays run under [`CACHE_BUDGET`]; the small-budget
+/// replay derives its own, tighter budget.
+pub fn run_serve(root: &Path, quick: bool, par: Parallelism) -> io::Result<ServeRun> {
+    let budget_bytes = CACHE_BUDGET;
     let n = if quick { 160 } else { 2400 };
     let (sched, which) = schedule(n);
     let mix = query_mix();

@@ -176,16 +176,6 @@ pub fn our_table1() -> Vec<Row> {
     ]
 }
 
-/// Total count for an engine column (counting only `Count` cells).
-pub fn column_total(rows: &[Row], col: usize) -> u32 {
-    rows.iter()
-        .map(|r| match r.cells[col] {
-            Cell::Count(n) => n,
-            _ => 0,
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,11 +184,15 @@ mod tests {
     fn paper_neuro_scidb_total_is_155() {
         // "The SciDB implementation of the neuroscience use case took 155
         // LoC" = 3 + 60 + 40 + 52.
-        let rows: Vec<Row> = paper_table1()
-            .into_iter()
+        let total: u32 = paper_table1()
+            .iter()
             .filter(|r| r.use_case == "Neuroscience")
-            .collect();
-        assert_eq!(column_total(&rows, 1), 155);
+            .map(|r| match r.cells[1] {
+                Cell::Count(n) => n,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(total, 155);
     }
 
     #[test]

@@ -78,17 +78,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Denoising cost of one *unmasked* volume (the TensorFlow path:
-    /// the brain is ~2/3 of the volume, so masked compute is 2/3 of full).
-    pub fn neuro_denoise_per_volume_unmasked(&self) -> f64 {
-        self.neuro_denoise_per_volume * 1.5
-    }
-
-    /// Single-core seconds to denoise everything for `w`.
-    pub fn neuro_total_denoise(&self, w: &NeuroWorkload) -> f64 {
-        w.subjects as f64 * NeuroWorkload::VOLUMES as f64 * self.neuro_denoise_per_volume
-    }
-
     /// Calibrate the neuroscience kernel constants by running the real
     /// Rust kernels on a small phantom and extrapolating by voxel count.
     ///
@@ -344,22 +333,12 @@ mod tests {
         // The paper: "the bulk of the processing happens in the
         // user-defined denoising function".
         let m = CostModel::default();
-        let w = NeuroWorkload { subjects: 1 };
-        let denoise = m.neuro_total_denoise(&w);
+        let denoise = NeuroWorkload::VOLUMES as f64 * m.neuro_denoise_per_volume;
         let rest = m.neuro_filter_per_subject
             + m.neuro_mean_per_subject
             + m.neuro_mask_per_subject
             + m.neuro_fit_per_subject;
         assert!(denoise > 10.0 * rest, "denoise {denoise} vs rest {rest}");
-    }
-
-    #[test]
-    fn unmasked_denoise_is_1_5x() {
-        let m = CostModel::default();
-        assert!(
-            (m.neuro_denoise_per_volume_unmasked() / m.neuro_denoise_per_volume - 1.5).abs()
-                < 1e-12
-        );
     }
 
     #[test]

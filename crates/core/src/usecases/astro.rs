@@ -92,7 +92,9 @@ fn exposure_to_blobs(e: Exposure) -> (Value, Value, Value) {
 }
 
 /// One `Exposures` tuple: the f64 planes cross the ingest boundary as
-/// handle clones, the mask as its packed blob ([`mask_to_blob`]).
+/// handle clones, the mask as its packed blob ([`mask_to_blob`]). Under an
+/// active memory budget the f64 planes enter the governor's spill tier
+/// ([`govern_for_boundary`]), as [`pack_exposure`]'s do on the Spark path.
 fn exposure_row(e: &Exposure) -> Vec<Value> {
     vec![
         Value::Int(e.visit as i64),
@@ -101,8 +103,8 @@ fn exposure_row(e: &Exposure) -> Vec<Value> {
         Value::Int(e.bbox.y0),
         Value::Int(e.bbox.width as i64),
         Value::Int(e.bbox.height as i64),
-        Value::blob(e.flux.clone()),
-        Value::blob(e.variance.clone()),
+        Value::blob(govern_for_boundary(&e.flux).unwrap_or_else(|| e.flux.clone())),
+        Value::blob(govern_for_boundary(&e.variance).unwrap_or_else(|| e.variance.clone())),
         mask_to_blob(&e.mask),
     ]
 }
@@ -655,5 +657,24 @@ mod tests {
         assert_eq!(row[7].as_blob().repr(), marray::ChunkRepr::Dense);
         assert_eq!(row[8].as_blob().repr(), marray::ChunkRepr::Const);
         assert!(row[8].nbytes() < e.mask.len());
+    }
+
+    #[test]
+    fn myria_rows_govern_their_planes_under_a_budget() {
+        let s = survey();
+        let e = &s.visits[0][0];
+        // Without a budget the f64 blobs are the exposure's own buffers;
+        // under one they enter the governor, as Spark's packed planes do.
+        let row = marray::with_mem_budget(None, || exposure_row(e));
+        assert!(row[6].as_blob().shares_buffer(&e.flux));
+        assert!(row[7].as_blob().shares_buffer(&e.variance));
+        marray::with_mem_budget(Some(1 << 20), || {
+            let governed = exposure_row(e);
+            for (col, plane) in [(6, &e.flux), (7, &e.variance)] {
+                let blob = governed[col].as_blob();
+                assert!(!blob.shares_buffer(plane), "column {col} is governed");
+                assert_eq!(blob.data(), plane.data());
+            }
+        });
     }
 }

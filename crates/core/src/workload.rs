@@ -1,8 +1,5 @@
 //! The data-size model: the paper's Tables 10a and 10b.
 
-/// Bytes in one gigabyte as the paper counts them (decimal).
-pub const GB: f64 = 1e9;
-
 /// The neuroscience workload: `subjects` HCP-like subjects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NeuroWorkload {
@@ -62,9 +59,6 @@ impl AstroWorkload {
     /// Average exposure→patch fan-out ("each exposure can be part of 1 to
     /// 6 patches"); 2.5 is the paper's measured average data growth.
     pub const PATCH_FANOUT: f64 = 2.5;
-    /// Worst-case per-node data growth from skew ("some workers experience
-    /// data growth of 6×").
-    pub const SKEW_FANOUT: f64 = 6.0;
     /// Sky patches receiving data in the full 24-visit footprint.
     pub const PATCHES: usize = 28;
 
@@ -96,6 +90,9 @@ impl AstroWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bytes in one gigabyte as the paper counts them (decimal).
+    const GB: f64 = 1e9;
 
     #[test]
     fn table_10a_input_row() {

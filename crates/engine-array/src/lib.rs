@@ -2,38 +2,34 @@
 
 //! # engine-array — a chunked multidimensional array DBMS (SciDB analog)
 //!
-//! Reproduces the architectural properties of SciDB the paper's analysis
-//! rests on:
+//! Runs the paper's SciDB pipelines on real data: the neuroscience
+//! Steps 1N and 2N and the astronomy AQL coadd. It keeps the
+//! architectural properties those pipelines exercise:
 //!
 //! * **Arrays divided into chunks distributed across instances** —
-//!   [`ScidbArray`] stores a [`marray::ChunkGrid`]-partitioned array;
-//!   chunks round-robin across instances (one instance per 1–2 cores, per
-//!   the vendor guidance the paper cites). Chunk shape is the §5.3.1
-//!   tuning knob (1000×1000 optimal for the LSST images; 500² was 3×
-//!   slower, 1500² +22%, 2000² +55%).
-//! * **Chunk-at-a-time operators** — every AFL-style operator
-//!   ([`ScidbArray::between`], [`ScidbArray::compress`],
-//!   [`ScidbArray::aggregate_mean`], [`ScidbArray::window_mean`],
-//!   [`ScidbArray::apply`], [`ScidbArray::join`]) iterates chunks;
-//!   selections not aligned with chunk boundaries must read and rebuild
-//!   every overlapping chunk (the Figure 12a filter penalty), which the
-//!   engine's [`OpStats`] expose.
-//! * **No high-dimensional convolution** — [`ScidbArray::convolve`]
-//!   returns [`ArrayDbError::Unsupported`]: Steps 2N/3N/4A cannot be
-//!   written natively, exactly as the paper found.
+//!   [`ScidbArray`] stores a [`marray::ChunkGrid`]-partitioned array,
+//!   ingested through the serial client-side [`ArrayDb::from_array`]
+//!   (SciDB-1 in Figure 11). Chunk shape is the §5.3.1 tuning knob.
+//! * **Chunk-at-a-time AFL operators** — the ones the pipelines run:
+//!   [`ScidbArray::compress`] (filter), [`ScidbArray::aggregate_mean`],
+//!   [`ScidbArray::aggregate_sum`], [`ScidbArray::apply`],
+//!   [`ScidbArray::join`] and [`ScidbArray::cross_join2`]. There is no
+//!   high-dimensional convolution: Step 2N runs only through `stream()`,
+//!   and Steps 3N and 4A have no SciDB implementation, as the paper
+//!   found.
 //! * **The `stream()` interface** — [`ScidbArray::stream`] pipes each
 //!   chunk through an external UDF via real TSV serialization both ways
 //!   (the Figure 12c overhead). The instances stream side by side: chunks
 //!   run one per morsel on `min(instances, chunks)` `parexec` pool
-//!   workers, with results and statistics in grid order.
-//! * **Two ingest paths** — serial client-side [`ArrayDb::from_array`]
-//!   (SciDB-1 in Figure 11) and parallel CSV [`ArrayDb::aio_input`]
-//!   (SciDB-2, an order of magnitude faster but needing format
-//!   conversion).
-//! * **No incremental iteration** — the stock engine re-scans per
-//!   iteration; [`ArrayEngineProfile::incremental_iteration`] models the
-//!   6× optimization of the paper's \[34].
-
+//!   workers, with results and ledger records in grid order.
+//!
+//! The lowering in `scibench-core` models the rest from
+//! [`ArrayEngineProfile`]: the parallel `aio_input` CSV ingest (SciDB-2),
+//! the reconstruction cost of chunk-misaligned selections, and the stock
+//! engine's re-scan per iteration
+//! ([`ArrayEngineProfile::incremental_iteration`] models the 6×
+//! optimization of the paper's \[34]).
+//!
 //! ```
 //! use engine_array::ArrayDb;
 //! use marray::NdArray;
@@ -43,12 +39,11 @@
 //! let stored = db.from_array(&data, &[4, 4]).unwrap();
 //! let mean = stored.aggregate_mean(0).unwrap();
 //! assert_eq!(mean.materialize().unwrap(), data.mean_axis(0));
-//! assert!(stored.convolve(&NdArray::zeros(&[3, 3])).is_err()); // not supported
 //! ```
 
 mod db;
 mod ops;
 mod profile;
 
-pub use db::{ArrayDb, ArrayDbError, OpStats, ScidbArray};
+pub use db::{ArrayDb, ArrayDbError, ScidbArray};
 pub use profile::ArrayEngineProfile;

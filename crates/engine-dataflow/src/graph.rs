@@ -11,20 +11,7 @@ pub const GRAPH_SIZE_LIMIT: u64 = 2 * 1024 * 1024 * 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TensorRef(pub(crate) usize);
 
-/// Element-wise unary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnaryOp {
-    /// Square root.
-    Sqrt,
-    /// Negation.
-    Neg,
-    /// Natural exponential.
-    Exp,
-    /// Absolute value.
-    Abs,
-}
-
-/// Element-wise binary operations (also usable with a scalar operand).
+/// Element-wise binary operations, applied against a scalar operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinaryOp {
     /// Addition.
@@ -49,18 +36,8 @@ pub enum OpKind {
         /// The tensor shape to be fed.
         shape: Vec<usize>,
     },
-    /// A constant embedded in the graph (counts toward the 2 GB limit).
-    Constant {
-        /// The embedded tensor.
-        value: NdArray<f64>,
-    },
     /// Mean over one axis.
     ReduceMean {
-        /// Axis to reduce.
-        axis: usize,
-    },
-    /// Sum over one axis.
-    ReduceSum {
         /// Axis to reduce.
         axis: usize,
     },
@@ -70,20 +47,12 @@ pub enum OpKind {
         /// Row indices to keep.
         indices: Vec<usize>,
     },
-    /// Reshape to new dims (element count preserved).
-    Reshape {
-        /// Target dims.
-        dims: Vec<usize>,
-    },
-    /// Element-wise unary op.
-    Unary(UnaryOp),
-    /// Element-wise binary op over two same-shaped tensors.
-    Binary(BinaryOp),
     /// Binary op against a scalar.
     ScalarOp(BinaryOp, f64),
     /// Dense 3-D convolution with "same" zero padding.
     Conv3d {
-        /// The (odd-sized) kernel.
+        /// The (odd-sized) kernel, embedded in the graph (counts toward
+        /// the 2 GB limit).
         kernel: NdArray<f64>,
     },
     /// Axis permutation (`tf.transpose`): a full data-movement pass — this
@@ -94,43 +63,30 @@ pub enum OpKind {
     },
 }
 
-/// One node: operation + inputs + device assignment.
+/// One node: operation + inputs.
 #[derive(Debug, Clone)]
 pub struct OpNode {
     /// The operation.
     pub kind: OpKind,
     /// Input node ids.
     pub inputs: Vec<usize>,
-    /// The device (worker) the programmer placed this op on.
-    pub device: usize,
 }
 
-/// Builds a static graph. Set the current device with
-/// [`GraphBuilder::set_device`] (the `with tf.device(...)` idiom); every op
-/// created afterwards is pinned there.
+/// Builds a static graph. Ops are appended in order, so every node's
+/// inputs precede it.
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
     pub(crate) nodes: Vec<OpNode>,
-    device: usize,
 }
 
 impl GraphBuilder {
-    /// Empty graph on device 0.
+    /// Empty graph.
     pub fn new() -> GraphBuilder {
         GraphBuilder::default()
     }
 
-    /// Set the device for subsequently created ops.
-    pub fn set_device(&mut self, device: usize) {
-        self.device = device;
-    }
-
     fn push(&mut self, kind: OpKind, inputs: Vec<usize>) -> TensorRef {
-        self.nodes.push(OpNode {
-            kind,
-            inputs,
-            device: self.device,
-        });
+        self.nodes.push(OpNode { kind, inputs });
         TensorRef(self.nodes.len() - 1)
     }
 
@@ -144,23 +100,13 @@ impl GraphBuilder {
         )
     }
 
-    /// An embedded constant.
-    pub fn constant(&mut self, value: NdArray<f64>) -> TensorRef {
-        self.push(OpKind::Constant { value }, vec![])
-    }
-
     /// Mean along `axis`.
     pub fn reduce_mean(&mut self, input: TensorRef, axis: usize) -> TensorRef {
         self.push(OpKind::ReduceMean { axis }, vec![input.0])
     }
 
-    /// Sum along `axis`.
-    pub fn reduce_sum(&mut self, input: TensorRef, axis: usize) -> TensorRef {
-        self.push(OpKind::ReduceSum { axis }, vec![input.0])
-    }
-
     /// Select `indices` along axis 0. Selection along any other axis is
-    /// not expressible directly: reshape so the target axis is first.
+    /// not expressible directly: transpose so the target axis is first.
     pub fn gather(&mut self, input: TensorRef, indices: &[usize]) -> TensorRef {
         self.push(
             OpKind::Gather {
@@ -168,26 +114,6 @@ impl GraphBuilder {
             },
             vec![input.0],
         )
-    }
-
-    /// Reshape (element count must match at run time).
-    pub fn reshape(&mut self, input: TensorRef, dims: &[usize]) -> TensorRef {
-        self.push(
-            OpKind::Reshape {
-                dims: dims.to_vec(),
-            },
-            vec![input.0],
-        )
-    }
-
-    /// Element-wise unary op.
-    pub fn unary(&mut self, op: UnaryOp, input: TensorRef) -> TensorRef {
-        self.push(OpKind::Unary(op), vec![input.0])
-    }
-
-    /// Element-wise binary op.
-    pub fn binary(&mut self, op: BinaryOp, a: TensorRef, b: TensorRef) -> TensorRef {
-        self.push(OpKind::Binary(op), vec![a.0, b.0])
     }
 
     /// Element-wise op against a scalar.
@@ -216,40 +142,22 @@ impl GraphBuilder {
         self.push(OpKind::Conv3d { kernel }, vec![input.0])
     }
 
-    /// Number of ops.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when no ops have been added.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Serialized size: per-node structure bytes plus embedded constants
-    /// and gather index lists. This is what the 2 GB limit applies to.
+    /// Serialized size: per-node structure bytes plus embedded kernels,
+    /// shapes and index lists. This is what the 2 GB limit applies to.
     pub fn serialized_size(&self) -> u64 {
         self.nodes
             .iter()
             .map(|n| {
                 64 + n.inputs.len() as u64 * 8
                     + match &n.kind {
-                        OpKind::Constant { value } => value.stored_nbytes() as u64,
                         OpKind::Conv3d { kernel } => kernel.stored_nbytes() as u64,
                         OpKind::Gather { indices } => indices.len() as u64 * 8,
                         OpKind::Transpose { perm } => perm.len() as u64 * 8,
-                        OpKind::Placeholder { shape } | OpKind::Reshape { dims: shape } => {
-                            shape.len() as u64 * 8
-                        }
+                        OpKind::Placeholder { shape } => shape.len() as u64 * 8,
                         _ => 0,
                     }
             })
             .sum()
-    }
-
-    /// Device of an op (for lowering).
-    pub fn device_of(&self, t: TensorRef) -> usize {
-        self.nodes[t.0].device
     }
 }
 
@@ -258,21 +166,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn devices_stick_to_ops() {
+    fn serialized_size_counts_kernels() {
         let mut g = GraphBuilder::new();
-        let a = g.placeholder(&[4]);
-        g.set_device(3);
-        let b = g.scalar_op(BinaryOp::Add, a, 1.0);
-        assert_eq!(g.device_of(a), 0);
-        assert_eq!(g.device_of(b), 3);
-    }
-
-    #[test]
-    fn serialized_size_counts_constants() {
-        let mut g = GraphBuilder::new();
+        let p = g.placeholder(&[4, 4, 4]);
         let small = g.serialized_size();
-        g.constant(NdArray::zeros(&[1000]));
-        assert!(g.serialized_size() >= small + 8000);
+        g.conv3d(p, NdArray::zeros(&[5, 5, 5]));
+        assert!(g.serialized_size() >= small + 125 * 8);
     }
 
     #[test]

@@ -2,26 +2,28 @@
 
 //! # engine-dataflow — a static tensor dataflow engine (TensorFlow analog)
 //!
-//! Reproduces the architectural properties of TensorFlow the paper's
-//! analysis rests on:
+//! Runs the neuroscience steps the paper could express in TensorFlow on
+//! real data: Step 1N's b0 filter and mean, a thresholded mask, and
+//! Step 2N as a whole-volume convolution. It keeps the architectural
+//! properties those graphs exercise:
 //!
 //! * **Static dataflow graphs over N-d tensors** — build with
 //!   [`GraphBuilder`], run with [`Session`]; nothing executes until
 //!   `Session::run`.
-//! * **Explicit device placement** — every op carries the device the
-//!   programmer assigned ([`GraphBuilder::set_device`]); there is no
-//!   automatic work assignment.
 //! * **The 2 GB serialized-graph limit** — [`Session::run`] refuses graphs
-//!   whose serialized form (structure + embedded constants) exceeds
+//!   whose serialized form (structure + embedded kernels) exceeds
 //!   [`GRAPH_SIZE_LIMIT`], which forces one graph per pipeline step with a
 //!   global barrier and master round-trip between steps.
 //! * **Whole-tensor operations only** — there is deliberately *no* masked
 //!   element-wise assignment (the denoising step cannot use the brain
 //!   mask), and [`GraphBuilder::gather`] selects **only along axis 0**:
-//!   filtering volumes on axis 3 requires the flatten→gather→reshape dance
+//!   filtering volumes on axis 3 requires the transpose→gather dance
 //!   whose cost dominates Figure 12a.
 //! * **Master-mediated I/O** — all ingest flows through the master and all
 //!   results return to it ([`DataflowEngineProfile::master_mediated_io`]).
+//!
+//! TensorFlow's static device placement is modeled in the lowering, whose
+//! neuroscience plan pins every op to a node, not by this executor.
 
 //! ```
 //! use engine_dataflow::{GraphBuilder, Session};
@@ -40,6 +42,6 @@ mod graph;
 mod profile;
 mod session;
 
-pub use graph::{BinaryOp, GraphBuilder, OpKind, TensorRef, UnaryOp, GRAPH_SIZE_LIMIT};
+pub use graph::{BinaryOp, GraphBuilder, OpKind, TensorRef, GRAPH_SIZE_LIMIT};
 pub use profile::DataflowEngineProfile;
 pub use session::{DataflowError, Session};

@@ -1,6 +1,6 @@
 //! Graph execution.
 
-use crate::graph::{BinaryOp, GraphBuilder, OpKind, TensorRef, UnaryOp, GRAPH_SIZE_LIMIT};
+use crate::graph::{BinaryOp, GraphBuilder, OpKind, TensorRef, GRAPH_SIZE_LIMIT};
 use marray::NdArray;
 use std::collections::BTreeMap;
 
@@ -104,42 +104,15 @@ impl Session {
                     // scilint: allow(C001, feed handoff clones the NdArray handle - a ChunkBuf refcount bump)
                     fed.clone()
                 }
-                // scilint: allow(C001, constants are shared handles; clone is a refcount bump)
-                OpKind::Constant { value } => value.clone(),
                 OpKind::ReduceMean { axis } => values[node.inputs[0]]
                     .as_ref()
                     .expect("topo order")
                     .mean_axis(*axis),
-                OpKind::ReduceSum { axis } => values[node.inputs[0]]
-                    .as_ref()
-                    .expect("topo order")
-                    .sum_axis(*axis),
                 OpKind::Gather { indices } => values[node.inputs[0]]
                     .as_ref()
                     .expect("topo order")
                     .take_axis(0, indices)
                     .map_err(|e| DataflowError::ShapeMismatch(e.to_string()))?,
-                OpKind::Reshape { dims } => values[node.inputs[0]]
-                    .as_ref()
-                    .expect("topo order")
-                    // scilint: allow(C001, refcount bump; reshape then moves the shared buffer zero-copy)
-                    .clone()
-                    .reshape(dims)
-                    .map_err(|e| DataflowError::ShapeMismatch(e.to_string()))?,
-                OpKind::Unary(op) => {
-                    let a = values[node.inputs[0]].as_ref().expect("topo order");
-                    match op {
-                        UnaryOp::Sqrt => a.map(f64::sqrt),
-                        UnaryOp::Neg => a.map(|v| -v),
-                        UnaryOp::Exp => a.map(f64::exp),
-                        UnaryOp::Abs => a.map(f64::abs),
-                    }
-                }
-                OpKind::Binary(op) => {
-                    let a = values[node.inputs[0]].as_ref().expect("topo order");
-                    let b = values[node.inputs[1]].as_ref().expect("topo order");
-                    apply_binary(*op, a, b)?
-                }
                 OpKind::ScalarOp(op, scalar) => {
                     let a = values[node.inputs[0]].as_ref().expect("topo order");
                     let s = *scalar;
@@ -170,29 +143,6 @@ impl Session {
             .map(|t| values[t.0].clone().expect("fetched node evaluated"))
             .collect())
     }
-}
-
-fn apply_binary(
-    op: BinaryOp,
-    a: &NdArray<f64>,
-    b: &NdArray<f64>,
-) -> Result<NdArray<f64>, DataflowError> {
-    let f = move |x: f64, y: f64| match op {
-        BinaryOp::Add => x + y,
-        BinaryOp::Sub => x - y,
-        BinaryOp::Mul => x * y,
-        BinaryOp::Div => x / y,
-        BinaryOp::Max => x.max(y),
-        BinaryOp::Greater => {
-            if x > y {
-                1.0
-            } else {
-                0.0
-            }
-        }
-    };
-    a.zip_with(b, f)
-        .map_err(|e| DataflowError::ShapeMismatch(e.to_string()))
 }
 
 /// Dense 3-D convolution with "same" zero padding.
@@ -257,47 +207,33 @@ mod tests {
     }
 
     #[test]
-    fn gather_is_axis0_only_filter_axis3_needs_reshape() {
-        // The paper's filter workaround: flatten the 4-D (x,y,z,v) array so
-        // volumes come first, gather, reshape back.
-        let mut g = GraphBuilder::new();
-        let p = g.placeholder(&[2, 2, 2, 4]); // (x,y,z,volume)
-                                              // Move the volume axis to the front by reshaping through 2-D:
-                                              // [spatial, volumes] → transpose is unavailable, so the
-                                              // implementation gathers flattened volume-major data fed in the
-                                              // right layout. Here we emulate the paper's "flatten, select,
-                                              // reshape" on a volume-major feed.
-        let flat = g.reshape(p, &[2 * 2 * 2 * 4]);
-        let back = g.reshape(flat, &[4, 2 * 2 * 2]); // volume-major view
-        let sel = g.gather(back, &[0, 2]);
-        let out = g.reshape(sel, &[2, 2, 2, 2]);
-        let mut s = Session::new();
-        // Feed volume-major data so the reshape sequence is valid.
-        let input = NdArray::from_fn(&[2, 2, 2, 4], |ix| ix[3] as f64);
-        // input is (x,y,z,v); after reshape to [4,8] rows are NOT volumes —
-        // demonstrating why the real workaround is expensive. Feed a
-        // volume-major tensor instead:
-        let vol_major = NdArray::from_fn(&[2, 2, 2, 4], |ix| (ix[0] * 16) as f64 + ix[3] as f64);
-        let _ = input;
-        let r = s.run(&g, &feed(&[(p, vol_major)]), &[out]).unwrap();
-        assert_eq!(r[0].dims(), &[2, 2, 2, 2]);
-    }
-
-    #[test]
     fn graph_size_limit_enforced() {
+        // Every conv3d node embeds its kernel, so 300 nodes sharing one
+        // 8 MB kernel buffer serialize to about 2.4 GB without allocating
+        // it: the graph is refused before anything runs.
         let mut g = GraphBuilder::new();
-        // Embed constants totalling > 2 GB of serialized payload: fake it
-        // with a shape claim (zeros of 300M elements = 2.4 GB) — too big to
-        // allocate cheaply, so use several moderate constants instead and
-        // check the arithmetic threshold with a synthetic builder.
-        let c = NdArray::<f64>::zeros(&[1_000_000]); // 8 MB each
-        for _ in 0..16 {
-            g.constant(c.clone());
+        let p = g.placeholder(&[4, 4, 4]);
+        let kernel = NdArray::<f64>::zeros(&[201, 201, 25]); // ~8 MB
+        let mut x = p;
+        for _ in 0..300 {
+            x = g.conv3d(x, kernel.clone());
         }
-        assert!(g.serialized_size() > 128_000_000);
-        // Still under the limit: runs fine.
+        let size = g.serialized_size();
+        assert!(size > GRAPH_SIZE_LIMIT, "{size}");
         let mut s = Session::new();
-        assert!(s.run(&g, &BTreeMap::new(), &[]).is_ok());
+        let feeds = feed(&[(p, NdArray::zeros(&[4, 4, 4]))]);
+        assert_eq!(
+            s.run(&g, &feeds, &[x]).unwrap_err(),
+            DataflowError::GraphTooLarge { size }
+        );
+        assert_eq!(s.run_count(), 0, "a refused graph is not a run");
+
+        // A single conv3d node is far under the limit and runs.
+        let mut small = GraphBuilder::new();
+        let p = small.placeholder(&[4, 4, 4]);
+        let c = small.conv3d(p, NdArray::full(&[3, 3, 3], 1.0));
+        let out = s.run(&small, &feed(&[(p, NdArray::zeros(&[4, 4, 4]))]), &[c]);
+        assert!(out.is_ok());
     }
 
     #[test]
@@ -318,24 +254,21 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_and_scalar_ops() {
+    fn scalar_ops() {
         let mut g = GraphBuilder::new();
         let a = g.placeholder(&[3]);
-        let b = g.placeholder(&[3]);
-        let sum = g.binary(BinaryOp::Add, a, b);
-        let thresh = g.scalar_op(BinaryOp::Greater, sum, 4.0);
+        let scaled = g.scalar_op(BinaryOp::Mul, a, 2.0);
+        let thresh = g.scalar_op(BinaryOp::Greater, scaled, 4.0);
         let mut s = Session::new();
         let out = s
             .run(
                 &g,
-                &feed(&[
-                    (a, NdArray::from_vec(&[3], vec![1.0, 2.0, 3.0]).unwrap()),
-                    (b, NdArray::from_vec(&[3], vec![1.0, 3.0, 5.0]).unwrap()),
-                ]),
-                &[thresh],
+                &feed(&[(a, NdArray::from_vec(&[3], vec![1.0, 2.5, 3.0]).unwrap())]),
+                &[scaled, thresh],
             )
             .unwrap();
-        assert_eq!(out[0].data(), &[0.0, 1.0, 1.0]);
+        assert_eq!(out[0].data(), &[2.0, 5.0, 6.0]);
+        assert_eq!(out[1].data(), &[0.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -397,17 +330,12 @@ mod tests {
         // whole-tensor arithmetic over the full volume.
         let names = [
             "Placeholder",
-            "Constant",
             "ReduceMean",
-            "ReduceSum",
             "Gather",
-            "Reshape",
-            "Unary",
-            "Binary",
             "ScalarOp",
             "Conv3d",
             "Transpose",
         ];
-        assert_eq!(names.len(), 11);
+        assert_eq!(names.len(), 6);
     }
 }

@@ -3,11 +3,12 @@
 use crate::broadcast::Broadcast;
 use crate::rdd::Rdd;
 
-/// Default storage block size: with no explicit partition count, the engine
+/// Default storage block size: with no explicit partition count, Spark
 /// creates one partition per 128 MB block — the paper's observation that
 /// "if the number of data partitions is unspecified, Spark creates a
 /// partition for each HDFS block, which typically leads to a small number
-/// of large partitions".
+/// of large partitions". The analog always takes an explicit count; the
+/// lowering and the partition autotuner apply this default.
 pub const DEFAULT_BLOCK_BYTES: u64 = 128 * 1024 * 1024;
 
 /// The cluster connection / driver context.
@@ -41,12 +42,6 @@ impl SparkContext {
         Rdd::from_partitions(partitions, p)
     }
 
-    /// Partition count chosen when the user does not specify one: one per
-    /// storage block of the dataset.
-    pub fn default_partitions(&self, dataset_bytes: u64) -> usize {
-        (dataset_bytes.div_ceil(DEFAULT_BLOCK_BYTES)).max(1) as usize
-    }
-
     /// Replicate a read-only value to all workers.
     pub fn broadcast<T>(&self, value: T) -> Broadcast<T> {
         Broadcast::new(value)
@@ -62,21 +57,7 @@ mod tests {
         let sc = SparkContext::new();
         let r = sc.parallelize((0..10).collect(), 3);
         assert_eq!(r.num_partitions(), 3);
-        assert_eq!(r.count(), 10);
-    }
-
-    #[test]
-    fn default_partitions_is_block_count() {
-        let sc = SparkContext::new();
-        // A single 4.2 GB subject → only 4 blocks of ~128 MB... the paper:
-        // "for the neuroscience use case with a single subject, Spark
-        // creates only 4 partitions". Four 1 GB-ish volume groups → with
-        // 128 MB blocks a 4.2 GB subject would give 34 blocks; the paper's
-        // staged NumPy files were consolidated, yielding 4. We model the
-        // block rule itself.
-        assert_eq!(sc.default_partitions(512 * 1024 * 1024), 4);
-        assert_eq!(sc.default_partitions(1), 1);
-        assert_eq!(sc.default_partitions(DEFAULT_BLOCK_BYTES * 3 + 1), 4);
+        assert_eq!(r.collect().len(), 10);
     }
 
     #[test]

@@ -16,9 +16,9 @@ trait RddImpl<T>: Send + Sync {
 /// A lazy, partitioned collection of records with lineage.
 ///
 /// Narrow transformations (`map`, `flat_map`, `filter`) chain without
-/// materialization; wide ones (`group_by_key`, `reduce_by_key`,
-/// `repartition`) introduce a shuffle that materializes every parent
-/// partition first — a stage barrier, exactly as in Spark.
+/// materialization; the wide one (`group_by_key`) introduces a shuffle
+/// that materializes every parent partition first — a stage barrier,
+/// exactly as in Spark.
 ///
 /// Every RDD carries its job's task-slot count, set where
 /// [`crate::SparkContext::parallelize`] created the job's input: each stage
@@ -292,11 +292,6 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
             .flatten()
             .collect()
     }
-
-    /// Action: number of records, counted on the job's task slots.
-    pub fn count(&self) -> usize {
-        self.run_tasks(|records| records.len()).into_iter().sum()
-    }
 }
 
 impl<K, V> Rdd<(K, V)>
@@ -314,60 +309,10 @@ where
         }))
     }
 
-    /// Wide transformation: combine values per key with `f`.
-    // scilint: allow(F001, shuffle groups are non-empty by construction)
-    pub fn reduce_by_key(
-        &self,
-        partitions: usize,
-        f: impl Fn(V, V) -> V + Send + Sync + 'static,
-    ) -> Rdd<(K, V)> {
-        let f = Arc::new(f);
-        self.group_by_key(partitions).map(move |(k, vs)| {
-            let mut it = vs.into_iter();
-            let first = it.next().expect("group has at least one value");
-            (k, it.fold(first, |a, b| f(a, b)))
-        })
-    }
-
     /// Action: collect into an ordered map (keys must be unique per record
     /// group). Ordered so downstream iteration is seed-independent.
     pub fn collect_as_map(&self) -> BTreeMap<K, V> {
         self.collect().into_iter().collect()
-    }
-
-    /// Wide transformation: inner equi-join with another keyed RDD.
-    ///
-    /// Both sides shuffle into `partitions` buckets; matching keys produce
-    /// the cross product of their values. This is the join the paper's
-    /// Spark implementation *avoided* by broadcasting the mask — provided
-    /// so the trade-off is expressible.
-    pub fn join<W>(&self, other: &Rdd<(K, W)>, partitions: usize) -> Rdd<(K, (V, W))>
-    where
-        W: Clone + Send + Sync + 'static,
-    {
-        let left = self.group_by_key(partitions);
-        let right = other.group_by_key(partitions);
-        // Co-partitioned: bucket p of both sides holds the same keys.
-        let mut joined: Vec<Vec<(K, (V, W))>> = Vec::with_capacity(partitions);
-        for p in 0..partitions.max(1) {
-            let l = left.inner.compute(p);
-            let mut r: BTreeMap<K, Vec<W>> = BTreeMap::new();
-            for (k, vs) in right.inner.compute(p) {
-                r.insert(k, vs);
-            }
-            let mut out = Vec::new();
-            for (k, vs) in l {
-                if let Some(ws) = r.get(&k) {
-                    for v in &vs {
-                        for w in ws {
-                            out.push((k.clone(), (v.clone(), w.clone())));
-                        }
-                    }
-                }
-            }
-            joined.push(out);
-        }
-        Rdd::from_partitions(joined, self.task_slots)
     }
 }
 
@@ -423,15 +368,6 @@ mod tests {
                 assert!(seen.insert(k, p).is_none(), "key {k} in two partitions");
             }
         }
-    }
-
-    #[test]
-    fn reduce_by_key_sums() {
-        let r = rdd_of(16, 4); // keys 0..4, each 4 values
-        let out = r.reduce_by_key(2, |a, b| a + b).collect_as_map();
-        let expected: usize = (0..16).sum();
-        assert_eq!(out.values().sum::<usize>(), expected);
-        assert_eq!(out.len(), 4);
     }
 
     #[test]
@@ -492,11 +428,5 @@ mod tests {
                 (k, v)
             })
             .collect();
-    }
-
-    #[test]
-    fn count_matches_collect_len() {
-        let r = rdd_of(17, 3).filter(|&(k, _)| k == 1);
-        assert_eq!(r.count(), r.collect().len());
     }
 }

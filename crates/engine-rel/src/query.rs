@@ -2,10 +2,11 @@
 //!
 //! A [`Query`] is an imperative-declarative chain, mirroring the paper's
 //! Figure 7: scan (with optional selection pushdown into the local store),
-//! select, broadcast join, Python-UDF apply, shuffle, and UDA group-by.
-//! Execution is per-worker and pipelined: within a worker, tuples stream
-//! through the operator chain without intermediate materialization; only
-//! shuffles exchange tuples between workers.
+//! broadcast join, Python-UDF apply, table-UDF flat apply, and UDA
+//! group-by. Execution is per-worker and pipelined: within a worker,
+//! tuples stream through the operator chain without intermediate
+//! materialization; only a group-by's re-partition exchanges tuples
+//! between workers.
 
 use crate::catalog::{partition_hash, repartition, MyriaConnection, Relation, Schema};
 use crate::value::{Tuple, Value, ValueType};
@@ -44,10 +45,6 @@ enum Op {
         relation: String,
         pushdown: Option<(String, Pred)>,
     },
-    Select {
-        column: String,
-        pred: Pred,
-    },
     Apply {
         udf: String,
         args: Vec<String>,
@@ -63,9 +60,6 @@ enum Op {
         right: String,
         left_col: String,
         right_col: String,
-    },
-    Shuffle {
-        column: String,
     },
     GroupBy {
         keys: Vec<String>,
@@ -86,18 +80,7 @@ pub struct Query {
     ops: Vec<Op>,
 }
 
-impl Default for Query {
-    fn default() -> Self {
-        Query::new()
-    }
-}
-
 impl Query {
-    /// Start an empty plan.
-    pub fn new() -> Query {
-        Query { ops: Vec::new() }
-    }
-
     /// `T = SCAN(relation)`.
     pub fn scan(relation: &str) -> Query {
         Query {
@@ -121,19 +104,6 @@ impl Query {
                 pushdown: Some((column.to_string(), Arc::new(pred))),
             }],
         }
-    }
-
-    /// In-pipeline selection on one column.
-    pub fn select(
-        mut self,
-        column: &str,
-        pred: impl Fn(&Value) -> bool + Send + Sync + 'static,
-    ) -> Query {
-        self.ops.push(Op::Select {
-            column: column.to_string(),
-            pred: Arc::new(pred),
-        });
-        self
     }
 
     /// `EMIT PYUDF(udf, args...) as out, keep...` — apply a registered UDF
@@ -175,14 +145,6 @@ impl Query {
             right: right.to_string(),
             left_col: left_col.to_string(),
             right_col: right_col.to_string(),
-        });
-        self
-    }
-
-    /// Re-partition tuples across workers by hash of `column`.
-    pub fn shuffle(mut self, column: &str) -> Query {
-        self.ops.push(Op::Shuffle {
-            column: column.to_string(),
         });
         self
     }
@@ -230,11 +192,6 @@ impl Query {
                     let s = rel.schema.clone();
                     // scilint: allow(C001, scan copies stored fragments into the pipeline; tuples hold scalar Values rather than chunk buffers)
                     let mut frags = rel.fragments.clone();
-                    if frags.len() != workers {
-                        // Catalog built under a different worker count:
-                        // re-partition on the partition column (else 0).
-                        frags = repartition(frags, rel.partition_column.unwrap_or(0), workers);
-                    }
                     if let Some((column, pred)) = pushdown {
                         let ci = col(&s, column)?;
                         for f in &mut frags {
@@ -244,13 +201,6 @@ impl Query {
                     partition_column = rel.partition_column;
                     schema = Some(s);
                     fragments = frags;
-                }
-                Op::Select { column, pred } => {
-                    let s = schema.as_ref().expect("select before scan");
-                    let ci = col(s, column)?;
-                    for f in &mut fragments {
-                        f.retain(|t| pred(&t[ci]));
-                    }
                 }
                 Op::Apply {
                     udf,
@@ -368,12 +318,6 @@ impl Query {
                     }
                     schema = Some(Schema::new(&cols));
                 }
-                Op::Shuffle { column } => {
-                    let s = schema.as_ref().expect("shuffle before scan");
-                    let ci = col(s, column)?;
-                    fragments = repartition(std::mem::take(&mut fragments), ci, workers);
-                    partition_column = Some(ci);
-                }
                 Op::GroupBy { keys, uda, out } => {
                     // scilint: allow(C001, Schema clone - column-name metadata rather than payload)
                     let s = schema.as_ref().expect("group by before scan").clone();
@@ -435,6 +379,13 @@ impl Query {
 mod tests {
     use super::*;
     use marray::NdArray;
+
+    fn float(v: &Value) -> f64 {
+        match v {
+            Value::Float(x) => *x,
+            other => panic!("expected Float, got {:?}", other.value_type()),
+        }
+    }
 
     fn conn_with_images() -> MyriaConnection {
         let conn = MyriaConnection::connect(2, 2);
@@ -581,7 +532,7 @@ mod tests {
                 .filter(|i| i % 3 == subj)
                 .map(|i| 4.0 * i as f64)
                 .sum();
-            assert_eq!(t[2].as_float(), expect);
+            assert_eq!(float(&t[2]), expect);
         }
     }
 
@@ -640,15 +591,29 @@ mod tests {
 
     #[test]
     fn group_lands_on_one_worker() {
-        let conn = conn_with_images();
+        // Ingested on `imgId`, so each subject's images are spread over
+        // the workers and GroupBy must re-partition them on `subjId`.
+        let conn = MyriaConnection::connect(2, 2);
+        let images = conn_with_images().relation("Images").unwrap();
+        conn.ingest("Images", images.schema.clone(), images.all_tuples(), 1);
+        let spread = conn.relation("Images").unwrap();
+        assert!(
+            spread
+                .fragments
+                .iter()
+                .any(|f| f.iter().any(|t| t[0].as_int() != f[0][0].as_int())),
+            "some worker holds images of two subjects"
+        );
         conn.create_aggregate("CountAll", |tuples| Value::Int(tuples.len() as i64));
         let r = Query::scan("Images")
-            .shuffle("imgId") // deliberately mis-partition first
             .group_by(&["subjId"], "CountAll", "n", ValueType::Int)
             .execute(&conn)
             .unwrap();
         // Each subject appears exactly once overall (no split groups).
         assert_eq!(r.len(), 3);
+        for t in r.all_tuples() {
+            assert_eq!(t[1].as_int(), 4);
+        }
     }
 
     #[test]
@@ -657,10 +622,15 @@ mod tests {
         conn.create_function("Sum", |args| Value::Float(args[0].as_blob().sum()));
         let r = Query::scan_select("Images", "subjId", |v| v.as_int() == 1)
             .apply("Sum", &["img"], &["imgId"], "total", ValueType::Float)
-            .select("total", |v| v.as_float() > 4.0 * 3.0)
             .execute(&conn)
             .unwrap();
         // Subject 1 has images 1,4,7,10 with blob values = imgId·4.
-        assert_eq!(r.len(), 3, "images 4, 7, 10 pass the total filter");
+        let mut totals: Vec<(i64, f64)> = r
+            .all_tuples()
+            .iter()
+            .map(|t| (t[0].as_int(), float(&t[1])))
+            .collect();
+        totals.sort_by_key(|&(id, _)| id);
+        assert_eq!(totals, [(1, 4.0), (4, 16.0), (7, 28.0), (10, 40.0)]);
     }
 }

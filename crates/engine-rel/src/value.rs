@@ -51,25 +51,6 @@ impl Value {
         }
     }
 
-    /// Float accessor.
-    // scilint: allow(F001, typed Value accessor panics on a column type mismatch, the simulated engine's schema contract)
-    pub fn as_float(&self) -> f64 {
-        match self {
-            Value::Float(v) => *v,
-            Value::Int(v) => *v as f64,
-            other => panic!("expected Float, got {:?}", other.value_type()),
-        }
-    }
-
-    /// String accessor.
-    // scilint: allow(F001, typed Value accessor panics on a column type mismatch, the simulated engine's schema contract)
-    pub fn as_str(&self) -> &str {
-        match self {
-            Value::Str(v) => v,
-            other => panic!("expected Str, got {:?}", other.value_type()),
-        }
-    }
-
     /// Blob accessor.
     // scilint: allow(F001, typed Value accessor panics on a column type mismatch, the simulated engine's schema contract)
     pub fn as_blob(&self) -> &Arc<NdArray<f64>> {
@@ -79,20 +60,15 @@ impl Value {
         }
     }
 
-    /// Serialized size in bytes (used for partitioning and cost accounting).
-    /// Blobs charge their stored footprint, so a compressed plane crossing
-    /// a worker boundary costs its encoded bytes, not its dense shape.
+    /// Serialized size in bytes. Blobs charge their stored footprint, so a
+    /// compressed plane crossing a worker boundary costs its encoded
+    /// bytes, not its dense shape.
     pub fn nbytes(&self) -> usize {
         match self {
             Value::Int(_) | Value::Float(_) => 8,
             Value::Str(s) => s.len(),
             Value::Blob(b) => b.stored_nbytes(),
         }
-    }
-
-    /// Build a string value.
-    pub fn str(s: &str) -> Value {
-        Value::Str(Arc::from(s))
     }
 
     /// Build a blob value.
@@ -104,11 +80,6 @@ impl Value {
 /// A tuple is a row of values.
 pub type Tuple = Vec<Value>;
 
-/// Serialized size of a tuple.
-pub fn tuple_nbytes(tuple: &Tuple) -> usize {
-    tuple.iter().map(Value::nbytes).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,9 +87,6 @@ mod tests {
     #[test]
     fn accessors_and_types() {
         assert_eq!(Value::Int(7).as_int(), 7);
-        assert_eq!(Value::Int(7).as_float(), 7.0);
-        assert_eq!(Value::Float(2.5).as_float(), 2.5);
-        assert_eq!(Value::str("abc").as_str(), "abc");
         let b = Value::blob(NdArray::zeros(&[2, 2]));
         assert_eq!(b.as_blob().len(), 4);
         assert_eq!(b.value_type(), ValueType::Blob);
@@ -127,15 +95,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "expected Int")]
     fn wrong_accessor_panics() {
-        Value::str("x").as_int();
+        Value::Float(1.0).as_int();
     }
 
     #[test]
     fn nbytes() {
         assert_eq!(Value::Int(1).nbytes(), 8);
-        assert_eq!(Value::str("abcd").nbytes(), 4);
+        assert_eq!(Value::Str(Arc::from("abcd")).nbytes(), 4);
         assert_eq!(Value::blob(NdArray::zeros(&[10])).nbytes(), 80);
-        let t: Tuple = vec![Value::Int(1), Value::blob(NdArray::zeros(&[4]))];
-        assert_eq!(tuple_nbytes(&t), 8 + 32);
     }
 }

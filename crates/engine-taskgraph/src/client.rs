@@ -40,7 +40,6 @@ impl<T> Copy for Delayed<T> {}
 pub struct DaskClient {
     workers: usize,
     graph: Mutex<Vec<Node>>,
-    barriers: Mutex<usize>,
 }
 
 /// Downcast a stored value to its static type — the simulated Dask engine's
@@ -61,19 +60,11 @@ impl DaskClient {
         self.graph.lock().expect("graph lock poisoned")
     }
 
-    /// The barrier counter under its lock; see [`DaskClient::graph`] for the
-    /// poisoning contract.
-    fn barrier_counter(&self) -> MutexGuard<'_, usize> {
-        // scilint: allow(F001, poisoned barrier lock means a worker already panicked; aborting the scheduler is the engine contract)
-        self.barriers.lock().expect("barrier lock poisoned")
-    }
-
     /// Connect with the given worker-thread count.
     pub fn new(workers: usize) -> DaskClient {
         DaskClient {
             workers: workers.max(1),
             graph: Mutex::new(Vec::new()),
-            barriers: Mutex::new(0),
         }
     }
 
@@ -167,33 +158,6 @@ impl DaskClient {
             .clone()
     }
 
-    /// Execute the subgraphs of several targets under one barrier.
-    pub fn compute_many<T: Clone + Send + Sync + 'static>(&self, targets: &[Delayed<T>]) -> Vec<T> {
-        self.execute(&targets.iter().map(|t| t.node).collect::<Vec<_>>());
-        let graph = self.graph();
-        targets
-            .iter()
-            .map(|t| {
-                // scilint: allow(F001, the barrier above just executed every target; a missing result is a scheduler bug worth aborting on)
-                cast::<T>(graph[t.node].result.as_ref().expect("executed"))
-                    // scilint: allow(C001, result handoff clones the stored value; NdArray payloads are refcount bumps)
-                    .clone()
-            })
-            .collect()
-    }
-
-    /// Number of barriers (`result` / `compute_many` calls) so far — the
-    /// graph-construction discipline the paper highlights as Dask's main
-    /// usability cost.
-    pub fn barrier_count(&self) -> usize {
-        *self.barrier_counter()
-    }
-
-    /// Number of graph nodes built so far.
-    pub fn graph_size(&self) -> usize {
-        self.graph().len()
-    }
-
     /// Run the pending subgraph reachable from `targets`.
     ///
     /// `min(workers, pending)` pool workers each drain one shared ready
@@ -202,7 +166,6 @@ impl DaskClient {
     /// the task's own payload on the caller.
     // scilint: allow(F001, ready-queue lock poisoning and ran-twice/dep-done invariants abort the scheduler by design)
     fn execute(&self, targets: &[usize]) {
-        *self.barrier_counter() += 1;
         // Collect the incomplete subgraph and its dependency counts.
         let mut needed: Vec<usize> = Vec::new();
         let mut pending: BTreeMap<usize, usize> = BTreeMap::new();
@@ -361,7 +324,6 @@ mod tests {
         );
         client.result(x);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert_eq!(client.barrier_count(), 1);
     }
 
     #[test]
@@ -377,7 +339,6 @@ mod tests {
         client.result(x);
         client.result(y); // x's value is reused where it was computed
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert_eq!(client.barrier_count(), 2);
     }
 
     #[test]
@@ -410,15 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn compute_many_single_barrier() {
-        let client = DaskClient::new(4);
-        let xs: Vec<Delayed<usize>> = (0..5).map(|i| client.delayed(move || i * i)).collect();
-        let vals = client.compute_many(&xs);
-        assert_eq!(vals, vec![0, 1, 4, 9, 16]);
-        assert_eq!(client.barrier_count(), 1);
-    }
-
-    #[test]
     fn task_panic_stops_every_worker_and_keeps_its_message() {
         // Run each width on a helper thread so a scheduler that hangs after
         // a task panic fails this test instead of stalling the suite.
@@ -440,13 +392,5 @@ mod tests {
                 .unwrap_or_else(|_| panic!("execute hung after a task panic at {workers} workers"));
             assert_eq!(msg.as_deref(), Some("task a failed"), "workers={workers}");
         }
-    }
-
-    #[test]
-    fn graph_size_counts_nodes() {
-        let client = DaskClient::new(1);
-        let a = client.delayed(|| 1u8);
-        let _b = client.delayed_map(a, |v| v + 1);
-        assert_eq!(client.graph_size(), 2);
     }
 }

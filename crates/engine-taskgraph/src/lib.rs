@@ -2,13 +2,14 @@
 
 //! # engine-taskgraph — a delayed task-graph parallel library (Dask analog)
 //!
-//! Reproduces the architectural properties of Dask the paper's analysis
-//! rests on:
+//! Runs the paper's Dask neuroscience pipeline on real data (Figure 8). It
+//! keeps the architectural properties that pipeline exercises:
 //!
 //! * **`delayed` compute graphs over plain values** — no collection
 //!   abstraction; users wrap ordinary functions with
-//!   [`DaskClient::delayed`] / [`DaskClient::delayed_map`] and chain them
-//!   freely (the paper's Figure 8 style).
+//!   [`DaskClient::delayed`], [`DaskClient::delayed_map`],
+//!   [`DaskClient::delayed_zip`] and [`DaskClient::delayed_many`] and chain
+//!   them freely (the paper's Figure 8 style).
 //! * **Explicit barriers** — nothing runs until [`DaskClient::result`]
 //!   (Dask's `.result()`/`.compute()`), which executes the needed subgraph
 //!   and blocks. Users must reason about where to place these barriers.
@@ -19,10 +20,10 @@
 //!   takes any ready task); the cost model charges Dask's aggressive
 //!   stealing via [`TaskGraphEngineProfile::steal_cost`], which erodes
 //!   efficiency at larger cluster sizes (Figure 10g).
-//! * **Manual data placement for ingest** — the scheduler does not know
-//!   download sizes, so users assign subjects to machines explicitly
-//!   (Figure 11's flat Dask ingest curve); see the harness's ingest
-//!   experiment.
+//!
+//! The lowering models the rest: the scheduler does not know download
+//! sizes, so users assign subjects to machines explicitly (Figure 11's
+//! flat Dask ingest curve, in the harness's ingest experiment).
 //!
 //! ```
 //! use engine_taskgraph::DaskClient;

@@ -217,17 +217,6 @@ impl<T: Element> NdArray<T> {
         self.shape.dims().iter().skip(1).product::<usize>().max(1)
     }
 
-    /// Number of slabs along axis 0 (`dims()[0]`, or the element count for
-    /// rank ≤ 1).
-    #[inline]
-    pub fn num_slabs(&self) -> usize {
-        if self.shape.rank() <= 1 {
-            self.data.len()
-        } else {
-            self.shape.dim(0)
-        }
-    }
-
     /// Borrow slab `i` (the rank-(N-1) sub-array at axis-0 index `i`) as a
     /// contiguous slice.
     #[inline]
@@ -239,13 +228,6 @@ impl<T: Element> NdArray<T> {
     /// Iterate the slabs along axis 0 as contiguous slices.
     pub fn slabs(&self) -> std::slice::Chunks<'_, T> {
         self.d().chunks(self.slab_len())
-    }
-
-    /// Iterate the slabs along axis 0 as disjoint mutable slices — the
-    /// handles a data-parallel runtime distributes across workers.
-    pub fn slabs_mut(&mut self) -> std::slice::ChunksMut<'_, T> {
-        let len = self.slab_len();
-        self.data.make_mut("cow").chunks_mut(len)
     }
 
     /// Size of the array payload in bytes when serialized densely.
@@ -664,27 +646,17 @@ mod tests {
     fn slab_views_partition_axis0() {
         let a = iota(&[3, 2, 2]);
         assert_eq!(a.slab_len(), 4);
-        assert_eq!(a.num_slabs(), 3);
         assert_eq!(a.slab(1), &[4.0, 5.0, 6.0, 7.0]);
         let collected: Vec<&[f64]> = a.slabs().collect();
         assert_eq!(collected.len(), 3);
         assert_eq!(collected[2], a.slab(2));
-        // Mutable slabs are disjoint and cover the whole buffer.
-        let mut b = iota(&[3, 2, 2]);
-        for (i, slab) in b.slabs_mut().enumerate() {
-            for v in slab.iter_mut() {
-                *v = i as f64;
-            }
-        }
-        assert_eq!(b.slab(0), &[0.0; 4]);
-        assert_eq!(b.slab(2), &[2.0; 4]);
     }
 
     #[test]
     fn slab_views_rank1_are_single_elements() {
         let a = iota(&[5]);
         assert_eq!(a.slab_len(), 1);
-        assert_eq!(a.num_slabs(), 5);
+        assert_eq!(a.slabs().count(), 5);
         assert_eq!(a.slab(3), &[3.0]);
     }
 

@@ -493,13 +493,6 @@ impl<T: Element> ChunkView<T> {
     pub fn start(&self) -> usize {
         self.start
     }
-
-    /// Copy the viewed elements out into an owned vector, counted under
-    /// `reason` (views exist to *avoid* copies; copying out is explicit).
-    pub fn to_owned_vec(&self, reason: &str) -> Vec<T> {
-        CopyCounter::record(reason, self.len * T::BYTES);
-        self.as_slice().to_vec()
-    }
 }
 
 impl<T: Element> PartialEq for ChunkView<T> {
@@ -600,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn views_share_and_copy_out_is_counted() {
+    fn views_share_without_copying() {
         let _section = section();
         let before = CopyCounter::snapshot();
         let a = buf(10);
@@ -609,14 +602,6 @@ mod tests {
         assert_eq!(v.len(), 4);
         assert_eq!(v.start(), 3);
         assert_eq!(CopyCounter::snapshot().since(&before).copies, 0);
-        let owned = v.to_owned_vec("spark.collect");
-        assert_eq!(owned, vec![3.0, 4.0, 5.0, 6.0]);
-        let delta = CopyCounter::snapshot().since(&before);
-        assert_eq!(delta.copies, 1);
-        assert_eq!(
-            delta.by_reason.get("spark.collect").map(|r| r.bytes),
-            Some(32)
-        );
     }
 
     #[test]

@@ -140,23 +140,6 @@ impl<T: Element> NdArray<T> {
         }
         self.take_axis(axis, &mask.selected())
     }
-
-    /// Zero out every element where the (same-shaped) mask is false.
-    pub fn apply_mask(&self, mask: &Mask) -> Result<NdArray<T>> {
-        if mask.dims() != self.dims() {
-            return Err(ArrayError::ShapeMismatch {
-                expected: self.dims().to_vec(),
-                got: mask.dims().to_vec(),
-            });
-        }
-        let data = self
-            .data()
-            .iter()
-            .zip(mask.bits())
-            .map(|(&v, &keep)| if keep { v } else { T::ZERO })
-            .collect();
-        NdArray::from_vec(self.dims(), data)
-    }
 }
 
 #[cfg(test)]
@@ -188,14 +171,6 @@ mod tests {
         let a = NdArray::<f32>::zeros(&[2, 3]);
         let m = Mask::from_vec(&[2], vec![true, false]).unwrap();
         assert!(a.compress_axis(&m, 1).is_err());
-    }
-
-    #[test]
-    fn apply_mask_zeros_background() {
-        let a = NdArray::from_vec(&[4], vec![5.0f32, 6.0, 7.0, 8.0]).unwrap();
-        let m = Mask::from_vec(&[4], vec![true, false, true, false]).unwrap();
-        let out = a.apply_mask(&m).unwrap();
-        assert_eq!(out.data(), &[5.0, 0.0, 7.0, 0.0]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   placement constraints;
 //! * [`simulate`] executes the graph under a [`SchedPolicy`] (locality-aware
 //!   FIFO, work stealing with per-steal cost, or static placement) and
-//!   returns a [`SimReport`] with the makespan, per-node utilization, peak
+//!   returns a [`SimReport`] with the makespan, per-node busy time, peak
 //!   memory and data-movement totals.
 //!
 //! Scheduling-policy differences — pipelining vs. barriers, shuffle

@@ -65,16 +65,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Mean slot utilization over the makespan: busy-seconds divided by
-    /// (slots × makespan).
-    pub fn utilization(&self, total_slots: usize) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        let busy: f64 = self.node_busy.iter().sum();
-        busy / (total_slots as f64 * self.makespan)
-    }
-
     /// Peak memory across all nodes.
     pub fn peak_mem(&self) -> u64 {
         self.node_peak_mem.iter().copied().max().unwrap_or(0)
@@ -88,32 +78,6 @@ impl SimReport {
             .map(|t| t.finish - t.start)
             .sum()
     }
-
-    /// A textual per-label timeline: when each kind of task first started
-    /// and last finished, with its total busy time — a quick way to see a
-    /// schedule's phase structure without a full Gantt chart.
-    pub fn timeline(&self) -> String {
-        use std::collections::BTreeMap;
-        // (first start, last finish, total busy, task count) per label.
-        type Span = (f64, f64, f64, usize);
-        let mut spans: BTreeMap<&'static str, Span> = BTreeMap::new();
-        for t in &self.timings {
-            let e = spans.entry(t.label).or_insert((f64::INFINITY, 0.0, 0.0, 0));
-            e.0 = e.0.min(t.start);
-            e.1 = e.1.max(t.finish);
-            e.2 += t.finish - t.start;
-            e.3 += 1;
-        }
-        let mut rows: Vec<(&'static str, Span)> = spans.into_iter().collect();
-        rows.sort_by(|a, b| a.1 .0.total_cmp(&b.1 .0));
-        let mut out = String::new();
-        for (label, (first, last, busy, n)) in rows {
-            out.push_str(&format!(
-                "{label:<28} [{first:>9.1}s – {last:>9.1}s]  n={n:<6} busy={busy:.0} core-s\n"
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -121,39 +85,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timeline_orders_phases_by_start() {
-        let report = SimReport {
-            makespan: 10.0,
-            node_busy: vec![10.0],
-            node_peak_mem: vec![0],
-            bytes_from_s3: 0,
-            bytes_over_network: 0,
-            bytes_on_disk: 0,
-            tasks_stolen: 0,
-            timings: vec![
-                TaskTiming {
-                    label: "late",
-                    node: 0,
-                    start: 5.0,
-                    finish: 10.0,
-                },
-                TaskTiming {
-                    label: "early",
-                    node: 0,
-                    start: 0.0,
-                    finish: 5.0,
-                },
-            ],
-        };
-        let tl = report.timeline();
-        let early = tl.find("early").unwrap();
-        let late = tl.find("late").unwrap();
-        assert!(early < late, "phases ordered by first start:\n{tl}");
-        assert!(tl.contains("busy=5 core-s"));
-    }
-
-    #[test]
-    fn utilization_and_peaks() {
+    fn peak_mem_is_the_largest_node_peak() {
         let report = SimReport {
             makespan: 10.0,
             node_busy: vec![5.0, 10.0],
@@ -164,7 +96,6 @@ mod tests {
             tasks_stolen: 0,
             timings: vec![],
         };
-        assert!((report.utilization(2) - 0.75).abs() < 1e-12);
         assert_eq!(report.peak_mem(), 7);
     }
 }

@@ -113,12 +113,11 @@ fn main() {
     let db = engine_array::ArrayDb::connect(4);
     let coadd = astro_uc::scidb_coadd_cube(&db, &cube, 24).expect("scidb coadd runs");
     println!(
-        "SciDB-style AQL coadd of patch {:?}: {}×{} px, mean flux {:.1} (chunk ops recorded: {:?})",
+        "SciDB-style AQL coadd of patch {:?}: {}×{} px, mean flux {:.1}",
         patch,
         coadd.dims()[0],
         coadd.dims()[1],
-        coadd.mean(),
-        db.stats().snapshot()
+        coadd.mean()
     );
 
     // ---- Part 2: paper-scale simulation ------------------------------
